@@ -15,7 +15,7 @@
 //!   trace's sequential fraction: `seq` (>= 3/4 sequential), `rand`
 //!   (<= 1/4), `mixed` otherwise.
 //! * **mode** — the variant within the layer: `walk`/`analytic`,
-//!   `per_event`/`run_compressed`, `streamed`/`sharded`/`materialized`,
+//!   `per_event`/`run_compressed`, `streamed`/`materialized`,
 //!   `encode`/`decode`, `sweep`.
 //!
 //! Entry ids are `{layer}_{access}_{mode}__{kernel}`, stable across PRs
@@ -291,16 +291,6 @@ pub fn bench_kernel_all(bench: &Benchmark) -> Vec<BenchEntry> {
             "streamed",
             kernel,
             &sb.streamed,
-            kc.events,
-            "events",
-            sb.reports_identical,
-        ),
-        entry(
-            "sim",
-            access,
-            "sharded",
-            kernel,
-            &sb.sharded,
             kc.events,
             "events",
             sb.reports_identical,

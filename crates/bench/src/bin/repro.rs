@@ -155,8 +155,8 @@ fn main() {
     }
 }
 
-/// `repro bench`: times the scheme suite over the streamed, sharded,
-/// and materialized trace data paths (see `sdpm_bench::streambench`).
+/// `repro bench`: times the scheme suite over the streamed and
+/// materialized trace data paths (see `sdpm_bench::streambench`).
 /// `--json` additionally writes the machine-readable record to
 /// `BENCH_streaming.json` (or `--out`'s path). Exits nonzero if the
 /// paths' reports are not bitwise identical.

@@ -10,7 +10,8 @@ use sdpm_core::{run_scheme, NoiseModel, PipelineConfig, Scheme, Session};
 use sdpm_disk::{ultrastar36z15, RpmLadder};
 use sdpm_ir::Program;
 use sdpm_layout::Striping;
-use sdpm_sim::SimReport;
+use sdpm_sim::{simulate_mix, MixPolicy, SimReport};
+use sdpm_trace::{merge_tenants, tenant_timeline};
 use sdpm_workloads::{all_benchmarks, swim, Benchmark, Table2Row};
 use sdpm_xform::Transform;
 use serde::{Deserialize, Serialize};
@@ -423,15 +424,17 @@ pub fn pdc_study() -> Vec<(String, f64, f64, f64)> {
     let pool = sdpm_layout::DiskPool::new(cfg.disks);
     let pdc = sdpm_xform::pdc_layout(&bench.program, pool);
     let base = run_scheme(&bench.program, Scheme::Base, &cfg);
-    let ladder_max = RpmLadder::new(&cfg.params).max_level();
     [("original", &bench.program), ("PDC", &pdc.program)]
         .into_iter()
         .map(|(label, program)| {
             let mut session = Session::new(program, &cfg);
             let cmtpm = session.run(Scheme::CmTpm).normalized_energy(&base);
             let cmdrpm = session.run(Scheme::CmDrpm).normalized_energy(&base);
-            let open =
-                sdpm_sim::replay_open_loop(session.base_trace(), &cfg.params, pool, ladder_max);
+            // Open loop: the base trace's requests arrive at their nominal
+            // times, one tenant on an unmanaged full-speed pool.
+            let arrivals = merge_tenants(&[tenant_timeline(session.base_trace(), 0, 0.0, 1.0)]);
+            let open = simulate_mix(&arrivals, &[label], &cfg.params, pool, &MixPolicy::Base)
+                .unwrap_or_else(|e| panic!("PDC open-loop replay: {e}"));
             (
                 label.to_string(),
                 cmtpm,
@@ -497,4 +500,36 @@ pub fn gap_distributions(benches: &[Benchmark]) -> Vec<GapDistribution> {
             idle_time_above_break_even: if total > 0.0 { above / total } else { 0.0 },
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pins the `repro pdc` table at the precision it prints: normalized
+    /// CM energies to three decimals, open-loop mean response (ms) to two.
+    #[test]
+    fn pdc_study_reproduces_the_printed_table() {
+        let rows: Vec<(String, String, String, String)> = pdc_study()
+            .into_iter()
+            .map(|(label, cmtpm, cmdrpm, resp_ms)| {
+                (
+                    label,
+                    format!("{cmtpm:.3}"),
+                    format!("{cmdrpm:.3}"),
+                    format!("{resp_ms:.2}"),
+                )
+            })
+            .collect();
+        let expect = |l: &str, a: &str, b: &str, r: &str| {
+            (l.to_string(), a.to_string(), b.to_string(), r.to_string())
+        };
+        assert_eq!(
+            rows,
+            vec![
+                expect("original", "1.000", "0.539", "8.72"),
+                expect("PDC", "0.557", "0.392", "1396.85"),
+            ]
+        );
+    }
 }

@@ -18,7 +18,7 @@
 use crate::config_for;
 use sdpm_core::PipelineConfig;
 use sdpm_layout::DiskPool;
-use sdpm_sim::{simulate, simulate_sharded, simulate_source, Policy, SimReport};
+use sdpm_sim::{simulate, simulate_source, Policy, SimReport};
 use sdpm_trace::{generate, GenSource, Trace};
 use sdpm_workloads::Benchmark;
 use std::time::Instant;
@@ -50,15 +50,9 @@ pub struct StreamBench {
     pub bench: &'static str,
     pub schemes: Vec<&'static str>,
     pub streamed: PathCost,
-    pub sharded: PathCost,
     pub materialized: PathCost,
-    /// Engine path the "sharded" suite actually ran
-    /// ([`sdpm_sim::SimPath::label`]): `"sharded"`, or `"streamed"` when
-    /// [`simulate_sharded`] routed a small workload to the sequential
-    /// fallback.
-    pub sharded_path: &'static str,
-    /// Every scheme's streamed and sharded reports matched the
-    /// materialized ones bitwise.
+    /// Every scheme's streamed report matched the materialized one
+    /// bitwise.
     pub reports_identical: bool,
 }
 
@@ -125,17 +119,11 @@ pub fn run_stream_bench(bench: &Benchmark) -> StreamBench {
     // high-water mark before the streamed reading.
     let _ = simulate_source(&source, &cfg.params, pool, &Policy::Base);
 
-    let suites: [Box<dyn Fn() -> Vec<SimReport>>; 3] = [
+    let suites: [Box<dyn Fn() -> Vec<SimReport>>; 2] = [
         Box::new(|| {
             policies
                 .iter()
                 .map(|(_, p)| simulate_source(&source, &cfg.params, pool, p))
-                .collect()
-        }),
-        Box::new(|| {
-            policies
-                .iter()
-                .map(|(_, p)| simulate_sharded(&source, &cfg.params, pool, p))
                 .collect()
         }),
         Box::new(|| {
@@ -149,9 +137,9 @@ pub fn run_stream_bench(bench: &Benchmark) -> StreamBench {
         }),
     ];
 
-    let mut best = [f64::INFINITY; 3];
-    let mut peak = [0u64; 3];
-    let mut reports: [Vec<SimReport>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    let mut best = [f64::INFINITY; 2];
+    let mut peak = [0u64; 2];
+    let mut reports: [Vec<SimReport>; 2] = [Vec::new(), Vec::new()];
     for rep in 0..REPS {
         for (i, run) in suites.iter().enumerate() {
             let t0 = Instant::now();
@@ -167,29 +155,22 @@ pub fn run_stream_bench(bench: &Benchmark) -> StreamBench {
     }
     drop(suites);
 
-    let [streamed_reports, sharded_reports, materialized_reports] = reports;
+    let [streamed_reports, materialized_reports] = reports;
     let cost = |i: usize| PathCost {
         wall_secs: best[i],
         peak_kib: peak[i],
     };
-    let (streamed, sharded, materialized) = (cost(0), cost(1), cost(2));
 
     let reports_identical = streamed_reports
         .iter()
-        .zip(&sharded_reports)
         .zip(&materialized_reports)
-        .all(|((s, h), m)| identical(s, m) && identical(h, m));
-    let sharded_path = sharded_reports
-        .first()
-        .map_or("sharded", |r| r.sim_path.label());
+        .all(|(s, m)| identical(s, m));
 
     StreamBench {
         bench: bench.name,
         schemes: policies.iter().map(|(label, _)| *label).collect(),
-        streamed,
-        sharded,
-        materialized,
-        sharded_path,
+        streamed: cost(0),
+        materialized: cost(1),
         reports_identical,
     }
 }
@@ -213,14 +194,12 @@ impl StreamBench {
             .join(", ");
         format!(
             "{{\n  \"bench\": \"{}\",\n  \"schemes\": [{}],\n  \
-             \"streamed\": {},\n  \"sharded\": {},\n  \"materialized\": {},\n  \
-             \"sharded_path\": \"{}\",\n  \"reports_identical\": {}\n}}\n",
+             \"streamed\": {},\n  \"materialized\": {},\n  \
+             \"reports_identical\": {}\n}}\n",
             self.bench,
             schemes,
             path(&self.streamed),
-            path(&self.sharded),
             path(&self.materialized),
-            self.sharded_path,
             self.reports_identical,
         )
     }
@@ -230,7 +209,6 @@ impl StreamBench {
     pub fn rows(&self) -> Vec<Vec<String>> {
         [
             ("streamed", &self.streamed),
-            ("sharded", &self.sharded),
             ("materialized", &self.materialized),
         ]
         .iter()
@@ -264,11 +242,5 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"bench\": \"171.swim\""));
         assert!(json.contains("\"reports_identical\": true"));
-        // swim is thousands of events on 8 disks — far below the sharded
-        // mode's amortization point, so the suite must have routed to the
-        // sequential fallback (the warm-up pass teaches GenSource its
-        // length).
-        assert_eq!(r.sharded_path, "streamed");
-        assert!(json.contains("\"sharded_path\": \"streamed\""));
     }
 }

@@ -19,7 +19,7 @@ use crate::pipeline::{PipelineConfig, Scheme, SchemeArtifacts};
 use sdpm_fault::FaultPlan;
 use sdpm_ir::Program;
 use sdpm_layout::DiskPool;
-use sdpm_sim::{DirectiveConfig, Policy, SimError, SimReport};
+use sdpm_sim::{DirectiveConfig, Engine, Policy, SimError, SimReport};
 use sdpm_trace::{compress, generate, generate_runs, RunTrace, Trace};
 
 #[cfg(feature = "obs")]
@@ -184,14 +184,27 @@ impl<'a> Session<'a> {
     /// `policy` field carries the scheme label.
     #[must_use]
     pub fn run(&mut self, scheme: Scheme) -> SimReport {
-        self.run_full(scheme, None).report
+        unwrap_report(self.simulate(scheme, None, None))
     }
 
     /// Like [`Session::run`], but keeps the pipeline's intermediate
     /// artifacts so they can be checked after the fact.
     #[must_use]
     pub fn run_with_artifacts(&mut self, scheme: Scheme) -> SchemeArtifacts {
-        self.run_full(scheme, None)
+        let report = self.run(scheme);
+        let (trace, insertion) = match scheme_plan(scheme, self.cfg).0 {
+            None => (self.base_trace().clone(), None),
+            Some(mode) => {
+                let out = self.instrumented(mode);
+                (out.trace.clone(), Some(out.clone()))
+            }
+        };
+        SchemeArtifacts {
+            scheme,
+            trace,
+            insertion,
+            report,
+        }
     }
 
     /// Like [`Session::run`], but streams pipeline phase spans and the
@@ -200,49 +213,23 @@ impl<'a> Session<'a> {
     #[cfg(feature = "obs")]
     #[must_use]
     pub fn run_with_recorder(&mut self, scheme: Scheme, rec: &dyn sdpm_obs::Recorder) -> SimReport {
-        self.run_full(scheme, Some(rec)).report
+        unwrap_report(self.simulate(scheme, None, Some(rec)))
     }
 
     /// Runs one scheme through the O(#runs) fast path: the session's
-    /// cached run-compressed traces drive [`sdpm_sim::simulate_runs`].
+    /// cached run-compressed traces drive [`sdpm_sim::Engine::runs`].
     /// The report is bit-identical to [`Session::run`] on the same
     /// scheme; only [`sdpm_sim::SimReport::sim_path`] differs.
     #[must_use]
     pub fn run_compressed(&mut self, scheme: Scheme) -> SimReport {
-        let cfg = self.cfg;
-        let pool = self.pool;
+        let (mode, policy) = scheme_plan(scheme, self.cfg);
+        let engine = Engine::new(self.cfg.params.clone(), self.pool, policy);
         let _sp = crate::prof::span("session.simulate_runs");
-        let mut report = match scheme {
-            Scheme::Base => {
-                sdpm_sim::simulate_runs(self.base_runs(), &cfg.params, pool, &Policy::Base)
-            }
-            Scheme::Tpm => {
-                sdpm_sim::simulate_runs(self.base_runs(), &cfg.params, pool, &Policy::Tpm(cfg.tpm))
-            }
-            Scheme::ITpm => {
-                sdpm_sim::simulate_runs(self.base_runs(), &cfg.params, pool, &Policy::IdealTpm)
-            }
-            Scheme::Drpm => sdpm_sim::simulate_runs(
-                self.base_runs(),
-                &cfg.params,
-                pool,
-                &Policy::Drpm(cfg.drpm),
-            ),
-            Scheme::IDrpm => {
-                sdpm_sim::simulate_runs(self.base_runs(), &cfg.params, pool, &Policy::IdealDrpm)
-            }
-            Scheme::CmTpm | Scheme::CmDrpm => {
-                let mode = if scheme == Scheme::CmTpm {
-                    CmMode::Tpm
-                } else {
-                    CmMode::Drpm
-                };
-                let policy = Policy::Directive(DirectiveConfig {
-                    overhead_secs: cfg.overhead_secs,
-                });
-                sdpm_sim::simulate_runs(self.instrumented_runs(mode), &cfg.params, pool, &policy)
-            }
+        let runs = match mode {
+            None => self.base_runs(),
+            Some(mode) => self.instrumented_runs(mode),
         };
+        let mut report = unwrap_report(engine.runs(runs));
         report.policy = scheme.label().to_string();
         report
     }
@@ -258,149 +245,60 @@ impl<'a> Session<'a> {
         scheme: Scheme,
         faults: Option<&FaultPlan>,
     ) -> Result<SimReport, SimError> {
-        let cfg = self.cfg;
-        let pool = self.pool;
-        let mut report = match scheme {
-            Scheme::Base => {
-                let t = self.base_trace();
-                sdpm_sim::try_simulate_source_faulted(t, &cfg.params, pool, &Policy::Base, faults)?
-            }
-            Scheme::Tpm => {
-                let t = self.base_trace();
-                sdpm_sim::try_simulate_source_faulted(
-                    t,
-                    &cfg.params,
-                    pool,
-                    &Policy::Tpm(cfg.tpm),
-                    faults,
-                )?
-            }
-            Scheme::ITpm => {
-                let t = self.base_trace();
-                sdpm_sim::try_simulate_source_faulted(
-                    t,
-                    &cfg.params,
-                    pool,
-                    &Policy::IdealTpm,
-                    faults,
-                )?
-            }
-            Scheme::Drpm => {
-                let t = self.base_trace();
-                sdpm_sim::try_simulate_source_faulted(
-                    t,
-                    &cfg.params,
-                    pool,
-                    &Policy::Drpm(cfg.drpm),
-                    faults,
-                )?
-            }
-            Scheme::IDrpm => {
-                let t = self.base_trace();
-                sdpm_sim::try_simulate_source_faulted(
-                    t,
-                    &cfg.params,
-                    pool,
-                    &Policy::IdealDrpm,
-                    faults,
-                )?
-            }
-            Scheme::CmTpm | Scheme::CmDrpm => {
-                let mode = if scheme == Scheme::CmTpm {
-                    CmMode::Tpm
-                } else {
-                    CmMode::Drpm
-                };
-                let policy = Policy::Directive(DirectiveConfig {
-                    overhead_secs: cfg.overhead_secs,
-                });
-                let t = &self.instrumented(mode).trace;
-                sdpm_sim::try_simulate_source_faulted(t, &cfg.params, pool, &policy, faults)?
-            }
+        self.simulate(scheme, faults, None)
+    }
+
+    /// The per-event run behind [`Session::run`] and its variants: the
+    /// cached trace `scheme` needs, played under a `simulation` phase span
+    /// with the given options. The trace was validated when the session
+    /// cached it, so it enters the engine as a stream without a second
+    /// validation pass.
+    fn simulate(
+        &mut self,
+        scheme: Scheme,
+        faults: Option<&FaultPlan>,
+        rec: Obs<'_>,
+    ) -> Result<SimReport, SimError> {
+        let (mode, policy) = scheme_plan(scheme, self.cfg);
+        let engine = Engine::new(self.cfg.params.clone(), self.pool, policy).faults(faults);
+        #[cfg(feature = "obs")]
+        let engine = match rec {
+            Some(r) => engine.recorder(r),
+            None => engine,
         };
+        let trace = match mode {
+            None => self.base_trace_obs(rec),
+            Some(mode) => &self.instrumented_obs(mode, rec).trace,
+        };
+        let _sp = crate::prof::span("session.simulate");
+        let mut report = phase(rec, "simulation", || engine.events(trace))?;
         report.policy = scheme.label().to_string();
         Ok(report)
     }
+}
 
-    pub(crate) fn run_full(&mut self, scheme: Scheme, rec: Obs<'_>) -> SchemeArtifacts {
-        let cfg = self.cfg;
-        let pool = self.pool;
-        let (trace, insertion, mut report) = match scheme {
-            Scheme::Base => {
-                let t = self.base_trace_obs(rec);
-                let r = sim(t, cfg, pool, &Policy::Base, rec);
-                (t.clone(), None, r)
-            }
-            Scheme::Tpm => {
-                let t = self.base_trace_obs(rec);
-                let r = sim(t, cfg, pool, &Policy::Tpm(cfg.tpm), rec);
-                (t.clone(), None, r)
-            }
-            Scheme::ITpm => {
-                let t = self.base_trace_obs(rec);
-                let r = sim(t, cfg, pool, &Policy::IdealTpm, rec);
-                (t.clone(), None, r)
-            }
-            Scheme::Drpm => {
-                let t = self.base_trace_obs(rec);
-                let r = sim(t, cfg, pool, &Policy::Drpm(cfg.drpm), rec);
-                (t.clone(), None, r)
-            }
-            Scheme::IDrpm => {
-                let t = self.base_trace_obs(rec);
-                let r = sim(t, cfg, pool, &Policy::IdealDrpm, rec);
-                (t.clone(), None, r)
-            }
-            Scheme::CmTpm | Scheme::CmDrpm => {
-                let mode = if scheme == Scheme::CmTpm {
-                    CmMode::Tpm
-                } else {
-                    CmMode::Drpm
-                };
-                let out = self.instrumented_obs(mode, rec);
-                let r = sim(
-                    &out.trace,
-                    cfg,
-                    pool,
-                    &Policy::Directive(DirectiveConfig {
-                        overhead_secs: cfg.overhead_secs,
-                    }),
-                    rec,
-                );
-                (out.trace.clone(), Some(out.clone()), r)
-            }
-        };
-        report.policy = scheme.label().to_string();
-        SchemeArtifacts {
-            scheme,
-            trace,
-            insertion,
-            report,
-        }
+/// What `scheme` runs: the instrumentation mode whose trace it replays
+/// (`None` for the base trace) and the simulator policy. The one scheme
+/// mapping every run path shares.
+fn scheme_plan(scheme: Scheme, cfg: &PipelineConfig) -> (Option<CmMode>, Policy) {
+    let directive = Policy::Directive(DirectiveConfig {
+        overhead_secs: cfg.overhead_secs,
+    });
+    match scheme {
+        Scheme::Base => (None, Policy::Base),
+        Scheme::Tpm => (None, Policy::Tpm(cfg.tpm)),
+        Scheme::ITpm => (None, Policy::IdealTpm),
+        Scheme::Drpm => (None, Policy::Drpm(cfg.drpm)),
+        Scheme::IDrpm => (None, Policy::IdealDrpm),
+        Scheme::CmTpm => (Some(CmMode::Tpm), directive),
+        Scheme::CmDrpm => (Some(CmMode::Drpm), directive),
     }
 }
 
-/// Simulation under a `simulation` phase span, streaming into the
-/// recorder when one is present. The trace was validated when the
-/// session cached it, so it enters the simulator through the stream
-/// interface ([`sdpm_sim::simulate_source`]) without a second
-/// validation pass.
-fn sim(
-    trace: &Trace,
-    cfg: &PipelineConfig,
-    pool: DiskPool,
-    policy: &Policy,
-    rec: Obs<'_>,
-) -> SimReport {
-    let _sp = crate::prof::span("session.simulate");
-    #[cfg(feature = "obs")]
-    if let Some(r) = rec {
-        return phase(rec, "simulation", || {
-            sdpm_sim::simulate_source_with_recorder(trace, &cfg.params, pool, policy, r)
-        });
-    }
-    let _ = rec;
-    sdpm_sim::simulate_source(trace, &cfg.params, pool, policy)
+/// The panicking shorthand's contract: a cached, validated trace only
+/// fails to simulate on invalid disk parameters.
+fn unwrap_report(report: Result<SimReport, SimError>) -> SimReport {
+    report.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// `insert_directives`, routed through the recording variant when a

@@ -116,11 +116,6 @@ pub struct PowerStateMachine {
     pub spin_ups: u64,
     /// Count of completed RPM shifts.
     pub rpm_shifts: u64,
-    /// When false, [`Self::charge`] is skipped: the state/time trajectory
-    /// is identical, energy stays zero. Used by the sharded simulator's
-    /// resolve pass, which needs timing but defers energy integration to
-    /// a parallel replay.
-    track_energy: bool,
 }
 
 impl PowerStateMachine {
@@ -140,20 +135,6 @@ impl PowerStateMachine {
             spin_downs: 0,
             spin_ups: 0,
             rpm_shifts: 0,
-            track_energy: true,
-        }
-    }
-
-    /// A machine that tracks the state/time trajectory but skips energy
-    /// integration ([`Self::energy`] stays zero). Every transition and
-    /// legality decision is identical to a full machine's — energy is
-    /// write-only with respect to the trajectory — so a lean machine is a
-    /// drop-in for timing-only passes.
-    #[must_use]
-    pub fn new_lean(params: DiskParams) -> Self {
-        PowerStateMachine {
-            track_energy: false,
-            ..Self::new(params)
         }
     }
 
@@ -218,9 +199,6 @@ impl PowerStateMachine {
 
     fn charge(&mut self, state: DiskPowerState, dur: f64) {
         debug_assert!(dur >= 0.0);
-        if !self.track_energy {
-            return;
-        }
         let rate = self.power_rate_w(state);
         match state {
             DiskPowerState::Idle { .. } => self.energy.add_idle(rate * dur, dur),
@@ -520,27 +498,6 @@ mod tests {
         assert!((m.ready_time() - (2.0 + 10.9)).abs() < 1e-12);
         m.spin_up(2.0).unwrap();
         assert!((m.ready_time() - 12.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lean_machine_follows_the_same_trajectory_without_energy() {
-        let mut full = machine();
-        let mut lean = PowerStateMachine::new_lean(ultrastar36z15());
-        for m in [&mut full, &mut lean] {
-            m.begin_service(0.5).unwrap();
-            m.end_service(0.9).unwrap();
-            m.spin_down(1.0).unwrap();
-            m.advance(5.0).unwrap();
-            m.spin_up(5.0).unwrap();
-            m.advance(20.0).unwrap();
-            assert!(m.spin_down(20.0).is_ok());
-        }
-        assert_eq!(full.state(), lean.state());
-        assert_eq!(full.now(), lean.now());
-        assert_eq!(full.spin_downs, lean.spin_downs);
-        assert_eq!(full.spin_ups, lean.spin_ups);
-        assert!(full.energy().breakdown().total_j() > 0.0);
-        assert_eq!(lean.energy().breakdown().total_j(), 0.0);
     }
 
     #[test]

@@ -162,16 +162,6 @@ impl FaultCounts {
         .filter(|&(_, n)| n > 0)
         .collect()
     }
-
-    /// Merges another counter set into this one (sharded accumulation).
-    pub fn merge(&mut self, other: &FaultCounts) {
-        self.transient_failures += other.transient_failures;
-        self.retries += other.retries;
-        self.retry_exhausted += other.retry_exhausted;
-        self.slow_spinups += other.slow_spinups;
-        self.stuck_rpm += other.stuck_rpm;
-        self.degraded_expansions += other.degraded_expansions;
-    }
 }
 
 /// What [`FaultPlan::mangle`] did to a byte buffer.

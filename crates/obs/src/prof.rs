@@ -18,7 +18,7 @@
 //! * A **counter** ([`add`]) attributes a unit count (events, records,
 //!   bytes, chunks) to the innermost open span of the current thread —
 //!   throughput falls out as `counter / span wall time` at render time.
-//! * Worker threads (the sharded simulator's replay pool) record into
+//! * Worker threads record into
 //!   thread-local buffers that flush into the global collector when the
 //!   thread exits; [`set_thread_label`] names the resulting track.
 //! * [`take`] drains everything into a [`Profile`]: the raw per-thread
@@ -142,7 +142,7 @@ fn with_log<T>(f: impl FnOnce(&mut ThreadLog) -> T) -> Option<T> {
 }
 
 /// Labels the current thread's track in the profile (e.g.
-/// `"shard-worker-3"`). The main measurement thread defaults to
+/// `"worker-3"`). The main measurement thread defaults to
 /// `"main"`; unlabeled helper threads to `"thread"`.
 pub fn set_thread_label(label: &str) {
     if !is_enabled() {
@@ -582,7 +582,7 @@ fn build_profile(logs: Vec<ThreadLog>) -> Profile {
 }
 
 impl Profile {
-    /// Finds a merged node by slash-separated path (`"sim.sharded/sim.simulate"`).
+    /// Finds a merged node by slash-separated path (`"session.simulate/sim.simulate"`).
     #[must_use]
     pub fn node(&self, path: &str) -> Option<&Node> {
         let mut parts = path.split('/');

@@ -8,7 +8,7 @@ use sdpm_ir::{AffineExpr, ArrayRef, LoopDim, LoopNest, Program, Statement};
 use sdpm_layout::{ArrayFile, DiskId, DiskPool, StorageOrder, Striping};
 use sdpm_obs::json::Value;
 use sdpm_obs::{ChromeTraceRecorder, Event, JsonlRecorder, Metrics, MetricsRecorder, Recorder};
-use sdpm_sim::{simulate_with_recorder, DirectiveConfig, Policy, SimReport};
+use sdpm_sim::{DirectiveConfig, Engine, Policy, SimReport};
 use sdpm_trace::{AppEvent, IoRequest, PowerAction, ReqKind, Trace};
 use std::cell::RefCell;
 
@@ -226,13 +226,14 @@ fn misfire_events_classify_hostile_directives() {
         ],
     };
     let rec = MetricsRecorder::new();
-    let r = simulate_with_recorder(
-        &t,
-        &ultrastar36z15(),
+    let r = Engine::new(
+        ultrastar36z15(),
         DiskPool::new(2),
-        &Policy::Directive(DirectiveConfig::default()),
-        &rec,
-    );
+        Policy::Directive(DirectiveConfig::default()),
+    )
+    .recorder(&rec)
+    .events(&t)
+    .expect("hostile directives are absorbed as misfires");
     let m = rec.snapshot();
     assert_eq!(m.misfires.get("spin_up_rejected"), Some(&1));
     assert_eq!(m.misfires.get("off_ladder_level"), Some(&1));
@@ -325,13 +326,10 @@ fn static_replay_agrees_with_dynamic_misfire_metrics() {
     let params = ultrastar36z15();
     let dcfg = DirectiveConfig::default();
     let rec = MetricsRecorder::new();
-    let report = simulate_with_recorder(
-        &hostile,
-        &params,
-        DiskPool::new(2),
-        &Policy::Directive(dcfg),
-        &rec,
-    );
+    let report = Engine::new(params.clone(), DiskPool::new(2), Policy::Directive(dcfg))
+        .recorder(&rec)
+        .events(&hostile)
+        .expect("hostile directives are absorbed as misfires");
     let m = rec.snapshot();
     let replay = sdpm_verify::replay_directives(&hostile, &params, dcfg.overhead_secs);
 

@@ -8,16 +8,19 @@
 //! so the energy integral is exact without a global event queue.
 
 use crate::error::SimError;
+use crate::oracle;
 use crate::policy::{DrpmConfig, Policy, ScheduledAction};
+use crate::prof;
 use crate::report::{GapRecord, MisfireCause, MisfireCauses, PerDiskReport, SimPath, SimReport};
-use crate::shard::DiskOp;
 use sdpm_disk::{
     service_time_secs, tpm_break_even_secs, DiskParams, DiskPowerState, EnergyBreakdown,
     PowerError, PowerStateMachine, RpmLadder, RpmLevel, ServiceRequest,
 };
 use sdpm_fault::{FaultCounts, FaultPlan};
 use sdpm_layout::{DiskId, DiskPool};
-use sdpm_trace::{AppEvent, EventStream, IoRequest, PowerAction, REvent, Run, RunStream, Trace};
+use sdpm_trace::{
+    AppEvent, EventSource, EventStream, IoRequest, PowerAction, REvent, Run, RunSource, RunStream,
+};
 
 #[cfg(feature = "obs")]
 use sdpm_obs::{Event as ObsEvent, Recorder};
@@ -140,11 +143,6 @@ struct DiskRt {
     sched_idx: usize,
     gaps: Vec<GapRecord>,
     requests: u64,
-    /// When set, every top-level machine call is appended to `ops` so the
-    /// sharded mode can replay this disk's exact call sequence against a
-    /// fresh full machine (see [`crate::shard`]).
-    log_ops: bool,
-    ops: Vec<DiskOp>,
     /// Per-disk fault-decision counter: each potential injection site
     /// consumes one draw, so the fault pattern is a pure function of
     /// `(seed, disk, per-disk event order)` — deterministic across
@@ -154,57 +152,6 @@ struct DiskRt {
     /// time the platters actually reach speed (the machine itself still
     /// models the nominal transition; the surplus surfaces as stall).
     slow_ready_at: f64,
-}
-
-/// Machine-call shims: every top-level mutation of the power-state
-/// machine goes through these so the resolve pass of the sharded mode can
-/// record the exact call sequence. A machine's trajectory (and therefore
-/// its energy integral) is a deterministic function of this sequence, so
-/// replaying it bit-reproduces the run — including calls that *fail*,
-/// which must be replayed too because legality checks are part of the
-/// trajectory.
-impl DiskRt {
-    fn advance(&mut self, t: f64) -> Result<(), PowerError> {
-        if self.log_ops {
-            self.ops.push(DiskOp::Advance(t));
-        }
-        self.machine.advance(t)
-    }
-
-    fn spin_down(&mut self, t: f64) -> Result<(), PowerError> {
-        if self.log_ops {
-            self.ops.push(DiskOp::SpinDown(t));
-        }
-        self.machine.spin_down(t)
-    }
-
-    fn spin_up(&mut self, t: f64) -> Result<(), PowerError> {
-        if self.log_ops {
-            self.ops.push(DiskOp::SpinUp(t));
-        }
-        self.machine.spin_up(t)
-    }
-
-    fn set_rpm(&mut self, t: f64, to: RpmLevel) -> Result<(), PowerError> {
-        if self.log_ops {
-            self.ops.push(DiskOp::SetRpm(t, to));
-        }
-        self.machine.set_rpm(t, to)
-    }
-
-    fn begin_service(&mut self, t: f64) -> Result<RpmLevel, PowerError> {
-        if self.log_ops {
-            self.ops.push(DiskOp::BeginService(t));
-        }
-        self.machine.begin_service(t)
-    }
-
-    fn end_service(&mut self, t: f64) -> Result<(), PowerError> {
-        if self.log_ops {
-            self.ops.push(DiskOp::EndService(t));
-        }
-        self.machine.end_service(t)
-    }
 }
 
 /// Mid-run engine state: the per-disk runtimes plus the global clock and
@@ -228,240 +175,220 @@ struct ExecState {
     faults: FaultCounts,
 }
 
-/// Closed-loop trace player. Construct with a policy, [`Engine::run`] a
-/// trace.
-pub struct Engine {
+/// Closed-loop simulator: one blocking application on a private pool.
+///
+/// Build with [`Engine::new`], optionally attach a fault plan
+/// ([`Engine::faults`]) and, with the `obs` feature, a recorder
+/// ([`Engine::recorder`]), then play a per-event source
+/// ([`Engine::events`]) or a run-compressed one ([`Engine::runs`]). The
+/// two inputs give bit-identical reports; only
+/// [`SimReport::sim_path`] differs.
+///
+/// The oracle policies (`IdealTpm`/`IdealDrpm`) play the source twice: a
+/// clean Base pass — no faults, no recorder — recovers the true gap
+/// structure, from which [`oracle`] derives a [`Policy::Schedule`] that
+/// the measured pass replays.
+pub struct Engine<'r> {
     params: DiskParams,
-    ladder: RpmLadder,
     pool: DiskPool,
     policy: Policy,
-    tpm_threshold: f64,
     /// Disk-level fault injection. `None` keeps every code path — and
     /// therefore every float operation — bit-identical to the engine
     /// before fault support existed.
-    faults: Option<FaultPlan>,
+    faults: Option<&'r FaultPlan>,
+    rec: Obs<'r>,
 }
 
-impl Engine {
-    /// Creates an engine for `pool.count()` identical disks.
-    ///
-    /// # Panics
-    /// If an ideal policy is passed directly — those are lowered to
-    /// [`Policy::Schedule`] by [`crate::simulate`].
+impl<'r> Engine<'r> {
+    /// An engine for `pool.count()` identical disks of model `params`
+    /// under `policy`, with no faults and no recorder.
     #[must_use]
     pub fn new(params: DiskParams, pool: DiskPool, policy: Policy) -> Self {
-        Self::with_faults(params, pool, policy, None)
-    }
-
-    /// Like [`Engine::new`] with a disk-level [`FaultPlan`] attached:
-    /// transient service failures (bounded retry + exponential backoff),
-    /// stochastic slow spin-ups, and stuck-at-RPM transitions, all
-    /// deterministic in the plan's seed. Pass `None` for the bit-exact
-    /// fault-free engine.
-    ///
-    /// # Panics
-    /// If an ideal policy is passed directly — those are lowered to
-    /// [`Policy::Schedule`] by [`crate::simulate`].
-    #[must_use]
-    pub fn with_faults(
-        params: DiskParams,
-        pool: DiskPool,
-        policy: Policy,
-        faults: Option<FaultPlan>,
-    ) -> Self {
-        assert!(
-            !matches!(policy, Policy::IdealTpm | Policy::IdealDrpm),
-            "ideal policies must be lowered to a Schedule (use sdpm_sim::simulate)"
-        );
-        let ladder = RpmLadder::new(&params);
-        let tpm_threshold = match &policy {
-            Policy::Tpm(cfg) => cfg
-                .threshold_secs
-                .unwrap_or_else(|| tpm_break_even_secs(&params)),
-            _ => f64::INFINITY,
-        };
         Engine {
             params,
-            ladder,
+            pool,
+            policy,
+            faults: None,
+            rec: None,
+        }
+    }
+
+    /// Attaches a disk-level [`FaultPlan`] to the measured pass:
+    /// transient service failures (bounded retry + exponential backoff),
+    /// stochastic slow spin-ups, and stuck-at-RPM transitions, all
+    /// deterministic in the plan's seed. `None` keeps the fault-free
+    /// engine. Any attached plan, even one that can never fire
+    /// ([`sdpm_fault::FaultConfig::is_disabled`]), expands run records per
+    /// event and counts them in [`sdpm_fault::FaultCounts::degraded_expansions`].
+    #[must_use]
+    pub fn faults(mut self, plan: Option<&'r FaultPlan>) -> Self {
+        self.faults = plan;
+        self
+    }
+
+    /// Streams the measured pass's event sequence into `rec`. Run
+    /// records are expanded per event so observers see the full stream.
+    #[cfg(feature = "obs")]
+    #[must_use]
+    pub fn recorder(mut self, rec: &'r dyn Recorder) -> Self {
+        self.rec = Some(rec);
+        self
+    }
+
+    /// Plays an event source — a materialized [`sdpm_trace::Trace`], a
+    /// lazy generator ([`sdpm_trace::GenSource`]), an encoded trace, or
+    /// any other re-openable stream — to completion. Chunking does not
+    /// alter the event sequence, so every source with the same events
+    /// gives the same report.
+    ///
+    /// The events are not pre-validated (a stream can only be validated
+    /// by draining it); malformed events surface as errors from the loop.
+    ///
+    /// # Errors
+    /// A [`SimError`] describing the invalid parameters, the malformed
+    /// input, or the machine call that could not be applied.
+    pub fn events(&self, source: &dyn EventSource) -> Result<SimReport, SimError> {
+        let _sp = prof::span("sim.simulate");
+        let lowered = self.lower(|base| base.play_events(&mut *source.open()))?;
+        self.replay(lowered.as_ref())
+            .play_events(&mut *source.open())
+    }
+
+    /// Plays a run-compressed source — a materialized
+    /// [`sdpm_trace::RunTrace`], the analytic generator
+    /// ([`sdpm_trace::RunGenSource`]), or any other re-openable run
+    /// stream — through the O(#runs) loop. The report is bit-identical to
+    /// [`Engine::events`] on the lowered per-event equivalent; only
+    /// [`SimReport::sim_path`] differs.
+    ///
+    /// # Errors
+    /// As [`Engine::events`], plus [`SimError::InvalidRun`] for a
+    /// degenerate run record.
+    pub fn runs(&self, source: &dyn RunSource) -> Result<SimReport, SimError> {
+        let _sp = prof::span("sim.simulate_runs");
+        let lowered = self.lower(|base| base.play_runs(&mut *source.open_runs()))?;
+        self.replay(lowered.as_ref())
+            .play_runs(&mut *source.open_runs())
+    }
+
+    /// Validates the parameters and, for an oracle policy, runs the clean
+    /// Base pass `base` and returns the schedule derived from it. `None`
+    /// means the policy plays as given.
+    fn lower(
+        &self,
+        base: impl FnOnce(&Replay<'_>) -> Result<SimReport, SimError>,
+    ) -> Result<Option<Policy>, SimError> {
+        self.params.validate().map_err(SimError::InvalidParams)?;
+        let schedule: fn(&SimReport, &DiskParams) -> Vec<Vec<ScheduledAction>> = match self.policy {
+            Policy::IdealTpm => oracle::ideal_tpm_schedule,
+            Policy::IdealDrpm => oracle::ideal_drpm_schedule,
+            _ => return Ok(None),
+        };
+        let clean = Replay::new(&self.params, self.pool, &Policy::Base, None, None);
+        let report = base(&clean)?;
+        Ok(Some(Policy::schedule(schedule(&report, &self.params))))
+    }
+
+    /// The measured pass: `lowered` (an oracle's schedule) if given, the
+    /// engine's own policy otherwise, with the options attached.
+    fn replay<'a>(&'a self, lowered: Option<&'a Policy>) -> Replay<'a> {
+        let policy = lowered.unwrap_or(&self.policy);
+        Replay::new(&self.params, self.pool, policy, self.faults, self.rec)
+    }
+}
+
+/// One pass of the engine loop under a policy the loop executes directly
+/// (never an oracle policy).
+struct Replay<'a> {
+    params: &'a DiskParams,
+    ladder: RpmLadder,
+    pool: DiskPool,
+    policy: &'a Policy,
+    tpm_threshold: f64,
+    faults: Option<&'a FaultPlan>,
+    rec: Obs<'a>,
+}
+
+impl<'a> Replay<'a> {
+    fn new(
+        params: &'a DiskParams,
+        pool: DiskPool,
+        policy: &'a Policy,
+        faults: Option<&'a FaultPlan>,
+        rec: Obs<'a>,
+    ) -> Self {
+        let tpm_threshold = match policy {
+            Policy::Tpm(cfg) => cfg
+                .threshold_secs
+                .unwrap_or_else(|| tpm_break_even_secs(params)),
+            _ => f64::INFINITY,
+        };
+        Replay {
+            params,
+            ladder: RpmLadder::new(params),
             pool,
             policy,
             tpm_threshold,
             faults,
+            rec,
         }
     }
 
-    /// The disk model this engine simulates.
-    pub(crate) fn params(&self) -> &DiskParams {
-        &self.params
-    }
-
-    /// Plays `trace` to completion and reports.
-    #[must_use]
-    pub fn run(&self, trace: &Trace) -> SimReport {
-        self.run_stream(&mut trace.stream())
-    }
-
-    /// Panic-free variant of [`Engine::run`].
-    ///
-    /// # Errors
-    /// A [`SimError`] describing the malformed input or the machine call
-    /// that could not be applied.
-    pub fn try_run(&self, trace: &Trace) -> Result<SimReport, SimError> {
-        self.try_run_stream(&mut trace.stream())
-    }
-
-    /// Plays an event stream to completion and reports. The report is
-    /// bit-identical to [`Engine::run`] on the materialized equivalent —
-    /// chunking does not alter the event sequence.
-    #[must_use]
-    pub fn run_stream(&self, stream: &mut dyn EventStream) -> SimReport {
-        self.run_core(stream, None, false).0
-    }
-
-    /// Panic-free variant of [`Engine::run_stream`]: malformed events,
-    /// corrupt stream bytes (via [`EventStream::try_next_chunk`]), and
-    /// impossible machine transitions surface as a [`SimError`] instead
-    /// of aborting.
-    ///
-    /// # Errors
-    /// A [`SimError`] describing the malformed input.
-    pub fn try_run_stream(&self, stream: &mut dyn EventStream) -> Result<SimReport, SimError> {
-        Ok(self.try_run_core(stream, None, false)?.0)
-    }
-
-    /// Like [`Engine::run`], but streams the run's event sequence into
-    /// `rec` as it unfolds.
-    #[cfg(feature = "obs")]
-    #[must_use]
-    pub fn run_with_recorder(&self, trace: &Trace, rec: &dyn Recorder) -> SimReport {
-        self.run_core(&mut trace.stream(), Some(rec), false).0
-    }
-
-    /// Like [`Engine::run_stream`] with a recorder attached.
-    #[cfg(feature = "obs")]
-    #[must_use]
-    pub fn run_stream_with_recorder(
-        &self,
-        stream: &mut dyn EventStream,
-        rec: &dyn Recorder,
-    ) -> SimReport {
-        self.run_core(stream, Some(rec), false).0
-    }
-
-    /// The engine loop. With `resolve` set, per-disk machines are lean
-    /// (energy integration skipped — the trajectory is unchanged) and
-    /// every top-level machine call is logged per disk, to be replayed in
-    /// parallel by the sharded mode. The returned op logs are empty when
-    /// `resolve` is false.
-    pub(crate) fn run_core(
-        &self,
-        stream: &mut dyn EventStream,
-        rec: Obs<'_>,
-        resolve: bool,
-    ) -> (SimReport, Vec<Vec<DiskOp>>) {
-        match self.try_run_core(stream, rec, resolve) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Panic-free engine loop behind [`Engine::run_core`].
-    pub(crate) fn try_run_core(
-        &self,
-        stream: &mut dyn EventStream,
-        rec: Obs<'_>,
-        resolve: bool,
-    ) -> Result<(SimReport, Vec<Vec<DiskOp>>), SimError> {
-        if stream.pool_size() != self.pool.count() {
-            return Err(SimError::PoolMismatch {
-                stream: stream.pool_size(),
+    fn check_pool(&self, stream: u32) -> Result<(), SimError> {
+        if stream == self.pool.count() {
+            Ok(())
+        } else {
+            Err(SimError::PoolMismatch {
+                stream,
                 pool: self.pool.count(),
-            });
+            })
         }
-        let mut st = self.init_state(rec, resolve);
+    }
+
+    /// The per-event engine loop.
+    fn play_events(&self, stream: &mut dyn EventStream) -> Result<SimReport, SimError> {
+        self.check_pool(stream.pool_size())?;
+        let mut st = self.init_state();
         while let Some(chunk) = stream.try_next_chunk().map_err(SimError::Codec)? {
-            crate::prof::add("sim.events", chunk.len() as u64);
+            prof::add("sim.events", chunk.len() as u64);
             for event in chunk {
-                self.handle_event(&mut st, event, rec)?;
+                self.handle_event(&mut st, event)?;
             }
         }
-        self.finish(st, rec, resolve)
+        self.finish(st)
     }
 
     /// The run-compressed engine loop: plain records go through the
     /// ordinary per-event handler; a [`Run`] record goes through
-    /// [`Engine::handle_run`], which services steady repetitions without
+    /// [`Replay::handle_run`], which services steady repetitions without
     /// policy dispatch or state-machine branching and expands to the
     /// per-event handler exactly where a policy boundary (TPM threshold,
-    /// DRPM drift window, scheduled action) lands inside the run. The
-    /// report is bit-identical to [`Engine::run_core`] on the lowered
-    /// stream (only [`SimReport::sim_path`] differs).
-    pub(crate) fn run_core_runs(
-        &self,
-        stream: &mut dyn RunStream,
-        rec: Obs<'_>,
-        resolve: bool,
-    ) -> (SimReport, Vec<Vec<DiskOp>>) {
-        match self.try_run_core_runs(stream, rec, resolve) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Panic-free engine loop behind [`Engine::run_core_runs`].
-    pub(crate) fn try_run_core_runs(
-        &self,
-        stream: &mut dyn RunStream,
-        rec: Obs<'_>,
-        resolve: bool,
-    ) -> Result<(SimReport, Vec<Vec<DiskOp>>), SimError> {
-        if stream.pool_size() != self.pool.count() {
-            return Err(SimError::PoolMismatch {
-                stream: stream.pool_size(),
-                pool: self.pool.count(),
-            });
-        }
-        let mut st = self.init_state(rec, resolve);
+    /// DRPM drift window, scheduled action) lands inside the run.
+    fn play_runs(&self, stream: &mut dyn RunStream) -> Result<SimReport, SimError> {
+        self.check_pool(stream.pool_size())?;
+        let mut st = self.init_state();
         while let Some(chunk) = stream.try_next_chunk().map_err(SimError::Codec)? {
-            crate::prof::add("sim.records", chunk.len() as u64);
+            prof::add("sim.records", chunk.len() as u64);
             for record in chunk {
                 match record {
-                    REvent::Event(event) => self.handle_event(&mut st, event, rec)?,
-                    REvent::Run(run) => self.handle_run(&mut st, run, rec)?,
+                    REvent::Event(event) => self.handle_event(&mut st, event)?,
+                    REvent::Run(run) => self.handle_run(&mut st, run)?,
                 }
             }
         }
-        let (mut report, ops) = self.finish(st, rec, resolve)?;
+        let mut report = self.finish(st)?;
         report.sim_path = SimPath::RunCompressed;
-        Ok((report, ops))
-    }
-
-    /// Plays a run-compressed stream to completion and reports.
-    #[must_use]
-    pub fn run_runs(&self, stream: &mut dyn RunStream) -> SimReport {
-        self.run_core_runs(stream, None, false).0
-    }
-
-    /// Panic-free variant of [`Engine::run_runs`].
-    ///
-    /// # Errors
-    /// A [`SimError`] describing the malformed input.
-    pub fn try_run_runs(&self, stream: &mut dyn RunStream) -> Result<SimReport, SimError> {
-        Ok(self.try_run_core_runs(stream, None, false)?.0)
+        Ok(report)
     }
 
     /// Per-disk runtimes and global accumulators, positioned at run
     /// start.
-    fn init_state(&self, rec: Obs<'_>, resolve: bool) -> ExecState {
+    fn init_state(&self) -> ExecState {
         let max = self.ladder.max_level();
         let disks: Vec<DiskRt> = (0..self.pool.count())
             .map(|d| DiskRt {
                 id: DiskId(d),
-                machine: if resolve {
-                    PowerStateMachine::new_lean(self.params.clone())
-                } else {
-                    PowerStateMachine::new(self.params.clone())
-                },
+                machine: PowerStateMachine::new(self.params.clone()),
                 idle_since: 0.0,
                 min_level: max,
                 cur_level: max,
@@ -470,7 +397,7 @@ impl Engine {
                 drift_hold: false,
                 window_sum: 0.0,
                 window_n: 0,
-                sched: match &self.policy {
+                sched: match self.policy {
                     Policy::Schedule(per_disk) => {
                         per_disk.get(d as usize).cloned().unwrap_or_default()
                     }
@@ -479,8 +406,6 @@ impl Engine {
                 sched_idx: 0,
                 gaps: Vec::new(),
                 requests: 0,
-                log_ops: resolve,
-                ops: Vec::new(),
                 fault_seq: 0,
                 slow_ready_at: 0.0,
             })
@@ -490,15 +415,13 @@ impl Engine {
         #[cfg(feature = "obs")]
         for rt in &disks {
             obs_emit!(
-                rec,
+                self.rec,
                 ObsEvent::GapOpen {
                     t: 0.0,
                     disk: rt.id
                 }
             );
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = rec;
 
         ExecState {
             disks,
@@ -513,13 +436,8 @@ impl Engine {
 
     /// Dispatches one application event against the running state. Both
     /// engine loops funnel through here; the run-compressed fast path in
-    /// [`Engine::handle_run`] must produce bit-identical state updates.
-    fn handle_event(
-        &self,
-        st: &mut ExecState,
-        event: &AppEvent,
-        rec: Obs<'_>,
-    ) -> Result<(), SimError> {
+    /// [`Replay::handle_run`] must produce bit-identical state updates.
+    fn handle_event(&self, st: &mut ExecState, event: &AppEvent) -> Result<(), SimError> {
         let max = self.ladder.max_level();
         let ExecState {
             disks,
@@ -536,13 +454,13 @@ impl Engine {
         match event {
             AppEvent::Compute { secs, .. } => *t += secs,
             AppEvent::Power { disk, action } => {
-                if let Policy::Directive(cfg) = &self.policy {
+                if let Policy::Directive(cfg) = self.policy {
                     let rt = disks
                         .get_mut(disk.0 as usize)
                         .ok_or(SimError::DiskOutOfRange { disk: disk.0, pool })?;
-                    self.catch_up(rt, *t, misfires, faults, rec)?;
+                    self.catch_up(rt, *t, misfires, faults)?;
                     obs_emit!(
-                        rec,
+                        self.rec,
                         ObsEvent::DirectiveIssued {
                             t: *t,
                             disk: rt.id,
@@ -550,10 +468,10 @@ impl Engine {
                             level: action_level(*action),
                         }
                     );
-                    if let Err(cause) = self.apply_action(rt, *t, *action, rec, faults)? {
+                    if let Err(cause) = self.apply_action(rt, *t, *action, faults)? {
                         misfires.count(cause);
                         obs_emit!(
-                            rec,
+                            self.rec,
                             ObsEvent::DirectiveMisfire {
                                 t: *t,
                                 disk: rt.id,
@@ -571,9 +489,9 @@ impl Engine {
                         disk: req.disk.0,
                         pool,
                     })?;
-                self.catch_up(rt, *t, misfires, faults, rec)?;
+                self.catch_up(rt, *t, misfires, faults)?;
                 obs_emit!(
-                    rec,
+                    self.rec,
                     ObsEvent::RequestArrived {
                         t: *t,
                         disk: rt.id,
@@ -584,7 +502,7 @@ impl Engine {
                 // The request's arrival closes the disk's idle gap.
                 if *t > rt.idle_since {
                     obs_emit!(
-                        rec,
+                        self.rec,
                         ObsEvent::GapClose {
                             t: *t,
                             disk: rt.id,
@@ -600,10 +518,10 @@ impl Engine {
                         standby: rt.hit_standby,
                     });
                 }
-                let completion = self.service(rt, *t, req, rec, faults)?;
+                let completion = self.service(rt, *t, req, faults)?;
                 rt.requests += 1;
                 let full = service_time_secs(
-                    &self.params,
+                    self.params,
                     &self.ladder,
                     max,
                     ServiceRequest {
@@ -615,7 +533,7 @@ impl Engine {
                 let slowdown = if full > 0.0 { response / full } else { 1.0 };
                 *stall += response - full;
                 obs_emit!(
-                    rec,
+                    self.rec,
                     ObsEvent::StallAccrued {
                         t: completion,
                         disk: rt.id,
@@ -633,19 +551,10 @@ impl Engine {
                 rt.min_level = rt.cur_level;
                 rt.hit_standby = false;
                 rt.drift_mark = *t;
-                obs_emit!(rec, ObsEvent::GapOpen { t: *t, disk: rt.id });
+                obs_emit!(self.rec, ObsEvent::GapOpen { t: *t, disk: rt.id });
                 // Reactive DRPM response-window controller.
-                if let Policy::Drpm(cfg) = &self.policy {
-                    Self::drpm_window_update(
-                        rt,
-                        cfg,
-                        slowdown,
-                        *t,
-                        max,
-                        rec,
-                        self.faults.as_ref(),
-                        faults,
-                    );
+                if let Policy::Drpm(cfg) = self.policy {
+                    self.drpm_window_update(rt, cfg, slowdown, *t, max, faults);
                 }
             }
         }
@@ -654,14 +563,14 @@ impl Engine {
 
     /// True when the disk can take the next request of a run on the
     /// steady fast path: it is spinning idle (no transition in flight)
-    /// and, critically, [`Engine::catch_up`] at time `t` would be a
+    /// and, critically, [`Replay::catch_up`] at time `t` would be a
     /// no-op — every guard here is the same predicate `catch_up`
     /// evaluates, so skipping the call cannot change the trajectory.
     fn steady_ok(&self, rt: &DiskRt, t: f64) -> bool {
         if !matches!(rt.machine.state(), DiskPowerState::Idle { .. }) {
             return false;
         }
-        match &self.policy {
+        match self.policy {
             Policy::Base | Policy::Directive(_) => true,
             Policy::Tpm(_) => rt.idle_since + self.tpm_threshold > t,
             Policy::Drpm(cfg) => {
@@ -671,30 +580,30 @@ impl Engine {
             }
             Policy::Schedule(_) => rt.sched_idx >= rt.sched.len() || rt.sched[rt.sched_idx].at > t,
             Policy::IdealTpm | Policy::IdealDrpm => {
-                unreachable!("ideal policies are lowered before Engine::new")
+                unreachable!("oracle policies are lowered before the replay")
             }
         }
     }
 
     /// Services one [`Run`] record. Each repetition is a compute span
     /// followed by the run's request templates; while a repetition stays
-    /// inside one power-state segment (checked by [`Engine::steady_ok`])
+    /// inside one power-state segment (checked by [`Replay::steady_ok`])
     /// the request is serviced inline with the policy bookkeeping
     /// statically resolved — same machine calls, same float operations,
-    /// in the same order as [`Engine::handle_event`], so the state after
+    /// in the same order as [`Replay::handle_event`], so the state after
     /// the run is bitwise identical. The moment a policy boundary (TPM
     /// threshold, DRPM drift window, scheduled action) lands inside the
     /// repetition, that position expands to the exact per-event handler.
     /// With a recorder attached every position expands, so observers see
     /// the full per-event stream.
-    fn handle_run(&self, st: &mut ExecState, run: &Run, rec: Obs<'_>) -> Result<(), SimError> {
+    fn handle_run(&self, st: &mut ExecState, run: &Run) -> Result<(), SimError> {
         // A decoded run was validated by the codec, but a hand-built
         // RunTrace reaches here unchecked — and a zero rotation would
         // divide by zero below.
         run.validate().map_err(SimError::InvalidRun)?;
         #[cfg(feature = "obs")]
-        if rec.is_some() {
-            return self.expand_run(st, run, rec);
+        if self.rec.is_some() {
+            return self.expand_run(st, run);
         }
         // Under fault injection the steady fast path is unsound: a
         // transient failure or slow spin-up inside the run changes
@@ -702,7 +611,7 @@ impl Engine {
         // whole record to per-event servicing and count the degradation.
         if self.faults.is_some() {
             st.faults.degraded_expansions += 1;
-            return self.expand_run(st, run, rec);
+            return self.expand_run(st, run);
         }
         let max = self.ladder.max_level();
         // Full-speed service time is a function of the template only —
@@ -712,7 +621,7 @@ impl Engine {
             .iter()
             .map(|tpl| {
                 service_time_secs(
-                    &self.params,
+                    self.params,
                     &self.ladder,
                     max,
                     ServiceRequest {
@@ -743,15 +652,13 @@ impl Engine {
                             pool,
                         })?;
                 if !self.steady_ok(rt, st.t) {
-                    self.handle_event(st, &run.event_at(rep, (1 + j) as u64), rec)?;
+                    self.handle_event(st, &run.event_at(rep, (1 + j) as u64))?;
                     continue;
                 }
                 // Steady fast path: catch_up is a proven no-op, obs is
                 // off, and the request kind/blocks don't affect service —
                 // only disk, size, and sequentiality do. The machine-call
-                // sequence below is identical to the generic Io arm, so
-                // resolve-mode op logs (and thus the sharded replay)
-                // match too.
+                // sequence below is identical to the generic Io arm.
                 if st.t > rt.idle_since {
                     rt.gaps.push(GapRecord {
                         start: rt.idle_since,
@@ -761,16 +668,18 @@ impl Engine {
                     });
                 }
                 let arrive = st.t.max(rt.machine.now());
-                rt.advance(arrive)
+                rt.machine
+                    .advance(arrive)
                     .map_err(|e| SimError::power("advance to arrival", rt.id, arrive, e))?;
                 let start = st.t.max(rt.machine.now());
                 let start = start.max(rt.machine.now());
                 let level = rt
+                    .machine
                     .begin_service(start)
                     .map_err(|e| SimError::power("begin_service", rt.id, start, e))?;
                 rt.cur_level = level;
                 let svc = service_time_secs(
-                    &self.params,
+                    self.params,
                     &self.ladder,
                     level,
                     ServiceRequest {
@@ -779,7 +688,8 @@ impl Engine {
                     },
                 );
                 let completion = start + svc;
-                rt.end_service(completion)
+                rt.machine
+                    .end_service(completion)
                     .map_err(|e| SimError::power("end_service", rt.id, completion, e))?;
                 rt.requests += 1;
                 let full = fulls[base + j];
@@ -795,19 +705,8 @@ impl Engine {
                 rt.min_level = rt.cur_level;
                 rt.hit_standby = false;
                 rt.drift_mark = st.t;
-                if let Policy::Drpm(cfg) = &self.policy {
-                    // The fast path is never taken with faults attached
-                    // (degraded above), so no plan is threaded here.
-                    Self::drpm_window_update(
-                        rt,
-                        cfg,
-                        slowdown,
-                        st.t,
-                        max,
-                        rec,
-                        None,
-                        &mut st.faults,
-                    );
+                if let Policy::Drpm(cfg) = self.policy {
+                    self.drpm_window_update(rt, cfg, slowdown, st.t, max, &mut st.faults);
                 }
             }
         }
@@ -817,10 +716,10 @@ impl Engine {
     /// Expands a run record through the per-event handler — the
     /// degraded path used whenever a recorder or a fault plan makes the
     /// steady fast path unsound.
-    fn expand_run(&self, st: &mut ExecState, run: &Run, rec: Obs<'_>) -> Result<(), SimError> {
+    fn expand_run(&self, st: &mut ExecState, run: &Run) -> Result<(), SimError> {
         for rep in 0..run.count {
             for sub in 0..run.events_per_rep() {
-                self.handle_event(st, &run.event_at(rep, sub), rec)?;
+                self.handle_event(st, &run.event_at(rep, sub))?;
             }
         }
         Ok(())
@@ -828,12 +727,7 @@ impl Engine {
 
     /// Finalize: bring every disk to the end of execution, closing its
     /// final gap, and fold the per-disk ledgers into the report.
-    fn finish(
-        &self,
-        st: ExecState,
-        rec: Obs<'_>,
-        resolve: bool,
-    ) -> Result<(SimReport, Vec<Vec<DiskOp>>), SimError> {
+    fn finish(&self, st: ExecState) -> Result<SimReport, SimError> {
         let ExecState {
             mut disks,
             t,
@@ -845,13 +739,14 @@ impl Engine {
         } = st;
         let exec_secs = t;
         for rt in &mut disks {
-            self.catch_up(rt, exec_secs, &mut misfires, &mut faults, rec)?;
+            self.catch_up(rt, exec_secs, &mut misfires, &mut faults)?;
             let end = exec_secs.max(rt.machine.now());
-            rt.advance(end)
+            rt.machine
+                .advance(end)
                 .map_err(|e| SimError::power("finalize advance", rt.id, end, e))?;
             if end > rt.idle_since {
                 obs_emit!(
-                    rec,
+                    self.rec,
                     ObsEvent::GapClose {
                         t: end,
                         disk: rt.id,
@@ -868,7 +763,7 @@ impl Engine {
                 });
             }
             obs_emit!(
-                rec,
+                self.rec,
                 ObsEvent::DiskEnergy {
                     t: end,
                     disk: rt.id,
@@ -876,30 +771,24 @@ impl Engine {
                 }
             );
         }
-        obs_emit!(rec, ObsEvent::RunEnd { t: exec_secs });
+        obs_emit!(self.rec, ObsEvent::RunEnd { t: exec_secs });
 
         let requests_total = disks.iter().map(|d| d.requests).sum();
-        let mut ops: Vec<Vec<DiskOp>> = Vec::with_capacity(if resolve { disks.len() } else { 0 });
         let per_disk: Vec<PerDiskReport> = disks
             .into_iter()
-            .map(|mut rt| {
-                if resolve {
-                    ops.push(std::mem::take(&mut rt.ops));
-                }
-                PerDiskReport {
-                    requests: rt.requests,
-                    energy: rt.machine.energy().breakdown(),
-                    spin_downs: rt.machine.spin_downs,
-                    spin_ups: rt.machine.spin_ups,
-                    rpm_shifts: rt.machine.rpm_shifts,
-                    gaps: rt.gaps,
-                }
+            .map(|rt| PerDiskReport {
+                requests: rt.requests,
+                energy: rt.machine.energy().breakdown(),
+                spin_downs: rt.machine.spin_downs,
+                spin_ups: rt.machine.spin_ups,
+                rpm_shifts: rt.machine.rpm_shifts,
+                gaps: rt.gaps,
             })
             .collect();
         let energy = per_disk
             .iter()
             .fold(EnergyBreakdown::default(), |acc, d| acc.merged(&d.energy));
-        let report = SimReport {
+        Ok(SimReport {
             policy: self.policy.label().to_string(),
             exec_secs,
             energy,
@@ -914,8 +803,7 @@ impl Engine {
             misfire_causes: misfires,
             faults,
             sim_path: SimPath::Streamed,
-        };
-        Ok((report, ops))
+        })
     }
 
     /// Applies the policy's timed actions for one disk up to time `t`.
@@ -925,21 +813,20 @@ impl Engine {
         t: f64,
         misfires: &mut MisfireCauses,
         fc: &mut FaultCounts,
-        rec: Obs<'_>,
     ) -> Result<(), SimError> {
-        match &self.policy {
+        match self.policy {
             Policy::Base | Policy::Directive(_) => {}
             Policy::Tpm(_) => {
                 let fire = rt.idle_since + self.tpm_threshold;
                 if fire <= t && matches!(rt.machine.state(), DiskPowerState::Idle { .. }) {
                     let at = fire.max(rt.machine.now());
-                    if rt.spin_down(at).is_ok() {
+                    if rt.machine.spin_down(at).is_ok() {
                         rt.hit_standby = true;
-                        obs_transition!(rec, rt, at);
+                        obs_transition!(self.rec, rt, at);
                     } else {
                         misfires.count(MisfireCause::SpinDownRejected);
                         obs_emit!(
-                            rec,
+                            self.rec,
                             ObsEvent::DirectiveMisfire {
                                 t: at,
                                 disk: rt.id,
@@ -961,21 +848,22 @@ impl Engine {
                     }
                     // Complete any in-flight shift first.
                     if let DiskPowerState::Shifting { until, .. } = rt.machine.state() {
-                        rt.advance(until)
+                        rt.machine
+                            .advance(until)
                             .map_err(|e| SimError::power("finish shift", rt.id, until, e))?;
                     }
                     let at = fire.max(rt.machine.now());
                     // Injected fault: the actuator sticks at its current
                     // level. Counted both as a fault and as the misfire
                     // the policy observes; drifting stops for this gap.
-                    if let Some(plan) = &self.faults {
+                    if let Some(plan) = self.faults {
                         let n = rt.fault_seq;
                         rt.fault_seq += 1;
                         if plan.stuck_rpm(rt.id.0, n) {
                             fc.stuck_rpm += 1;
                             misfires.count(MisfireCause::RpmShiftRejected);
                             obs_emit!(
-                                rec,
+                                self.rec,
                                 ObsEvent::FaultInjected {
                                     t: at,
                                     disk: rt.id,
@@ -986,15 +874,15 @@ impl Engine {
                         }
                     }
                     let target = self.ladder.step_down(rt.cur_level);
-                    if rt.set_rpm(at, target).is_ok() {
-                        obs_transition!(rec, rt, at);
+                    if rt.machine.set_rpm(at, target).is_ok() {
+                        obs_transition!(self.rec, rt, at);
                         rt.cur_level = target;
                         rt.min_level = rt.min_level.min(target);
                         rt.drift_mark = at + one_step;
                     } else {
                         misfires.count(MisfireCause::RpmShiftRejected);
                         obs_emit!(
-                            rec,
+                            self.rec,
                             ObsEvent::DirectiveMisfire {
                                 t: at,
                                 disk: rt.id,
@@ -1010,7 +898,7 @@ impl Engine {
                     let a = rt.sched[rt.sched_idx];
                     rt.sched_idx += 1;
                     obs_emit!(
-                        rec,
+                        self.rec,
                         ObsEvent::DirectiveIssued {
                             t: a.at,
                             disk: rt.id,
@@ -1018,10 +906,10 @@ impl Engine {
                             level: action_level(a.action),
                         }
                     );
-                    if let Err(cause) = self.apply_action(rt, a.at, a.action, rec, fc)? {
+                    if let Err(cause) = self.apply_action(rt, a.at, a.action, fc)? {
                         misfires.count(cause);
                         obs_emit!(
-                            rec,
+                            self.rec,
                             ObsEvent::DirectiveMisfire {
                                 t: a.at,
                                 disk: rt.id,
@@ -1032,7 +920,7 @@ impl Engine {
                 }
             }
             Policy::IdealTpm | Policy::IdealDrpm => {
-                unreachable!("ideal policies are lowered before Engine::new")
+                unreachable!("oracle policies are lowered before the replay")
             }
         }
         Ok(())
@@ -1045,7 +933,6 @@ impl Engine {
         rt: &mut DiskRt,
         t: f64,
         req: &IoRequest,
-        rec: Obs<'_>,
         fc: &mut FaultCounts,
     ) -> Result<f64, SimError> {
         // Injected fault: transient service failures. Each failed
@@ -1053,7 +940,7 @@ impl Engine {
         // retry; a request whose budget runs out is serviced anyway
         // (degraded) — the closed-loop application cannot drop it. The
         // delay shifts the effective arrival, so it surfaces as stall.
-        let t = match &self.faults {
+        let t = match self.faults {
             Some(plan) => {
                 let n = rt.fault_seq;
                 rt.fault_seq += 1;
@@ -1065,7 +952,7 @@ impl Engine {
                         fc.retry_exhausted += 1;
                     }
                     obs_emit!(
-                        rec,
+                        self.rec,
                         ObsEvent::FaultInjected {
                             t,
                             disk: rt.id,
@@ -1083,7 +970,8 @@ impl Engine {
         // finished before `t` are seen as completed (a spin-down that ended
         // an hour ago is a standby disk, not an in-flight transition).
         let arrive = t.max(rt.machine.now());
-        rt.advance(arrive)
+        rt.machine
+            .advance(arrive)
             .map_err(|e| SimError::power("advance to arrival", rt.id, arrive, e))?;
         let start = match rt.machine.state() {
             DiskPowerState::Idle { .. } => t.max(rt.machine.now()),
@@ -1103,20 +991,23 @@ impl Engine {
             DiskPowerState::Standby => {
                 // Demand wake-up: full spin-up penalty.
                 let at = t.max(rt.machine.now());
-                rt.spin_up(at)
+                rt.machine
+                    .spin_up(at)
                     .map_err(|e| SimError::power("spin_up from standby", rt.id, at, e))?;
-                obs_transition!(rec, rt, at);
+                obs_transition!(self.rec, rt, at);
                 rt.cur_level = self.ladder.max_level();
-                at + self.params.spin_up_secs + self.slow_spinup_extra(rt, at, rec, fc)
+                at + self.params.spin_up_secs + self.slow_spinup_extra(rt, at, fc)
             }
             DiskPowerState::SpinningDown { until } => {
-                rt.advance(until)
+                rt.machine
+                    .advance(until)
                     .map_err(|e| SimError::power("finish spin-down", rt.id, until, e))?;
-                rt.spin_up(until)
+                rt.machine
+                    .spin_up(until)
                     .map_err(|e| SimError::power("spin_up after spin-down", rt.id, until, e))?;
-                obs_transition!(rec, rt, until);
+                obs_transition!(self.rec, rt, until);
                 rt.cur_level = self.ladder.max_level();
-                until + self.params.spin_up_secs + self.slow_spinup_extra(rt, until, rec, fc)
+                until + self.params.spin_up_secs + self.slow_spinup_extra(rt, until, fc)
             }
             DiskPowerState::SpinningUp { until } | DiskPowerState::Shifting { until, .. } => {
                 until.max(t)
@@ -1131,11 +1022,12 @@ impl Engine {
         };
         let start = start.max(rt.machine.now());
         let level = rt
+            .machine
             .begin_service(start)
             .map_err(|e| SimError::power("begin_service", rt.id, start, e))?;
         rt.cur_level = level;
         obs_emit!(
-            rec,
+            self.rec,
             ObsEvent::ServiceStart {
                 t: start,
                 disk: rt.id,
@@ -1143,7 +1035,7 @@ impl Engine {
             }
         );
         let st = service_time_secs(
-            &self.params,
+            self.params,
             &self.ladder,
             level,
             ServiceRequest {
@@ -1152,10 +1044,11 @@ impl Engine {
             },
         );
         let completion = start + st;
-        rt.end_service(completion)
+        rt.machine
+            .end_service(completion)
             .map_err(|e| SimError::power("end_service", rt.id, completion, e))?;
         obs_emit!(
-            rec,
+            self.rec,
             ObsEvent::ServiceEnd {
                 t: completion,
                 disk: rt.id,
@@ -1169,16 +1062,10 @@ impl Engine {
     /// attached or this spin-up is healthy). The machine still models
     /// the nominal transition; only the application-visible readiness
     /// is delayed.
-    fn slow_spinup_extra(
-        &self,
-        rt: &mut DiskRt,
-        at: f64,
-        rec: Obs<'_>,
-        fc: &mut FaultCounts,
-    ) -> f64 {
+    fn slow_spinup_extra(&self, rt: &mut DiskRt, at: f64, fc: &mut FaultCounts) -> f64 {
         #[cfg(not(feature = "obs"))]
         let _ = at;
-        let Some(plan) = &self.faults else {
+        let Some(plan) = self.faults else {
             return 0.0;
         };
         let n = rt.fault_seq;
@@ -1187,7 +1074,7 @@ impl Engine {
         if extra > 0.0 {
             fc.slow_spinups += 1;
             obs_emit!(
-                rec,
+                self.rec,
                 ObsEvent::FaultInjected {
                     t: at,
                     disk: rt.id,
@@ -1199,15 +1086,13 @@ impl Engine {
     }
 
     /// Reactive DRPM window bookkeeping after a completed request.
-    #[allow(clippy::too_many_arguments)]
     fn drpm_window_update(
+        &self,
         rt: &mut DiskRt,
         cfg: &DrpmConfig,
         slowdown: f64,
         t: f64,
         max: RpmLevel,
-        rec: Obs<'_>,
-        plan: Option<&FaultPlan>,
         fc: &mut FaultCounts,
     ) {
         rt.window_sum += slowdown;
@@ -1217,13 +1102,15 @@ impl Engine {
         // keeps re-attempting on later windows — mirroring a retried
         // ioctl rather than a wedged controller.
         let stuck = |rt: &mut DiskRt, fc: &mut FaultCounts| -> bool {
-            let Some(plan) = plan else { return false };
+            let Some(plan) = self.faults else {
+                return false;
+            };
             let n = rt.fault_seq;
             rt.fault_seq += 1;
             if plan.stuck_rpm(rt.id.0, n) {
                 fc.stuck_rpm += 1;
                 obs_emit!(
-                    rec,
+                    self.rec,
                     ObsEvent::FaultInjected {
                         t,
                         disk: rt.id,
@@ -1242,8 +1129,8 @@ impl Engine {
         // large-stripe behavior).
         if slowdown > cfg.upper_tolerance && rt.cur_level < max {
             let target = RpmLevel((rt.cur_level.0 + 1).min(max.0));
-            if !stuck(rt, fc) && rt.set_rpm(t, target).is_ok() {
-                obs_transition!(rec, rt, t);
+            if !stuck(rt, fc) && rt.machine.set_rpm(t, target).is_ok() {
+                obs_transition!(self.rec, rt, t);
                 rt.cur_level = target;
             }
         }
@@ -1257,8 +1144,8 @@ impl Engine {
             // Compensate: restore full speed and hold it until the
             // response recovers (the slowdown/restore oscillation the
             // paper describes for large stripe sizes).
-            if !stuck(rt, fc) && rt.set_rpm(t, max).is_ok() {
-                obs_transition!(rec, rt, t);
+            if !stuck(rt, fc) && rt.machine.set_rpm(t, max).is_ok() {
+                obs_transition!(self.rec, rt, t);
                 rt.cur_level = max;
             }
             rt.drift_hold = true;
@@ -1275,20 +1162,20 @@ impl Engine {
         rt: &mut DiskRt,
         t: f64,
         action: PowerAction,
-        rec: Obs<'_>,
         fc: &mut FaultCounts,
     ) -> Result<Result<(), MisfireCause>, SimError> {
         match action {
             PowerAction::SpinDown => {
                 // Let an in-flight shift finish, then spin down.
                 if let DiskPowerState::Shifting { until, .. } = rt.machine.state() {
-                    rt.advance(until)
+                    rt.machine
+                        .advance(until)
                         .map_err(|e| SimError::power("finish shift", rt.id, until, e))?;
                 }
                 let at = t.max(rt.machine.now());
-                if rt.spin_down(at).is_ok() {
+                if rt.machine.spin_down(at).is_ok() {
                     rt.hit_standby = true;
-                    obs_transition!(rec, rt, at);
+                    obs_transition!(self.rec, rt, at);
                     Ok(Ok(()))
                 } else {
                     Ok(Err(MisfireCause::SpinDownRejected))
@@ -1296,13 +1183,14 @@ impl Engine {
             }
             PowerAction::SpinUp => {
                 if let DiskPowerState::SpinningDown { until } = rt.machine.state() {
-                    rt.advance(until)
+                    rt.machine
+                        .advance(until)
                         .map_err(|e| SimError::power("finish spin-down", rt.id, until, e))?;
                 }
                 let at = t.max(rt.machine.now());
-                if rt.spin_up(at).is_ok() {
+                if rt.machine.spin_up(at).is_ok() {
                     rt.cur_level = self.ladder.max_level();
-                    obs_transition!(rec, rt, at);
+                    obs_transition!(self.rec, rt, at);
                     // Injected fault: a directive-issued spin-up that
                     // comes up slow. The pre-activation distance `d`
                     // was computed for the nominal `Tsu`, so the next
@@ -1310,7 +1198,7 @@ impl Engine {
                     // stalls — exactly the interaction the harness
                     // exists to exercise.
                     if self.faults.is_some() {
-                        let extra = self.slow_spinup_extra(rt, at, rec, fc);
+                        let extra = self.slow_spinup_extra(rt, at, fc);
                         if extra > 0.0 {
                             rt.slow_ready_at = at + self.params.spin_up_secs + extra;
                         }
@@ -1327,7 +1215,8 @@ impl Engine {
                 match rt.machine.state() {
                     DiskPowerState::Shifting { until, .. }
                     | DiskPowerState::SpinningUp { until } => {
-                        rt.advance(until)
+                        rt.machine
+                            .advance(until)
                             .map_err(|e| SimError::power("finish transition", rt.id, until, e))?;
                     }
                     _ => {}
@@ -1335,13 +1224,13 @@ impl Engine {
                 // Injected fault: stuck-at-RPM — the platters never
                 // leave their current speed, which the policy observes
                 // as a rejected shift.
-                if let Some(plan) = &self.faults {
+                if let Some(plan) = self.faults {
                     let n = rt.fault_seq;
                     rt.fault_seq += 1;
                     if plan.stuck_rpm(rt.id.0, n) {
                         fc.stuck_rpm += 1;
                         obs_emit!(
-                            rec,
+                            self.rec,
                             ObsEvent::FaultInjected {
                                 t,
                                 disk: rt.id,
@@ -1352,8 +1241,8 @@ impl Engine {
                     }
                 }
                 let at = t.max(rt.machine.now());
-                if rt.set_rpm(at, level).is_ok() {
-                    obs_transition!(rec, rt, at);
+                if rt.machine.set_rpm(at, level).is_ok() {
+                    obs_transition!(self.rec, rt, at);
                     rt.cur_level = level;
                     rt.min_level = rt.min_level.min(level);
                     Ok(Ok(()))
@@ -1371,7 +1260,7 @@ mod tests {
     use crate::policy::TpmConfig;
     use sdpm_disk::ultrastar36z15;
     use sdpm_layout::DiskId;
-    use sdpm_trace::ReqKind;
+    use sdpm_trace::{ReqKind, Trace};
 
     fn pool() -> DiskPool {
         DiskPool::new(2)
@@ -1411,7 +1300,9 @@ mod tests {
     #[test]
     fn base_run_times_compute_plus_service() {
         let tr = trace(vec![compute(0, 1.0), io(0, 4096, 0, 0), compute(0, 1.0)]);
-        let r = Engine::new(ultrastar36z15(), pool(), Policy::Base).run(&tr);
+        let r = Engine::new(ultrastar36z15(), pool(), Policy::Base)
+            .events(&tr)
+            .unwrap();
         let svc = 0.0034 + 0.002 + 4096.0 / (55.0 * 1024.0 * 1024.0);
         assert!((r.exec_secs - (2.0 + svc)).abs() < 1e-9);
         assert_eq!(r.requests, 1);
@@ -1421,7 +1312,9 @@ mod tests {
     #[test]
     fn base_energy_is_idle_dominated() {
         let tr = trace(vec![compute(0, 10.0)]);
-        let r = Engine::new(ultrastar36z15(), pool(), Policy::Base).run(&tr);
+        let r = Engine::new(ultrastar36z15(), pool(), Policy::Base)
+            .events(&tr)
+            .unwrap();
         // Two disks idling 10 s at 10.2 W.
         assert!((r.total_energy_j() - 2.0 * 102.0).abs() < 1e-6);
     }
@@ -1433,7 +1326,9 @@ mod tests {
             compute(0, 100.0),
             io(0, 4096, 0, 1),
         ]);
-        let r = Engine::new(ultrastar36z15(), pool(), Policy::Tpm(TpmConfig::default())).run(&tr);
+        let r = Engine::new(ultrastar36z15(), pool(), Policy::Tpm(TpmConfig::default()))
+            .events(&tr)
+            .unwrap();
         let d0 = &r.per_disk[0];
         assert_eq!(d0.spin_downs, 1);
         assert_eq!(d0.spin_ups, 1);
@@ -1446,7 +1341,9 @@ mod tests {
     #[test]
     fn tpm_ignores_short_gaps() {
         let tr = trace(vec![io(0, 4096, 0, 0), compute(0, 5.0), io(0, 4096, 0, 1)]);
-        let r = Engine::new(ultrastar36z15(), pool(), Policy::Tpm(TpmConfig::default())).run(&tr);
+        let r = Engine::new(ultrastar36z15(), pool(), Policy::Tpm(TpmConfig::default()))
+            .events(&tr)
+            .unwrap();
         assert_eq!(r.per_disk[0].spin_downs, 0);
         assert!(r.stall_secs < 1e-9);
     }
@@ -1459,8 +1356,12 @@ mod tests {
             io(0, 4096, 0, 1),
         ]);
         let p = ultrastar36z15();
-        let base = Engine::new(p.clone(), pool(), Policy::Base).run(&tr);
-        let tpm = Engine::new(p, pool(), Policy::Tpm(TpmConfig::default())).run(&tr);
+        let base = Engine::new(p.clone(), pool(), Policy::Base)
+            .events(&tr)
+            .unwrap();
+        let tpm = Engine::new(p, pool(), Policy::Tpm(TpmConfig::default()))
+            .events(&tr)
+            .unwrap();
         assert!(tpm.total_energy_j() < base.total_energy_j());
     }
 
@@ -1468,8 +1369,12 @@ mod tests {
     fn drpm_drifts_down_while_idle_and_saves() {
         let tr = trace(vec![io(0, 4096, 0, 0), compute(0, 60.0), io(0, 4096, 0, 1)]);
         let p = ultrastar36z15();
-        let base = Engine::new(p.clone(), pool(), Policy::Base).run(&tr);
-        let drpm = Engine::new(p, pool(), Policy::Drpm(DrpmConfig::default())).run(&tr);
+        let base = Engine::new(p.clone(), pool(), Policy::Base)
+            .events(&tr)
+            .unwrap();
+        let drpm = Engine::new(p, pool(), Policy::Drpm(DrpmConfig::default()))
+            .events(&tr)
+            .unwrap();
         assert!(drpm.total_energy_j() < base.total_energy_j());
         assert!(drpm.per_disk[0].rpm_shifts > 0);
         // The second request finds the disk slow: a real stall.
@@ -1483,7 +1388,9 @@ mod tests {
     fn drpm_untouched_disk_drifts_to_bottom() {
         let tr = trace(vec![compute(0, 30.0)]);
         let p = ultrastar36z15();
-        let r = Engine::new(p, pool(), Policy::Drpm(DrpmConfig::default())).run(&tr);
+        let r = Engine::new(p, pool(), Policy::Drpm(DrpmConfig::default()))
+            .events(&tr)
+            .unwrap();
         // Disk 1 never used: it should have drifted all the way down.
         assert_eq!(r.per_disk[1].gaps.len(), 1);
         assert_eq!(r.per_disk[1].gaps[0].level, RpmLevel::MIN);
@@ -1509,13 +1416,16 @@ mod tests {
             compute(0, back + 0.1), // pre-activation distance
             io(0, 4096, 0, 1),
         ]);
-        let base = Engine::new(p.clone(), pool(), Policy::Base).run(&tr);
+        let base = Engine::new(p.clone(), pool(), Policy::Base)
+            .events(&tr)
+            .unwrap();
         let cm = Engine::new(
             p,
             pool(),
             Policy::Directive(DirectiveConfigForTest::default().0),
         )
-        .run(&tr);
+        .events(&tr)
+        .unwrap();
         assert!(cm.total_energy_j() < base.total_energy_j());
         // Pre-activation hides the transition: negligible stall.
         assert!(cm.stall_secs < 1e-6, "stall {}", cm.stall_secs);
@@ -1548,11 +1458,12 @@ mod tests {
             pool(),
             Policy::Directive(crate::policy::DirectiveConfig::default()),
         )
-        .run(&tr);
+        .events(&tr)
+        .unwrap();
         assert_eq!(cm.per_disk[0].spin_downs, 1);
         assert_eq!(cm.per_disk[0].spin_ups, 1);
         assert!(cm.stall_secs < 1e-6, "stall {}", cm.stall_secs);
-        let base = Engine::new(p, pool(), Policy::Base).run(&tr);
+        let base = Engine::new(p, pool(), Policy::Base).events(&tr).unwrap();
         assert!(cm.total_energy_j() < base.total_energy_j());
     }
 
@@ -1578,7 +1489,8 @@ mod tests {
             pool(),
             Policy::Directive(crate::policy::DirectiveConfig::default()),
         )
-        .run(&tr);
+        .events(&tr)
+        .unwrap();
         // The app waits out the remaining ~8.9 s of spin-up.
         assert!(
             cm.stall_secs > 8.0 && cm.stall_secs < 10.0,
@@ -1608,7 +1520,8 @@ mod tests {
             pool(),
             Policy::Directive(crate::policy::DirectiveConfig::default()),
         )
-        .run(&tr);
+        .events(&tr)
+        .unwrap();
         assert_eq!(cm.misfire_causes.total(), 2);
         assert_eq!(cm.misfire_causes.spin_up_rejected, 1);
         assert_eq!(cm.misfire_causes.off_ladder_level, 1);
@@ -1633,7 +1546,9 @@ mod tests {
             vec![],
         ];
         let tr = trace(vec![compute(0, 20.0), io(0, 4096, 0, 0)]);
-        let r = Engine::new(p, pool(), Policy::schedule(sched)).run(&tr);
+        let r = Engine::new(p, pool(), Policy::schedule(sched))
+            .events(&tr)
+            .unwrap();
         assert_eq!(r.per_disk[0].rpm_shifts, 2);
         assert!(
             r.stall_secs < 1e-6,
@@ -1653,7 +1568,7 @@ mod tests {
             },
             compute(0, 5.0),
         ]);
-        let r = Engine::new(p, pool(), Policy::Base).run(&tr);
+        let r = Engine::new(p, pool(), Policy::Base).events(&tr).unwrap();
         assert_eq!(r.per_disk[0].spin_downs, 0);
         assert!((r.exec_secs - 5.0).abs() < 1e-12);
     }
@@ -1662,7 +1577,7 @@ mod tests {
     fn gap_records_cover_execution_for_unused_disk() {
         let p = ultrastar36z15();
         let tr = trace(vec![compute(0, 7.0)]);
-        let r = Engine::new(p, pool(), Policy::Base).run(&tr);
+        let r = Engine::new(p, pool(), Policy::Base).events(&tr).unwrap();
         for d in &r.per_disk {
             assert_eq!(d.gaps.len(), 1);
             assert!((d.gaps[0].len_secs() - 7.0).abs() < 1e-12);
@@ -1686,8 +1601,12 @@ mod tests {
                 }),
             ])
         };
-        let seq = Engine::new(p.clone(), pool(), Policy::Base).run(&mk(true));
-        let rnd = Engine::new(p, pool(), Policy::Base).run(&mk(false));
+        let seq = Engine::new(p.clone(), pool(), Policy::Base)
+            .events(&mk(true))
+            .unwrap();
+        let rnd = Engine::new(p, pool(), Policy::Base)
+            .events(&mk(false))
+            .unwrap();
         assert!(seq.exec_secs < rnd.exec_secs);
     }
 }

@@ -3,10 +3,11 @@
 //! The engine historically `expect()`ed its way through untrusted input:
 //! a corrupted trace, an out-of-pool disk id, or a power-state call the
 //! policy did not anticipate aborted the whole process. Every such
-//! condition now flows through [`SimError`], surfaced by the `try_*`
-//! simulation entry points; the legacy infallible entry points panic
-//! with the same messages, so existing callers (and their
-//! `#[should_panic]` tests) observe identical behavior.
+//! condition now flows through [`SimError`], returned by
+//! [`crate::Engine::events`] and [`crate::Engine::runs`]; the panicking
+//! shorthands ([`crate::simulate`], [`crate::simulate_source`]) panic
+//! with the same messages, so their `#[should_panic]` tests observe
+//! identical behavior.
 
 use sdpm_disk::PowerError;
 use sdpm_layout::DiskId;

@@ -1,17 +1,19 @@
-//! Shared-pool multi-tenant simulation (the scenario engine's core).
+//! Open-loop shared-pool simulation: the engine for fixed arrivals.
 //!
 //! The closed-loop engine ([`crate::engine`]) models one blocking
-//! application on a private pool; the open-loop replay
-//! ([`crate::openloop`]) models fixed arrivals at one pinned spindle
-//! speed. A *mix* is the missing combination: K tenants' request
-//! streams, merged on one wall clock ([`sdpm_trace::mix`]), arrive
-//! open-loop at a shared pool whose power state is actively managed —
-//! so one tenant's spin-down is another tenant's wake penalty.
+//! application on a private pool, so device delays lengthen the run. This
+//! module is the paper's other arrival discipline: requests arrive at
+//! fixed timestamps, and delays show up as response time and queue
+//! growth instead. K tenants' request streams, merged on one wall clock
+//! ([`sdpm_trace::mix`]), arrive at a shared pool whose power state is
+//! actively managed — so one tenant's spin-down is another tenant's wake
+//! penalty. A single tenant under [`MixPolicy::Base`] is the classic
+//! DiskSim-style open-loop replay of one trace at full speed.
 //!
 //! The engine is event-driven over the merged stream. Per disk it keeps
 //! the exact [`PowerStateMachine`] energy accounting of the closed-loop
-//! engine and the FIFO queue/response accounting of the open-loop
-//! replay. Pool-wide power management is a [`MixPolicy`]:
+//! engine and a FIFO queue with response-time accounting. Pool-wide
+//! power management is a [`MixPolicy`]:
 //!
 //! * `Base` — disks idle at full speed,
 //! * `Tpm` — the classic fixed-threshold reactive spin-down, evaluated
@@ -32,7 +34,6 @@
 //! [`MixReport`]s.
 
 use crate::error::SimError;
-use crate::openloop::OpenDiskReport;
 use crate::policy::{AdaptiveConfig, DirectiveConfig, TpmConfig};
 use crate::report::{GapRecord, MisfireCause, MisfireCauses};
 use sdpm_disk::{
@@ -70,6 +71,22 @@ impl MixPolicy {
             MixPolicy::Directive(_) => "CM",
         }
     }
+}
+
+/// Per-disk outcome of an open-loop run.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct OpenDiskReport {
+    /// Requests serviced by this disk.
+    pub requests: u64,
+    /// Seconds the disk spent servicing.
+    pub busy_secs: f64,
+    /// Largest queue depth observed (including the request in service).
+    pub max_queue_depth: usize,
+    /// Joule ledger for this disk.
+    pub energy: EnergyBreakdown,
+    /// Idle gaps between services (demand boundaries, like the
+    /// closed-loop engine's records).
+    pub gaps: Vec<GapRecord>,
 }
 
 /// One tenant's slice of a mix outcome.
@@ -119,7 +136,7 @@ pub struct MixReport {
     pub misfires: MisfireCauses,
     /// Per-tenant breakdowns, indexed by tenant id.
     pub per_tenant: Vec<TenantMixReport>,
-    /// Per-disk details (same shape as the open-loop replay's).
+    /// Per-disk details.
     pub per_disk: Vec<OpenDiskReport>,
 }
 
@@ -662,7 +679,7 @@ fn validate(
 mod tests {
     use super::*;
     use sdpm_disk::ultrastar36z15;
-    use sdpm_trace::{IoRequest, ReqKind};
+    use sdpm_trace::{merge_tenants, tenant_timeline, IoRequest, ReqKind, Trace};
 
     fn ev(at: f64, tenant: u32, seq: u64, disk: u32) -> TenantEvent {
         TenantEvent {
@@ -845,6 +862,138 @@ mod tests {
             simulate_mix(&bad_disk, &["a"], &p, pool, &MixPolicy::Base),
             Err(SimError::DiskOutOfRange { disk: 9, pool: 2 })
         ));
+    }
+
+    /// Full-speed service time of one 64 KiB random read.
+    fn service_64k(p: &DiskParams) -> f64 {
+        let ladder = RpmLadder::new(p);
+        service_time_secs(
+            p,
+            &ladder,
+            ladder.max_level(),
+            ServiceRequest {
+                size_bytes: 64 * 1024,
+                sequential: false,
+            },
+        )
+    }
+
+    /// `n` 64 KiB reads alternating between two disks, `gap_secs` of
+    /// compute before each.
+    fn spaced(n: u64, gap_secs: f64) -> Trace {
+        let mut events = Vec::new();
+        for i in 0..n {
+            events.push(AppEvent::Compute {
+                nest: 0,
+                first_iter: i * 2,
+                iters: 1,
+                secs: gap_secs,
+            });
+            events.push(AppEvent::Io(IoRequest {
+                disk: DiskId((i % 2) as u32),
+                start_block: i * 100,
+                size_bytes: 64 * 1024,
+                kind: ReqKind::Read,
+                sequential: false,
+                nest: 0,
+                iter: i * 2 + 1,
+            }));
+        }
+        Trace {
+            name: "open".into(),
+            pool_size: 2,
+            events,
+        }
+    }
+
+    /// The classic open-loop replay of one trace: a single tenant on its
+    /// nominal timeline, disks at full speed.
+    fn solo(trace: &Trace) -> MixReport {
+        let events = merge_tenants(&[tenant_timeline(trace, 0, 0.0, 1.0)]);
+        simulate_mix(
+            &events,
+            &["solo"],
+            &ultrastar36z15(),
+            DiskPool::new(trace.pool_size),
+            &MixPolicy::Base,
+        )
+        .expect("valid mix")
+    }
+
+    #[test]
+    fn uncontended_solo_responses_are_bare_service_times() {
+        let st = service_64k(&ultrastar36z15());
+        let r = solo(&spaced(20, 0.1));
+        assert!((r.mean_response_secs - st).abs() < 1e-9);
+        assert!((r.max_response_secs - st).abs() < 1e-9);
+        assert_eq!(r.per_disk.iter().map(|d| d.max_queue_depth).max(), Some(1));
+    }
+
+    #[test]
+    fn solo_requests_queue_fifo_behind_in_flight_work() {
+        let st = service_64k(&ultrastar36z15());
+        // The second request arrives half-way through the first's service
+        // and waits for it; the third finds the disk drained.
+        let second = 1.0 + st / 2.0;
+        let events = vec![ev(1.0, 0, 0, 0), ev(second, 0, 1, 0), ev(10.0, 0, 2, 0)];
+        let r = simulate_mix(
+            &events,
+            &["solo"],
+            &ultrastar36z15(),
+            DiskPool::new(1),
+            &MixPolicy::Base,
+        )
+        .expect("valid mix");
+        let first_done = 1.0 + st;
+        let second_done = first_done + st;
+        // Response is completion minus arrival, queueing included.
+        assert_eq!(
+            r.max_response_secs.to_bits(),
+            (second_done - second).to_bits()
+        );
+        assert_eq!(r.per_disk[0].max_queue_depth, 2);
+        assert_eq!(r.makespan_secs.to_bits(), (10.0 + st).to_bits());
+        assert_eq!(r.per_disk[0].requests, 3);
+    }
+
+    #[test]
+    fn solo_gaps_and_service_tile_the_makespan() {
+        let r = solo(&spaced(4, 1.0));
+        for d in &r.per_disk {
+            for w in d.gaps.windows(2) {
+                assert!(w[0].end <= w[1].start + 1e-12);
+            }
+            // The trailing gap runs to the makespan on every disk.
+            let gap_total: f64 = d.gaps.iter().map(GapRecord::len_secs).sum();
+            assert!((gap_total + d.busy_secs - r.makespan_secs).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn solo_mix_and_closed_loop_agree_on_uncontended_service_totals() {
+        let t = spaced(30, 0.1);
+        let open = solo(&t);
+        let closed = crate::simulate(
+            &t,
+            &ultrastar36z15(),
+            DiskPool::new(2),
+            &crate::Policy::Base,
+        );
+        let open_busy: f64 = open.per_disk.iter().map(|d| d.busy_secs).sum();
+        let closed_busy: f64 = closed.per_disk.iter().map(|d| d.energy.active_secs).sum();
+        assert!((open_busy - closed_busy).abs() < 1e-9);
+    }
+
+    #[test]
+    fn solo_empty_trace_replays_to_zero() {
+        let r = solo(&Trace {
+            name: "empty".into(),
+            pool_size: 2,
+            events: vec![],
+        });
+        assert_eq!(r.requests, 0);
+        assert_eq!(r.makespan_secs, 0.0);
+        assert_eq!(r.total_energy_j(), 0.0);
     }
 
     #[test]

@@ -133,7 +133,9 @@ mod tests {
     fn ideal_tpm_skips_sub_break_even_gaps() {
         let p = ultrastar36z15();
         let tr = gap_trace(10.0);
-        let base = Engine::new(p.clone(), DiskPool::new(2), Policy::Base).run(&tr);
+        let base = Engine::new(p.clone(), DiskPool::new(2), Policy::Base)
+            .events(&tr)
+            .unwrap();
         let sched = ideal_tpm_schedule(&base, &p);
         assert!(sched[0].is_empty(), "10 s < 15.2 s break-even");
     }
@@ -142,7 +144,9 @@ mod tests {
     fn ideal_tpm_spins_down_long_gaps_with_exact_preactivation() {
         let p = ultrastar36z15();
         let tr = gap_trace(100.0);
-        let base = Engine::new(p.clone(), DiskPool::new(2), Policy::Base).run(&tr);
+        let base = Engine::new(p.clone(), DiskPool::new(2), Policy::Base)
+            .events(&tr)
+            .unwrap();
         let sched = ideal_tpm_schedule(&base, &p);
         assert!(schedule_is_well_formed(&sched));
         // Disk 0: the 100 s gap gets a down+up; the final tail gap (1 s)
@@ -165,7 +169,9 @@ mod tests {
     fn ideal_drpm_exploits_mid_size_gaps_tpm_cannot() {
         let p = ultrastar36z15();
         let tr = gap_trace(8.0);
-        let base = Engine::new(p.clone(), DiskPool::new(2), Policy::Base).run(&tr);
+        let base = Engine::new(p.clone(), DiskPool::new(2), Policy::Base)
+            .events(&tr)
+            .unwrap();
         let itpm = simulate(&tr, &p, DiskPool::new(2), &Policy::IdealTpm);
         let idrpm = simulate(&tr, &p, DiskPool::new(2), &Policy::IdealDrpm);
         // The 8 s gap is below TPM break-even but plenty for RPM shifts.
@@ -180,7 +186,9 @@ mod tests {
         let p = ultrastar36z15();
         for gap in [0.1, 0.5, 1.0, 3.0, 8.0, 20.0, 120.0] {
             let tr = gap_trace(gap);
-            let base = Engine::new(p.clone(), DiskPool::new(2), Policy::Base).run(&tr);
+            let base = Engine::new(p.clone(), DiskPool::new(2), Policy::Base)
+                .events(&tr)
+                .unwrap();
             let idrpm = simulate(&tr, &p, DiskPool::new(2), &Policy::IdealDrpm);
             assert!(
                 idrpm.total_energy_j() <= base.total_energy_j() + 1e-6,
@@ -231,7 +239,9 @@ mod tests {
                 io(1, 4),
             ],
         };
-        let base = Engine::new(p.clone(), DiskPool::new(2), Policy::Base).run(&tr);
+        let base = Engine::new(p.clone(), DiskPool::new(2), Policy::Base)
+            .events(&tr)
+            .unwrap();
         assert!(schedule_is_well_formed(&ideal_tpm_schedule(&base, &p)));
         assert!(schedule_is_well_formed(&ideal_drpm_schedule(&base, &p)));
     }

@@ -144,13 +144,10 @@ pub struct PerDiskReport {
 /// are.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SimPath {
-    /// Sequential per-event streamed loop ([`crate::Engine::run_stream`]).
+    /// Per-event loop ([`crate::Engine::events`]).
     #[default]
     Streamed,
-    /// Resolve + parallel per-disk energy replay
-    /// ([`crate::Engine::run_sharded`]).
-    Sharded,
-    /// Run-compressed loop ([`crate::Engine::run_runs`]).
+    /// Run-compressed loop ([`crate::Engine::runs`]).
     RunCompressed,
 }
 
@@ -160,7 +157,6 @@ impl SimPath {
     pub fn label(self) -> &'static str {
         match self {
             SimPath::Streamed => "streamed",
-            SimPath::Sharded => "sharded",
             SimPath::RunCompressed => "run_compressed",
         }
     }

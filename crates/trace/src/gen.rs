@@ -157,11 +157,6 @@ pub struct GenStream<'a> {
     linrefs: Vec<LinRef>,
     buf: Vec<AppEvent>,
     target: usize,
-    /// Events delivered so far; reported to `learn` on exhaustion.
-    counted: u64,
-    /// Where a [`GenSource`] learns its event count from the first fully
-    /// drained pass (its [`EventSource::size_hint`]).
-    learn: Option<&'a std::cell::Cell<Option<u64>>>,
 }
 
 impl<'a> GenStream<'a> {
@@ -194,8 +189,6 @@ impl<'a> GenStream<'a> {
             linrefs,
             buf: Vec::new(),
             target: DEFAULT_CHUNK_EVENTS,
-            counted: 0,
-            learn: None,
         }
     }
 
@@ -271,12 +264,8 @@ impl EventStream for GenStream<'_> {
             self.step();
         }
         if self.buf.is_empty() {
-            if let Some(cell) = self.learn {
-                cell.set(Some(self.counted));
-            }
             None
         } else {
-            self.counted += self.buf.len() as u64;
             crate::prof::add("gen.events", self.buf.len() as u64);
             crate::prof::add("gen.chunks", 1);
             Some(&self.buf)
@@ -292,10 +281,6 @@ pub struct GenSource<'a> {
     program: &'a Program,
     pool: DiskPool,
     config: TraceGenConfig,
-    /// Event count learned from the first fully drained stream; until
-    /// then the source's size is unknown (counting up front would cost a
-    /// full generation pass).
-    learned: std::cell::Cell<Option<u64>>,
 }
 
 impl<'a> GenSource<'a> {
@@ -312,20 +297,13 @@ impl<'a> GenSource<'a> {
             program,
             pool,
             config,
-            learned: std::cell::Cell::new(None),
         }
     }
 }
 
 impl EventSource for GenSource<'_> {
     fn open(&self) -> Box<dyn EventStream + '_> {
-        let mut s = GenStream::new(self.program, self.pool, self.config);
-        s.learn = Some(&self.learned);
-        Box::new(s)
-    }
-
-    fn size_hint(&self) -> Option<u64> {
-        self.learned.get()
+        Box::new(GenStream::new(self.program, self.pool, self.config))
     }
 }
 

@@ -129,8 +129,6 @@ pub struct RunGenStream<'a> {
     plan: NestPlan,
     buf: Vec<AppEvent>,
     target: usize,
-    counted: u64,
-    learn: Option<&'a std::cell::Cell<Option<u64>>>,
 }
 
 impl<'a> RunGenStream<'a> {
@@ -165,8 +163,6 @@ impl<'a> RunGenStream<'a> {
             plan,
             buf: Vec::new(),
             target: DEFAULT_CHUNK_EVENTS,
-            counted: 0,
-            learn: None,
         }
     }
 
@@ -342,12 +338,8 @@ impl EventStream for RunGenStream<'_> {
             self.step();
         }
         if self.buf.is_empty() {
-            if let Some(cell) = self.learn {
-                cell.set(Some(self.counted));
-            }
             None
         } else {
-            self.counted += self.buf.len() as u64;
             crate::prof::add("gen.events", self.buf.len() as u64);
             crate::prof::add("gen.chunks", 1);
             Some(&self.buf)
@@ -363,7 +355,6 @@ pub struct RunGenSource<'a> {
     program: &'a Program,
     pool: DiskPool,
     config: TraceGenConfig,
-    learned: std::cell::Cell<Option<u64>>,
 }
 
 impl<'a> RunGenSource<'a> {
@@ -380,20 +371,13 @@ impl<'a> RunGenSource<'a> {
             program,
             pool,
             config,
-            learned: std::cell::Cell::new(None),
         }
     }
 }
 
 impl EventSource for RunGenSource<'_> {
     fn open(&self) -> Box<dyn EventStream + '_> {
-        let mut s = RunGenStream::new(self.program, self.pool, self.config);
-        s.learn = Some(&self.learned);
-        Box::new(s)
-    }
-
-    fn size_hint(&self) -> Option<u64> {
-        self.learned.get()
+        Box::new(RunGenStream::new(self.program, self.pool, self.config))
     }
 }
 
@@ -649,9 +633,7 @@ mod tests {
         let pool = DiskPool::new(4);
         let config = cfg(8 * 1024, false);
         let src = RunGenSource::new(&p, pool, config);
-        assert_eq!(src.size_hint(), None, "size unknown before a drain");
         let a = collect(&mut *EventSource::open(&src));
-        assert_eq!(src.size_hint(), Some(a.events.len() as u64));
         let b = collect_runs(&mut *src.open_runs());
         assert_eq!(b.lower(), a);
         assert_eq!(a, generate(&p, pool, config));

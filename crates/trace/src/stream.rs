@@ -65,14 +65,6 @@ pub trait EventStream {
 pub trait EventSource {
     /// Opens a fresh stream positioned at the first event.
     fn open(&self) -> Box<dyn EventStream + '_>;
-
-    /// Total events a fresh stream would deliver, when cheaply known.
-    /// Consumers use this to size-gate optional machinery (the sharded
-    /// simulator falls back to the sequential path on small streams);
-    /// `None` means unknown, never zero.
-    fn size_hint(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// Chunked read-only windows over a materialized [`Trace`]. Zero-copy:
@@ -136,10 +128,6 @@ impl Trace {
 impl EventSource for Trace {
     fn open(&self) -> Box<dyn EventStream + '_> {
         Box::new(self.stream())
-    }
-
-    fn size_hint(&self) -> Option<u64> {
-        Some(self.events.len() as u64)
     }
 }
 

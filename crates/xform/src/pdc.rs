@@ -11,8 +11,8 @@
 //! PDC is *data placement*, not code transformation — it needs no source
 //! access, which is why the paper classes it with the reactive schemes.
 //! Its cost is the serialization of hot data onto few spindles, which
-//! the open-loop replay (`sdpm_sim::replay_open_loop`) exposes as
-//! response-time degradation.
+//! open-loop simulation (a single-tenant `sdpm_sim::simulate_mix` run)
+//! exposes as response-time degradation.
 
 use sdpm_ir::Program;
 use sdpm_layout::{DiskId, DiskPool, Striping};

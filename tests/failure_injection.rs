@@ -5,10 +5,7 @@
 use sdpm_disk::{ultrastar36z15, RpmLevel};
 use sdpm_fault::{FaultConfig, FaultPlan};
 use sdpm_layout::{DiskId, DiskPool};
-use sdpm_sim::{
-    simulate, try_simulate, try_simulate_runs, try_simulate_runs_faulted, try_simulate_source,
-    try_simulate_source_faulted, DirectiveConfig, Policy, SimError,
-};
+use sdpm_sim::{simulate, DirectiveConfig, Engine, Policy, SimError};
 use sdpm_trace::codec::{decode, encode, CodecError};
 use sdpm_trace::{AppEvent, IoRequest, PowerAction, REvent, ReqKind, Run, RunTrace, Trace};
 
@@ -173,7 +170,8 @@ fn malformed_stream_surfaces_typed_error_not_panic() {
         pool_size: 2,
         events: vec![compute(1.0), io(5, 4096)],
     };
-    let err = try_simulate_source(&t, &ultrastar36z15(), DiskPool::new(2), &Policy::Base)
+    let err = Engine::new(ultrastar36z15(), DiskPool::new(2), Policy::Base)
+        .events(&t)
         .expect_err("out-of-pool disk must be rejected");
     assert!(
         matches!(err, SimError::DiskOutOfRange { disk: 5, pool: 2 }),
@@ -183,28 +181,37 @@ fn malformed_stream_surfaces_typed_error_not_panic() {
 
 #[test]
 fn invalid_trace_surfaces_typed_error_not_panic() {
+    // The same trace `simulator_refuses_invalid_traces` panics on, fed to
+    // the fallible engine: the oracle's Base pass meets the bad disk.
     let t = Trace {
         name: "bad".into(),
         pool_size: 2,
         events: vec![io(5, 4096)],
     };
-    let err = try_simulate(&t, &ultrastar36z15(), DiskPool::new(2), &Policy::Base)
-        .expect_err("validation failure must be typed");
-    assert!(matches!(err, SimError::InvalidTrace(_)), "got: {err}");
+    let err = Engine::new(ultrastar36z15(), DiskPool::new(2), Policy::IdealTpm)
+        .events(&t)
+        .expect_err("invalid trace must be typed");
+    assert!(
+        matches!(err, SimError::DiskOutOfRange { disk: 5, pool: 2 }),
+        "got: {err}"
+    );
 
     let mismatch = Trace {
         name: "mismatch".into(),
         pool_size: 4,
         events: vec![compute(1.0)],
     };
-    let err = try_simulate(
-        &mismatch,
-        &ultrastar36z15(),
-        DiskPool::new(8),
-        &Policy::Base,
-    )
-    .expect_err("pool mismatch must be typed");
+    let err = Engine::new(ultrastar36z15(), DiskPool::new(8), Policy::Base)
+        .events(&mismatch)
+        .expect_err("pool mismatch must be typed");
     assert!(matches!(err, SimError::PoolMismatch { .. }), "got: {err}");
+
+    let mut bad_params = ultrastar36z15();
+    bad_params.idle_power_w = 1.0;
+    let err = Engine::new(bad_params, DiskPool::new(4), Policy::Base)
+        .events(&mismatch)
+        .expect_err("invalid parameters must be typed");
+    assert!(matches!(err, SimError::InvalidParams(_)), "got: {err}");
 }
 
 #[test]
@@ -224,7 +231,8 @@ fn malformed_run_record_surfaces_typed_error_not_panic() {
             reqs: vec![],
         })],
     };
-    let err = try_simulate_runs(&rt, &ultrastar36z15(), DiskPool::new(2), &Policy::Base)
+    let err = Engine::new(ultrastar36z15(), DiskPool::new(2), Policy::Base)
+        .runs(&rt)
         .expect_err("zero-rotation run must be rejected");
     assert!(matches!(err, SimError::InvalidRun(_)), "got: {err}");
 }
@@ -239,9 +247,12 @@ fn faults_disabled_is_bit_exact_across_data_paths() {
     let runs = sdpm_trace::compress(&trace);
     for policy in [Policy::IdealDrpm, Policy::Base] {
         let clean = simulate(&trace, &params, pool, &policy);
-        let streamed = try_simulate_source_faulted(&trace, &params, pool, &policy, None)
+        let engine = Engine::new(params.clone(), pool, policy).faults(None);
+        let streamed = engine
+            .events(&trace)
             .expect("fault-free streamed run succeeds");
-        let compressed = try_simulate_runs_faulted(&runs, &params, pool, &policy, None)
+        let compressed = engine
+            .runs(&runs)
             .expect("fault-free run-compressed run succeeds");
         assert_eq!(clean, streamed, "streamed path drifted with faults off");
         assert_eq!(
@@ -271,9 +282,12 @@ fn injected_faults_degrade_gracefully_and_deterministically() {
         Policy::Drpm(Default::default()),
         Policy::IdealTpm,
     ] {
-        let a = try_simulate_source_faulted(&trace, &params, pool, &policy, Some(&plan))
+        let engine = Engine::new(params.clone(), pool, policy.clone()).faults(Some(&plan));
+        let a = engine
+            .events(&trace)
             .expect("faulted run must degrade gracefully, not fail");
-        let b = try_simulate_source_faulted(&trace, &params, pool, &policy, Some(&plan))
+        let b = engine
+            .events(&trace)
             .expect("faulted run must degrade gracefully, not fail");
         assert_eq!(a, b, "same seed must reproduce the same faulted run");
         assert!(a.faults.total() > 0, "rate 0.1 must inject something");
@@ -301,7 +315,9 @@ fn faulted_run_compressed_path_degrades_to_per_event_servicing() {
     let trace = sdpm_trace::generate(&bench.program, pool, bench.gen);
     let runs = sdpm_trace::compress(&trace);
     let plan = FaultPlan::new(FaultConfig::uniform(9, 0.1));
-    let r = try_simulate_runs_faulted(&runs, &params, pool, &Policy::Base, Some(&plan))
+    let r = Engine::new(params, pool, Policy::Base)
+        .faults(Some(&plan))
+        .runs(&runs)
         .expect("faulted run-compressed run must complete");
     assert!(
         r.faults.degraded_expansions > 0,

@@ -1,18 +1,13 @@
 //! Profiling-spine integration: the host-side span collector must
-//! produce a deterministic tree for a deterministic pipeline, merge
-//! spans recorded on the sharded simulator's worker threads, and export
+//! produce a deterministic tree for a deterministic pipeline and export
 //! host tracks next to the sim-time tracks in the Chrome trace.
 //!
 //! The spine's state is process-global (thread-local buffers drained
 //! into one collector), so every test here takes the same lock — two
 //! tests enabling profiling concurrently would see each other's spans.
 
-use sdpm_bench::config_for;
 use sdpm_bench::profile::run_profile;
 use sdpm_obs::json::Value;
-use sdpm_obs::prof;
-use sdpm_sim::{simulate_sharded, Policy};
-use sdpm_trace::{generate, EventSource, EventStream, Trace};
 use std::sync::Mutex;
 
 fn counter(node: &sdpm_obs::prof::Node, name: &str) -> u64 {
@@ -99,55 +94,4 @@ fn profile_covers_every_pipeline_stage() {
                 == Some("main")
     });
     assert!(host_named, "host pid must carry a 'main' thread track");
-}
-
-/// A materialized trace that refuses to reveal its length, forcing
-/// `simulate_sharded` past its small-workload fallback so the worker
-/// threads actually spawn.
-struct NoHint(Trace);
-
-impl EventSource for NoHint {
-    fn open(&self) -> Box<dyn EventStream + '_> {
-        self.0.open()
-    }
-}
-
-#[test]
-fn sharded_worker_spans_merge_into_one_profile() {
-    let _lock = locked();
-    let bench = sdpm_workloads::swim();
-    let cfg = config_for(&bench);
-    let pool = sdpm_layout::DiskPool::new(cfg.disks);
-    let source = NoHint(generate(&bench.program, pool, cfg.gen));
-
-    prof::disable();
-    let _stale = prof::take();
-    prof::enable();
-    let _ = simulate_sharded(&source, &cfg.params, pool, &Policy::Base);
-    prof::disable();
-    let p = prof::take();
-
-    // Worker threads labeled themselves and their spans merged into the
-    // same profile: every disk was claimed by some worker.
-    assert!(
-        p.tracks
-            .iter()
-            .any(|t| t.label.starts_with("shard-worker-")),
-        "worker tracks missing: {:?}",
-        p.tracks
-            .iter()
-            .map(|t| t.label.as_str())
-            .collect::<Vec<_>>()
-    );
-    let worker = p.node("sim.shard.worker").expect("merged worker span");
-    assert_eq!(
-        counter(worker, "shard.disks"),
-        u64::from(cfg.disks),
-        "every disk must be claimed exactly once across workers"
-    );
-    assert!(
-        p.node("sim.sharded/sim.simulate/sim.shard.replay")
-            .is_some(),
-        "replay span must nest under the sharded entry point"
-    );
 }

@@ -1,12 +1,12 @@
-//! Streaming data-path equivalence: the streamed, sharded, and
-//! materialized simulation paths must produce bit-exact `SimReport`s on
-//! every scheme of every Table 2 kernel, and the shared pipeline
-//! session must generate each benchmark's trace exactly once.
+//! Streaming data-path equivalence: the streamed and materialized
+//! simulation paths must produce bit-exact `SimReport`s on every scheme
+//! of every Table 2 kernel, and the shared pipeline session must
+//! generate each benchmark's trace exactly once.
 
 use sdpm_bench::{config_for, parallel_map, suite};
 use sdpm_core::{CmMode, Scheme, Session};
 use sdpm_layout::DiskPool;
-use sdpm_sim::{simulate, simulate_sharded, simulate_source, DirectiveConfig, Policy, SimReport};
+use sdpm_sim::{simulate, simulate_source, DirectiveConfig, Policy, SimReport};
 use sdpm_trace::codec::{encode, DecodeStream};
 use sdpm_trace::{EventSource, EventStream, GenSource, Trace};
 
@@ -76,10 +76,6 @@ fn all_paths_agree_bitwise_on_every_scheme_and_kernel() {
             // Chunked stream over the materialized trace.
             let streamed = simulate_source(&trace, &cfg.params, pool, &policy);
             assert_identical(&materialized, &streamed, &format!("{what} streamed"));
-
-            // Sharded energy integration over the same stream.
-            let sharded = simulate_sharded(&trace, &cfg.params, pool, &policy);
-            assert_identical(&materialized, &sharded, &format!("{what} sharded"));
 
             // Lazy generator stream: no materialized trace at all. Only
             // meaningful for un-instrumented schemes — CM schemes *are*
