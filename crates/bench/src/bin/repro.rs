@@ -7,9 +7,6 @@
 //! repro probe <events.jsonl> [top_k]
 //! repro lint [benchmark|all] [--scheme S|all] [--json]
 //! repro prove [benchmark|all] [--scheme S|all] [--json] [--out PATH]
-//! repro bench [--bench swim] [--json] [--out BENCH_streaming.json]
-//! repro bench all [--kernel swim|all] [--json] [--out BENCH.json]
-//!                 [--history dev/bench/history.jsonl] [--gate]
 //! repro profile [--bench swim] [--json PROFILE.json]
 //!               [--trace-out profile_trace.json] [--redact-times]
 //! repro faultsim [--seed N] [--rates 0,0.01,0.05] [--bench swim]
@@ -47,14 +44,6 @@ fn main() {
     }
     if argv.first().map(String::as_str) == Some("prove") {
         prove_cmd(&argv[1..]);
-        return;
-    }
-    if argv.first().map(String::as_str) == Some("bench") {
-        if argv.get(1).map(String::as_str) == Some("all") {
-            bench_all_cmd(&argv[2..]);
-        } else {
-            bench_cmd(&argv[1..]);
-        }
         return;
     }
     if argv.first().map(String::as_str) == Some("profile") {
@@ -155,232 +144,7 @@ fn main() {
     }
 }
 
-/// `repro bench`: times the scheme suite over the streamed and
-/// materialized trace data paths (see `sdpm_bench::streambench`).
-/// `--json` additionally writes the machine-readable record to
-/// `BENCH_streaming.json` (or `--out`'s path). Exits nonzero if the
-/// paths' reports are not bitwise identical.
-fn bench_cmd(args: &[String]) {
-    use sdpm_bench::streambench::run_stream_bench;
-
-    let mut bench_arg = "swim".to_string();
-    let mut json = false;
-    let mut runlen = false;
-    let mut out_path = String::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("{flag} needs a value");
-                    std::process::exit(2);
-                })
-                .clone()
-        };
-        match a.as_str() {
-            "--json" => json = true,
-            "--runlen" => runlen = true,
-            "--bench" => bench_arg = val("--bench"),
-            "--out" => out_path = val("--out"),
-            other => bench_arg = other.to_string(),
-        }
-    }
-    if out_path.is_empty() {
-        out_path = if runlen {
-            "BENCH_runlen.json".to_string()
-        } else {
-            "BENCH_streaming.json".to_string()
-        };
-    }
-    if runlen {
-        runlen_bench_cmd(json, &out_path);
-        return;
-    }
-
-    let all = suite();
-    let Some(b) = all.iter().find(|b| {
-        b.name
-            .to_ascii_lowercase()
-            .contains(&bench_arg.to_ascii_lowercase())
-    }) else {
-        let names: Vec<&str> = all.iter().map(|b| b.name).collect();
-        eprintln!(
-            "unknown benchmark '{bench_arg}'; one of: {}",
-            names.join(" ")
-        );
-        std::process::exit(2);
-    };
-
-    let r = run_stream_bench(b);
-    println!(
-        "== Streaming bench: {} ({} suite) ==",
-        r.bench,
-        r.schemes.join("+")
-    );
-    println!(
-        "{}",
-        render_table(
-            &[
-                "data path".into(),
-                "wall secs".into(),
-                "peak RSS KiB".into()
-            ],
-            &r.rows()
-        )
-    );
-    println!(
-        "reports identical across paths: {}",
-        if r.reports_identical { "yes" } else { "NO" }
-    );
-    if json {
-        std::fs::write(&out_path, r.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote {out_path}");
-    }
-    if !r.reports_identical {
-        std::process::exit(1);
-    }
-}
-
-/// `repro bench all`: the merged taxonomy (see `sdpm_bench::benchall`)
-/// subsuming the streaming, run-compression, codec, and fault-sweep
-/// harnesses under one `sdpm-bench/v1` record. `--gate` compares wall
-/// times against the last line of `--history` (default
-/// `dev/bench/history.jsonl`) and exits 1 on a >10% regression or any
-/// bit-exactness drift; the current run is then appended to the history.
-#[cfg(feature = "obs")]
-fn bench_all_cmd(args: &[String]) {
-    use sdpm_bench::benchall::{gate_against, run_bench_all, GATE_THRESHOLD};
-
-    let mut kernel = "swim".to_string();
-    let mut json = false;
-    let mut gate = false;
-    let mut out_path = "BENCH.json".to_string();
-    let mut history_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("{flag} needs a value");
-                    std::process::exit(2);
-                })
-                .clone()
-        };
-        match a.as_str() {
-            "--json" => json = true,
-            "--gate" => gate = true,
-            "--kernel" | "--bench" => kernel = val(a.as_str()),
-            "--out" => out_path = val("--out"),
-            "--history" => history_path = Some(val("--history")),
-            other => kernel = other.to_string(),
-        }
-    }
-
-    let mut benches = suite();
-    if kernel != "all" {
-        let needle = kernel.to_ascii_lowercase();
-        benches.retain(|b| b.name.to_ascii_lowercase().contains(&needle));
-        if benches.is_empty() {
-            let names: Vec<&str> = suite().iter().map(|b| b.name).collect();
-            eprintln!("unknown kernel '{kernel}'; one of: all {}", names.join(" "));
-            std::process::exit(2);
-        }
-    }
-
-    let r = run_bench_all(&benches);
-    println!(
-        "== Merged bench: {} kernels, {} entries ({}) ==",
-        benches.len(),
-        r.entries.len(),
-        r.schema
-    );
-    println!(
-        "{}",
-        render_table(
-            &[
-                "entry".into(),
-                "wall s".into(),
-                "peak KiB".into(),
-                "work".into(),
-                "rate".into(),
-                "identical".into(),
-            ],
-            &r.rows()
-        )
-    );
-    println!(
-        "bit-exactness held across all entries: {}",
-        if r.identical_all { "yes" } else { "NO" }
-    );
-    if json {
-        std::fs::write(&out_path, r.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote {out_path}");
-    }
-
-    let mut regressed = false;
-    if let Some(hist) = &history_path {
-        let prev = std::fs::read_to_string(hist).ok().and_then(|text| {
-            text.lines()
-                .rev()
-                .find(|l| !l.trim().is_empty())
-                .map(str::to_string)
-        });
-        if gate {
-            match prev.as_deref() {
-                None => println!("gate: no previous history at {hist}; baseline run"),
-                Some(line) => match gate_against(line, &r, GATE_THRESHOLD) {
-                    Err(e) => {
-                        eprintln!("gate: {e}");
-                        std::process::exit(2);
-                    }
-                    Ok(failures) if failures.is_empty() => {
-                        println!("gate: no wall-time regression past {GATE_THRESHOLD}x");
-                    }
-                    Ok(failures) => {
-                        regressed = true;
-                        for f in &failures {
-                            eprintln!("gate: REGRESSION {f}");
-                        }
-                    }
-                },
-            }
-        }
-        if let Some(dir) = std::path::Path::new(hist).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let mut text = std::fs::read_to_string(hist).unwrap_or_default();
-        text.push_str(&r.history_line());
-        text.push('\n');
-        std::fs::write(hist, text).unwrap_or_else(|e| {
-            eprintln!("cannot append {hist}: {e}");
-            std::process::exit(2);
-        });
-        println!("appended history to {hist}");
-    } else if gate {
-        eprintln!("--gate needs --history PATH");
-        std::process::exit(2);
-    }
-
-    if !r.identical_all || regressed {
-        std::process::exit(1);
-    }
-}
-
-#[cfg(not(feature = "obs"))]
-fn bench_all_cmd(_: &[String]) {
-    eprintln!(
-        "bench all needs the `obs` feature (on by default; rebuild without --no-default-features)"
-    );
-    std::process::exit(2);
-}
-
-/// `repro profile`: runs the five-leg profiling driver (see
+/// `repro profile`: runs the four-leg profiling driver (see
 /// `sdpm_bench::profile`) and exports the span tree as a terminal
 /// summary, a JSON profile (`--json`), and/or a Chrome trace with the
 /// host-profiling tracks merged next to the sim-time tracks
@@ -768,50 +532,6 @@ fn mix_cmd(args: &[String]) {
             std::process::exit(2);
         });
         println!("wrote tenant-tagged metrics to {path} (aggregate with `repro probe {path}`)");
-    }
-}
-
-/// `repro bench --runlen [--json] [--out BENCH_runlen.json]`: the
-/// run-compression harness over all six Table 2 kernels. Exits 1 when
-/// any kernel's per-event and run-compressed reports diverge.
-fn runlen_bench_cmd(json: bool, out_path: &str) {
-    use sdpm_bench::runbench::run_runlen_bench;
-
-    let r = run_runlen_bench(&suite());
-    println!(
-        "== Run-compression bench: {} schemes x {} kernels ==",
-        r.schemes.len(),
-        r.kernels.len()
-    );
-    println!(
-        "{}",
-        render_table(
-            &[
-                "kernel".into(),
-                "per-event s".into(),
-                "run-compressed s".into(),
-                "suite speedup".into(),
-                "gen speedup".into(),
-                "events".into(),
-                "records".into(),
-                "identical".into(),
-            ],
-            &r.rows()
-        )
-    );
-    println!(
-        "reports identical across paths: {}",
-        if r.reports_identical { "yes" } else { "NO" }
-    );
-    if json {
-        std::fs::write(out_path, r.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote {out_path}");
-    }
-    if !r.reports_identical {
-        std::process::exit(1);
     }
 }
 

@@ -1,8 +1,8 @@
 //! Experiment drivers: one function per table/figure of the paper.
 //!
 //! Every driver is deterministic (fixed seeds flow from the workload
-//! definitions) and returns structured results; the `repro` binary and
-//! the Criterion benches are thin shells around these functions.
+//! definitions) and returns structured results; the `repro` binary is a
+//! thin shell around these functions.
 //! Independent benchmark runs execute in parallel via std scoped
 //! threads.
 

@@ -1,13 +1,11 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
-//! See `src/bin/repro.rs` for the command-line entry point and the
-//! `benches/` directory for the Criterion benchmarks (one per table /
-//! figure).
+//! See `src/bin/repro.rs` for the command-line entry point. How fast the
+//! reproduction runs is measured by the standalone `benchmark/` package
+//! at the repository root, not by this crate.
 
 #![forbid(unsafe_code)]
 pub mod ablations;
-#[cfg(feature = "obs")]
-pub mod benchall;
 pub mod experiments;
 pub mod faultsim;
 pub mod format;
@@ -16,16 +14,12 @@ pub mod mixbench;
 #[cfg(feature = "obs")]
 pub mod profile;
 pub mod prove;
-pub mod runbench;
-pub mod streambench;
 
 pub use experiments::*;
 
 /// The counting global allocator from `sdpm-obs`, installed for every
-/// binary and test in this crate so profiling spans report allocation
-/// totals and the bench harnesses can measure *per-phase* heap peaks
-/// (`/proc`'s VmHWM is a process-lifetime high-water mark, useless for
-/// the second phase onward).
+/// binary and test in this crate so `repro profile`'s spans report
+/// allocation totals and heap peaks.
 #[cfg(feature = "alloc-profile")]
 #[global_allocator]
 static COUNTING_ALLOC: sdpm_obs::prof::CountingAlloc = sdpm_obs::prof::CountingAlloc;

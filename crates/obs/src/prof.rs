@@ -257,8 +257,8 @@ mod alloc_impl {
     pub(super) static INSTALLED: AtomicBool = AtomicBool::new(false);
 
     /// A counting wrapper around the system allocator. Install it as
-    /// the binary's `#[global_allocator]` to light up live/peak heap
-    /// accounting ([`super::heap_mark`]) and per-span allocation deltas.
+    /// the binary's `#[global_allocator]` to light up per-span
+    /// allocation deltas and heap peaks.
     /// Overhead is a handful of relaxed atomics per allocation.
     pub struct CountingAlloc;
 
@@ -349,57 +349,6 @@ impl AllocSnapshot {
 
     fn end(self) -> (u64, u64, u64) {
         (0, 0, 0)
-    }
-}
-
-/// Whether a [`CountingAlloc`] is installed and has served at least one
-/// allocation in this process.
-#[must_use]
-pub fn alloc_active() -> bool {
-    #[cfg(feature = "alloc-profile")]
-    {
-        alloc_impl::INSTALLED.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "alloc-profile"))]
-    false
-}
-
-/// A heap high-water-mark bracket: [`heap_mark`] resets the watermark
-/// to the current live size; [`HeapMark::peak_bytes`] reads the highest
-/// live size since. Independent of [`enable`] — the bench harnesses use
-/// it for per-phase peak measurements without full span collection.
-#[derive(Debug, Clone, Copy)]
-pub struct HeapMark(());
-
-/// Starts a heap-peak measurement region. Returns a mark whose
-/// [`HeapMark::peak_bytes`] is `None` when no counting allocator is
-/// installed (fall back to `/proc` then, with its process-lifetime
-/// staleness caveat).
-#[must_use]
-pub fn heap_mark() -> HeapMark {
-    #[cfg(feature = "alloc-profile")]
-    if alloc_active() {
-        alloc_impl::PEAK.store(alloc_impl::CUR.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-    HeapMark(())
-}
-
-impl HeapMark {
-    /// Peak live heap bytes since this mark, or `None` when the
-    /// counting allocator is not installed.
-    #[must_use]
-    pub fn peak_bytes(&self) -> Option<u64> {
-        #[cfg(feature = "alloc-profile")]
-        if alloc_active() {
-            return Some(alloc_impl::PEAK.load(Ordering::Relaxed));
-        }
-        None
-    }
-
-    /// [`HeapMark::peak_bytes`] in KiB (rounded up).
-    #[must_use]
-    pub fn peak_kib(&self) -> Option<u64> {
-        self.peak_bytes().map(|b| b.div_ceil(1024))
     }
 }
 
@@ -813,16 +762,5 @@ mod tests {
         let a = p.node("a").expect("a recorded");
         assert_eq!(a.calls, 1);
         assert_eq!(p.node("a/b").expect("b nested under a").calls, 1);
-    }
-
-    #[test]
-    fn heap_mark_reports_only_with_allocator() {
-        let m = heap_mark();
-        let _v: Vec<u8> = Vec::with_capacity(1 << 16);
-        if alloc_active() {
-            assert!(m.peak_bytes().expect("active") > 0);
-        } else {
-            assert!(m.peak_bytes().is_none());
-        }
     }
 }

@@ -16,7 +16,9 @@
 //! * [`codec`] — a compact binary encoding for storing/replaying traces,
 //!   with incremental [`StreamEncoder`]/[`DecodeStream`] endpoints,
 //! * [`stream`] — pull-based chunked [`EventStream`]s over all of the
-//!   above, plus the per-disk demultiplexer ([`demux`]).
+//!   above,
+//! * [`mix`] — per-tenant timelines and their deterministic multi-way
+//!   merge onto one shared pool.
 //!
 //! Traces are *closed-loop*: each request carries the compute time that
 //! precedes it rather than a fixed wall-clock arrival, so the simulator
@@ -53,14 +55,13 @@ pub mod trace;
 pub use codec::{DecodeRunStream, DecodeStream, RunStreamEncoder, StreamEncoder};
 pub use event::{AppEvent, IoRequest, PowerAction, ReqKind};
 pub use gen::{generate, GenSource, GenStream, TraceGenConfig};
-pub use mix::{merge_tenants, merge_tenants_chunked, tenant_timeline, TenantEvent, TenantStream};
+pub use mix::{
+    merge_tenants, merge_tenants_chunked, tenant_timeline, TenantEvent, TenantStream, TimedEvent,
+};
 pub use run::{
     collect_runs, compress, compress_stream, CompressStream, IoTemplate, LowerStream, REvent, Run,
     RunSource, RunStream, RunTrace, RunTraceStream, MAX_ROTATION,
 };
 pub use rungen::{generate_runs, RunGenSource, RunGenStream};
-pub use stream::{
-    collect, demux, Demuxed, EventSource, EventStream, TimedEvent, TraceStream,
-    DEFAULT_CHUNK_EVENTS,
-};
+pub use stream::{collect, EventSource, EventStream, TraceStream, DEFAULT_CHUNK_EVENTS};
 pub use trace::{Trace, TraceStats};

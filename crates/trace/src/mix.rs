@@ -21,8 +21,22 @@
 //! orderings against the single-pass reference merge below).
 
 use crate::event::AppEvent;
-use crate::stream::TimedEvent;
 use crate::trace::Trace;
+
+/// One event of a tenant's timeline, stamped with its arrival time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TimedEvent {
+    /// Arrival time on the shared wall clock, seconds: the tenant's
+    /// nominal (compute-only, stall-free) time, shifted and compressed
+    /// by [`tenant_timeline`].
+    pub at_secs: f64,
+    /// Global event index in the tenant's source trace. Strictly
+    /// increasing within a tenant stream.
+    pub seq: u64,
+    /// The event itself: `Io` or `Power` (never `Compute` — compute
+    /// advances the timeline and belongs to no disk).
+    pub event: AppEvent,
+}
 
 /// One event of a merged multi-tenant timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,9 +74,8 @@ pub struct TenantStream {
 ///
 /// `load_factor` > 1 compresses the tenant's arrivals (open-loop "the
 /// offered load doubled" knob); 1.0 with a zero offset reproduces the
-/// nominal timeline of [`crate::stream::demux`] exactly (`0.0 + t / 1.0`
-/// is bitwise `t`), which is what the degenerate single-tenant
-/// bit-exactness gate relies on.
+/// nominal timeline exactly (`0.0 + t / 1.0` is bitwise `t`), which is
+/// what the degenerate single-tenant bit-exactness gate relies on.
 ///
 /// # Panics
 /// If `load_factor` is not finite and positive.
@@ -335,11 +348,10 @@ mod tests {
                 io(0),
             ],
         };
-        let nominal = crate::stream::demux(&mut t.stream());
         let s = tenant_timeline(&t, 0, 0.0, 1.0);
         assert_eq!(
             s.events[0].at_secs.to_bits(),
-            nominal.per_disk[0][0].at_secs.to_bits(),
+            0.1234567891f64.to_bits(),
             "offset 0 / load 1 must not perturb the nominal timeline"
         );
     }

@@ -17,10 +17,6 @@
 //! [`EventSource`] abstracts *re-openable* streams: the oracle policies
 //! replay a trace twice (Base pass, then schedule replay), so the
 //! simulator needs to open a fresh stream per pass.
-//!
-//! [`demux`] splits one stream into per-disk substreams that share the
-//! nominal (compute-only) timeline — the per-disk view that open-loop
-//! replay and per-disk analyses consume.
 
 use crate::codec::CodecError;
 use crate::event::AppEvent;
@@ -147,85 +143,10 @@ pub fn collect(stream: &mut dyn EventStream) -> Trace {
     }
 }
 
-/// One event of a per-disk substream, stamped with its position on the
-/// shared nominal timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimedEvent {
-    /// Nominal (compute-only, stall-free) arrival time, seconds. All
-    /// disks' substreams share this timeline.
-    pub at_secs: f64,
-    /// Global event index in the source stream. Strictly increasing
-    /// within a substream and unique across substreams, so the global
-    /// interleaving can be recovered by merging on `seq`.
-    pub seq: u64,
-    /// The event itself: `Io` or `Power` (never `Compute` — compute
-    /// advances the shared timeline and belongs to no disk).
-    pub event: AppEvent,
-}
-
-/// Per-disk demultiplexed view of one stream.
-///
-/// Invariants (see DESIGN.md §10):
-/// * every `Io`/`Power` event of the source appears in exactly one
-///   substream — the one of the disk it names;
-/// * within a substream, events keep their source order (`seq` strictly
-///   increases) and `at_secs` is non-decreasing;
-/// * `at_secs` is the *nominal* timeline (compute seconds only): device
-///   stalls are a simulation outcome, not a trace property, so the demux
-///   is policy-independent.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Demuxed {
-    /// Application name from the source stream.
-    pub name: String,
-    /// Pool size from the source stream; `per_disk.len()` equals it.
-    pub pool_size: u32,
-    /// Total nominal compute seconds in the stream.
-    pub compute_secs: f64,
-    /// One substream per disk, indexed by disk id.
-    pub per_disk: Vec<Vec<TimedEvent>>,
-}
-
-/// Splits `stream` into per-disk substreams in a single pass.
-///
-/// # Panics
-/// If an event names a disk outside the stream's pool.
-#[must_use]
-pub fn demux(stream: &mut dyn EventStream) -> Demuxed {
-    let name = stream.name().to_string();
-    let pool_size = stream.pool_size();
-    let mut per_disk: Vec<Vec<TimedEvent>> = (0..pool_size).map(|_| Vec::new()).collect();
-    let mut t = 0.0f64;
-    let mut seq = 0u64;
-    while let Some(chunk) = stream.next_chunk() {
-        for event in chunk {
-            match event {
-                AppEvent::Compute { secs, .. } => t += secs,
-                AppEvent::Io(r) => per_disk[r.disk.0 as usize].push(TimedEvent {
-                    at_secs: t,
-                    seq,
-                    event: *event,
-                }),
-                AppEvent::Power { disk, .. } => per_disk[disk.0 as usize].push(TimedEvent {
-                    at_secs: t,
-                    seq,
-                    event: *event,
-                }),
-            }
-            seq += 1;
-        }
-    }
-    Demuxed {
-        name,
-        pool_size,
-        compute_secs: t,
-        per_disk,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{IoRequest, PowerAction, ReqKind};
+    use crate::event::{IoRequest, ReqKind};
     use sdpm_layout::DiskId;
 
     fn io(disk: u32, nest: usize) -> AppEvent {
@@ -307,65 +228,5 @@ mod tests {
             }
             assert_eq!(n, 7);
         }
-    }
-
-    #[test]
-    fn demux_partitions_events_and_shares_the_timeline() {
-        let t = Trace {
-            name: "d".into(),
-            pool_size: 3,
-            events: vec![
-                compute(0, 1.0),
-                io(0, 0),
-                io(2, 0),
-                compute(0, 2.0),
-                AppEvent::Power {
-                    disk: DiskId(2),
-                    action: PowerAction::SpinDown,
-                },
-                io(0, 0),
-            ],
-        };
-        let d = demux(&mut t.stream());
-        assert_eq!(d.pool_size, 3);
-        assert!((d.compute_secs - 3.0).abs() < 1e-12);
-        assert_eq!(d.per_disk[0].len(), 2);
-        assert_eq!(d.per_disk[1].len(), 0);
-        assert_eq!(d.per_disk[2].len(), 2);
-        // Shared nominal timeline.
-        assert!((d.per_disk[0][0].at_secs - 1.0).abs() < 1e-12);
-        assert!((d.per_disk[2][0].at_secs - 1.0).abs() < 1e-12);
-        assert!((d.per_disk[2][1].at_secs - 3.0).abs() < 1e-12);
-        assert!((d.per_disk[0][1].at_secs - 3.0).abs() < 1e-12);
-        // seq preserves the global interleaving.
-        assert_eq!(d.per_disk[0][0].seq, 1);
-        assert_eq!(d.per_disk[2][0].seq, 2);
-        assert_eq!(d.per_disk[2][1].seq, 4);
-        assert_eq!(d.per_disk[0][1].seq, 5);
-    }
-
-    #[test]
-    fn demux_invariants_hold_on_a_larger_stream() {
-        let t = sample(100);
-        let d = demux(&mut TraceStream::chunked(&t, 7));
-        let mut total = 0;
-        let mut seen = std::collections::HashSet::new();
-        for sub in &d.per_disk {
-            total += sub.len();
-            for w in sub.windows(2) {
-                assert!(w[0].seq < w[1].seq, "seq strictly increases per disk");
-                assert!(w[0].at_secs <= w[1].at_secs, "timeline is monotone");
-            }
-            for e in sub {
-                assert!(seen.insert(e.seq), "events land in exactly one substream");
-                assert!(!matches!(e.event, AppEvent::Compute { .. }));
-            }
-        }
-        let io_and_power = t
-            .events
-            .iter()
-            .filter(|e| !matches!(e, AppEvent::Compute { .. }))
-            .count();
-        assert_eq!(total, io_and_power);
     }
 }
