@@ -1,9 +1,14 @@
 //! The acceptance gate for the run-compressed fast path: every Table 2
 //! kernel × every scheme must produce a bitwise-identical `SimReport`
-//! through `Session::run_compressed` and `Session::run`.
+//! through `Session::run_compressed` and `Session::run`, and the
+//! analytic generator must reproduce the walk's trace on every real
+//! nest it cannot solve in one segment.
 
-use sdpm_bench::config_for;
+use sdpm_bench::{config_for, parallel_map};
 use sdpm_core::{Scheme, Session};
+use sdpm_layout::DiskPool;
+use sdpm_trace::{generate, generate_runs};
+use sdpm_xform::Transform;
 
 #[test]
 fn run_compressed_matches_per_event_for_every_kernel_and_scheme() {
@@ -33,4 +38,31 @@ fn run_compressed_matches_per_event_for_every_kernel_and_scheme() {
             );
         }
     }
+}
+
+/// Equal reports do not prove equal traces: every kernel, original and
+/// under each transform, whose program has a nest of more than one loop
+/// must generate the walk's trace event for event.
+#[test]
+fn analytic_trace_matches_the_walk_on_every_multi_loop_program() {
+    let mut programs = Vec::new();
+    for bench in sdpm_workloads::all_benchmarks() {
+        let pool = DiskPool::new(config_for(&bench).disks);
+        let variants = Transform::all().map(|t| (t.label(), t.apply(&bench.program, pool)));
+        for (label, program) in [("original", bench.program.clone())]
+            .into_iter()
+            .chain(variants)
+        {
+            if program.nests.iter().any(|n| n.depth() > 1) {
+                programs.push((format!("{} {label}", bench.name), program, pool, bench.gen));
+            }
+        }
+    }
+    let labels: Vec<&str> = programs.iter().map(|(l, ..)| l.as_str()).collect();
+    assert_eq!(programs.len(), 9, "multi-loop programs: {labels:?}");
+    parallel_map(&programs, |(label, program, pool, gen)| {
+        let walked = generate(program, *pool, *gen);
+        let analytic = generate_runs(program, *pool, *gen).lower();
+        assert!(analytic.events == walked.events, "{label}: traces differ");
+    });
 }

@@ -189,6 +189,48 @@ impl LoopNest {
     pub fn total_cycles(&self) -> f64 {
         self.cycles_per_iter * self.iter_count() as f64
     }
+
+    /// The odometer-carry test on the inner loops `loops[first..]`: with
+    /// the outer loops held fixed, `lin` is affine in the flat iteration
+    /// `t` of the inner loops iff `coeff_d·step_d == slope·weight_d` for
+    /// every inner loop `d` with more than one trip, `weight_d` being the
+    /// product of the trip counts nested inside `d`.
+    ///
+    /// Returns `(base, slope)`, where `base` is `lin` at the nest's first
+    /// iteration, so `lin = base + slope·t` while every outer loop sits at
+    /// its first trip. `first = 0` tests affinity in the nest's own flat
+    /// iteration. `None` when the test fails or `i128` arithmetic
+    /// overflows.
+    #[must_use]
+    pub fn affine_in_flat(&self, lin: &AffineExpr, first: usize) -> Option<(i128, i128)> {
+        let mut slope: Option<i128> = None;
+        let mut weight = 1i128;
+        for d in (first..self.depth()).rev() {
+            let l = self.loops[d];
+            if l.count > 1 {
+                let contrib = i128::from(lin.coeff(d)) * i128::from(l.step);
+                // The innermost loop that varies fixes the slope.
+                let s = match slope {
+                    Some(s) => s,
+                    None => *slope.insert(contrib.checked_div(weight)?),
+                };
+                if s.checked_mul(weight)? != contrib {
+                    return None;
+                }
+            }
+            if d > first {
+                weight = weight.checked_mul(i128::from(l.count))?;
+            }
+        }
+        let base = self
+            .loops
+            .iter()
+            .enumerate()
+            .try_fold(i128::from(lin.constant), |acc, (d, l)| {
+                acc.checked_add(i128::from(lin.coeff(d)) * i128::from(l.lower))
+            })?;
+        Some((base, slope.unwrap_or(0)))
+    }
 }
 
 #[cfg(test)]
@@ -275,6 +317,36 @@ mod tests {
     fn total_cycles_scales_with_iterations() {
         let n = two_level_nest();
         assert!((n.total_cycles() - 1200.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn affine_in_flat_tests_a_suffix_of_the_loops() {
+        let n = two_level_nest();
+        // Row walk 4·i + j: affine in the whole nest's flat iteration.
+        let row = AffineExpr {
+            coeffs: vec![4, 1],
+            constant: 2,
+        };
+        assert_eq!(n.affine_in_flat(&row, 0), Some((2, 1)));
+        // Column walk i + 3·j: affine only inside the inner loop.
+        let col = AffineExpr {
+            coeffs: vec![1, 3],
+            constant: 0,
+        };
+        assert_eq!(n.affine_in_flat(&col, 0), None);
+        assert_eq!(n.affine_in_flat(&col, 1), Some((0, 3)));
+        // Lower bounds and steps fold into base and slope.
+        let mut strided = n.clone();
+        strided.loops[1] = LoopDim {
+            lower: 9,
+            count: 4,
+            step: -2,
+        };
+        assert_eq!(strided.affine_in_flat(&col, 1), Some((27, -6)));
+        // A zero-trip inner loop makes the outer carry untestable.
+        strided.loops[1].count = 0;
+        assert_eq!(strided.affine_in_flat(&col, 0), None);
+        assert_eq!(strided.affine_in_flat(&col, 1), Some((27, 0)));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Whole programs: symbol table + nests + clock.
 
+use crate::expr::AffineExpr;
 use crate::nest::LoopNest;
 use sdpm_layout::{ArrayFile, DiskPool};
 use serde::{Deserialize, Serialize};
@@ -104,35 +105,13 @@ impl Program {
                             ));
                         }
                     }
-                    // Bounds check at the iteration-space corners; affine
-                    // subscripts attain extrema at corners, so this covers
-                    // the whole space.
-                    for corner in 0..(1u64 << n.depth().min(16)) {
-                        let ivars: Vec<i64> = n
-                            .loops
-                            .iter()
-                            .enumerate()
-                            .map(|(d, l)| {
-                                if l.count == 0 {
-                                    return l.lower;
-                                }
-                                if corner >> d & 1 == 0 {
-                                    l.value(0)
-                                } else {
-                                    l.value(l.count - 1)
-                                }
-                            })
-                            .collect();
-                        for (dim, e) in r.subscripts.iter().enumerate() {
-                            let v = e.eval(&ivars);
-                            if v < 0 || v as u64 >= a.dims[dim] {
-                                return Err(format!(
-                                    "nest {ni} stmt {si}: subscript {dim} of {} evaluates \
-                                     to {v} (extent {}) at corner {ivars:?}",
-                                    a.name, a.dims[dim]
-                                ));
-                            }
-                        }
+                    if let Some((dim, v, ivars)) = bounds_violation(n, &r.subscripts, &a.dims) {
+                        let v = v.map_or_else(|| "overflow".to_string(), |v| v.to_string());
+                        return Err(format!(
+                            "nest {ni} stmt {si}: subscript {dim} of {} evaluates \
+                             to {v} (extent {}) at corner {ivars:?}",
+                            a.name, a.dims[dim]
+                        ));
                     }
                 }
             }
@@ -141,10 +120,79 @@ impl Program {
     }
 }
 
+/// Induction variables at the corner of `n`'s iteration box where loop
+/// `d` takes its last trip iff `last(d)`, and its first otherwise. A
+/// zero-trip loop stays at `lower`.
+fn box_corner(n: &LoopNest, last: impl Fn(usize) -> bool) -> Vec<i128> {
+    n.loops
+        .iter()
+        .enumerate()
+        .map(|(d, l)| {
+            let lower = i128::from(l.lower);
+            if l.count == 0 || !last(d) {
+                lower
+            } else {
+                // |step·(count − 1)| < 2^127 − 2^63: no i128 overflow.
+                lower + i128::from(l.step) * i128::from(l.count - 1)
+            }
+        })
+        .collect()
+}
+
+/// `e` at `ivars` in `i128`; `None` on overflow.
+fn eval_at(e: &AffineExpr, ivars: &[i128]) -> Option<i128> {
+    e.coeffs
+        .iter()
+        .zip(ivars)
+        .try_fold(i128::from(e.constant), |acc, (&c, &x)| {
+            acc.checked_add(i128::from(c).checked_mul(x)?)
+        })
+}
+
+/// Where a subscript of a reference leaves its extent: `(subscript,
+/// value, corner)`, the value `None` on `i128` overflow.
+///
+/// An affine subscript is monotone in each loop, so its extremes over
+/// the iteration box sit at the two corners that put every loop at the
+/// end its coefficient favours; checking those is exact and O(depth) at
+/// any depth. A failure in a nest of depth ≤ 16 is reported at the first
+/// corner in binary order (bit `d` set = loop `d` at its last trip) where
+/// any subscript fails, naming the first one that does.
+fn bounds_violation(
+    n: &LoopNest,
+    subscripts: &[AffineExpr],
+    dims: &[u64],
+) -> Option<(usize, Option<i128>, Vec<i128>)> {
+    let check = |ivars: Vec<i128>| {
+        subscripts
+            .iter()
+            .zip(dims)
+            .enumerate()
+            .find_map(|(dim, (e, &extent))| {
+                let v = eval_at(e, &ivars);
+                let inside = v.is_some_and(|v| v >= 0 && v < i128::from(extent));
+                (!inside).then(|| (dim, v, ivars.clone()))
+            })
+    };
+    let found = subscripts
+        .iter()
+        .flat_map(|e| {
+            [-1, 1].map(|toward| {
+                box_corner(n, |d| {
+                    e.coeff(d).signum() * n.loops[d].step.signum() == toward
+                })
+            })
+        })
+        .find_map(check)?;
+    if n.depth() > 16 {
+        return Some(found);
+    }
+    (0..1u32 << n.depth()).find_map(|corner| check(box_corner(n, |d| corner >> d & 1 == 1)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::AffineExpr;
     use crate::nest::{ArrayRef, LoopDim, Statement};
     use sdpm_layout::{DiskId, StorageOrder, Striping};
 
@@ -191,6 +239,57 @@ mod tests {
         p.nests[0].stmts[0].refs[0].subscripts[0] = AffineExpr::var(1, 0).shifted(1);
         let err = p.validate(DiskPool::new(8)).unwrap_err();
         assert!(err.contains("evaluates to 100"), "{err}");
+    }
+
+    #[test]
+    fn bounds_failure_reports_the_first_corner_in_binary_order() {
+        // A[i + j] over 0..10 × 0..10 first leaves 0..9 at i = 9, j = 0,
+        // before the maximum corner (9, 9).
+        let mut p = valid_program();
+        p.arrays[0].dims = vec![9];
+        let n = &mut p.nests[0];
+        n.loops = vec![LoopDim::simple(10), LoopDim::simple(10)];
+        n.stmts[0].refs[0].subscripts = vec![AffineExpr {
+            coeffs: vec![1, 1],
+            constant: 0,
+        }];
+        let err = p.validate(DiskPool::new(8)).unwrap_err();
+        assert!(
+            err.ends_with("evaluates to 9 (extent 9) at corner [9, 0]"),
+            "{err}"
+        );
+        // A zero-trip loop is checked at its lower bound.
+        let n = &mut p.nests[0];
+        n.loops = vec![LoopDim {
+            lower: 20,
+            count: 0,
+            step: 1,
+        }];
+        n.stmts[0].refs[0].subscripts = vec![AffineExpr::var(1, 0)];
+        let err = p.validate(DiskPool::new(8)).unwrap_err();
+        assert!(
+            err.ends_with("evaluates to 20 (extent 9) at corner [20]"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn bounds_are_checked_past_loop_sixteen() {
+        // A 17-deep nest reading A[i16], i16 in 0..8, from a 4-element A.
+        let mut p = valid_program();
+        p.arrays[0].dims = vec![4];
+        let n = &mut p.nests[0];
+        n.loops = vec![LoopDim::simple(1); 17];
+        n.loops[16] = LoopDim::simple(8);
+        n.stmts[0].refs[0].subscripts = vec![AffineExpr::var(17, 16)];
+        let err = p.validate(DiskPool::new(8)).unwrap_err();
+        let corner = format!("{:?}", [&[0; 16][..], &[7]].concat());
+        assert!(
+            err.ends_with(&format!("evaluates to 7 (extent 4) at corner {corner}")),
+            "{err}"
+        );
+        p.nests[0].loops[16] = LoopDim::simple(4);
+        assert_eq!(p.validate(DiskPool::new(8)), Ok(()));
     }
 
     #[test]

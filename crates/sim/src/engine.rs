@@ -255,9 +255,8 @@ impl<'r> Engine<'r> {
     }
 
     /// Plays a run-compressed source — a materialized
-    /// [`sdpm_trace::RunTrace`], the analytic generator
-    /// ([`sdpm_trace::RunGenSource`]), or any other re-openable run
-    /// stream — through the O(#runs) loop. The report is bit-identical to
+    /// [`sdpm_trace::RunTrace`] or any other re-openable run stream —
+    /// through the O(#runs) loop. The report is bit-identical to
     /// [`Engine::events`] on the lowered per-event equivalent; only
     /// [`SimReport::sim_path`] differs.
     ///

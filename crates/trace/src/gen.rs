@@ -75,7 +75,7 @@ pub(crate) fn linrefs_of(program: &Program, ni: usize) -> Vec<LinRef> {
 /// Iterations walked per internal step. The walk itself is O(1) per
 /// iteration; this only bounds how often the stream checks whether the
 /// chunk target has been reached.
-pub(crate) const ITERS_PER_STEP: u64 = 65_536;
+const ITERS_PER_STEP: u64 = 65_536;
 
 /// Flushes the compute span accumulated in `[pending_start, flat)` and
 /// restarts accumulation at `flat`. Shared by the per-iteration walk and

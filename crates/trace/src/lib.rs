@@ -62,6 +62,6 @@ pub use run::{
     collect_runs, compress, compress_stream, CompressStream, IoTemplate, LowerStream, REvent, Run,
     RunSource, RunStream, RunTrace, RunTraceStream, MAX_ROTATION,
 };
-pub use rungen::{generate_runs, RunGenSource, RunGenStream};
+pub use rungen::{generate_runs, RunGenStream};
 pub use stream::{collect, EventSource, EventStream, TraceStream, DEFAULT_CHUNK_EVENTS};
 pub use trace::{Trace, TraceStats};

@@ -3,11 +3,18 @@
 //! The per-iteration walk in [`crate::gen`] evaluates every affine
 //! reference at every iteration — O(iterations) work to discover a
 //! request count that is orders of magnitude smaller (one fetch per
-//! chunk). For the common case the paper's compiler handles — affine
-//! subscripts whose linearized element index is itself affine in the
-//! *flat* iteration number — the next cache miss is the solution of a
-//! one-variable linear inequality, so the generator can jump from miss
-//! to miss in O(1) per miss (DESIGN.md §11).
+//! chunk). This generator splits each nest's loops in two. Inside the
+//! inner loops every reference's linearized element index is affine in
+//! their flat iteration (the odometer-carry test,
+//! [`sdpm_ir::LoopNest::affine_in_flat`]), so the next cache miss is the
+//! solution of a one-variable linear inequality and the generator jumps
+//! from miss to miss. The outer loops step one *segment* (one full run of
+//! the inner loops) at a time, re-anchoring each reference with one
+//! addition. The split takes the fewest outer loops that pass the test;
+//! the innermost loop alone always does, so every nest is covered, at
+//! O(#misses + #segments) (DESIGN.md §11). A row-major scan is a single
+//! segment; a column walk of a row-major array, where `elem = cols·(flat
+//! mod rows) + flat div rows`, is one segment per column.
 //!
 //! Exactness: between two misses the buffer cache is static by
 //! construction (no ref misses, so no fetch, so no cache change), and at
@@ -15,36 +22,39 @@
 //! body verbatim — same ref order, same cache checks, and the shared
 //! [`crate::gen::flush_compute`] / [`crate::gen::emit_chunk_fetch`]
 //! helpers — so the emitted event sequence is byte-identical to
-//! [`crate::gen::generate`]'s. A nest whose references are not affine in
-//! the flat iteration (e.g. a column-major scan of a row-major array,
-//! where `elem = cols·(flat mod rows) + flat div rows`) falls back to the
-//! per-iteration walk for that nest only.
+//! [`crate::gen::generate`]'s. Segment boundaries emit nothing, exactly
+//! as iteration boundaries emit nothing in the walk.
 
-use crate::event::AppEvent;
-use crate::gen::{
-    emit_chunk_fetch, flush_compute, linrefs_of, LinRef, TraceGenConfig, ITERS_PER_STEP,
-};
-use crate::run::{collect_runs, CompressStream, RunSource, RunStream, RunTrace};
-use crate::stream::{EventSource, EventStream, DEFAULT_CHUNK_EVENTS};
-use sdpm_ir::walk::walk_nest_range;
+use crate::event::{AppEvent, ReqKind};
+use crate::gen::{emit_chunk_fetch, flush_compute, linrefs_of, LinRef, TraceGenConfig};
+use crate::run::{collect_runs, CompressStream, RunTrace};
+use crate::stream::{EventStream, DEFAULT_CHUNK_EVENTS};
 use sdpm_ir::{LoopNest, Program};
 use sdpm_layout::DiskPool;
 
-/// A reference whose linearized element index is affine in the flat
-/// iteration number: `elem(flat) = base + slope·flat`.
+/// A reference whose linearized element index is `base + slope·f` for
+/// every flat iteration `f` of the current segment.
 struct AffRef {
     array: usize,
-    kind: crate::event::ReqKind,
+    kind: ReqKind,
     base: i128,
     slope: i128,
+    /// `carry[d]`: the change of `base` when outer loop `d` advances one
+    /// trip and the outer loops inside it wrap to their first trip.
+    carry: Vec<i128>,
 }
 
-/// Per-nest generation strategy.
-enum NestPlan {
-    /// Every reference is affine in flat: jump from miss to miss.
-    Affine(Vec<AffRef>),
-    /// At least one reference is not: per-iteration walk for this nest.
-    Walk,
+/// How one nest is generated: the outer loops `loops[..trips.len()]`
+/// step one segment of `seg_len` iterations at a time, and inside a
+/// segment every reference is affine in the flat iteration.
+#[derive(Default)]
+struct NestPlan {
+    refs: Vec<AffRef>,
+    /// The outer loops' trip indices in the current segment.
+    trips: Vec<u64>,
+    seg_len: u64,
+    /// First flat iteration past the current segment.
+    seg_end: u64,
 }
 
 /// `ceil(a / b)` for `b > 0` over `i128`.
@@ -53,69 +63,59 @@ fn ceil_div(a: i128, b: i128) -> i128 {
     a.div_euclid(b) + i128::from(a.rem_euclid(b) != 0)
 }
 
-/// Expresses `lin` as `base + slope·flat` when the nest's odometer makes
-/// that exact, i.e. when `coeff_d·step_d == slope·weight_d` for every
-/// loop with more than one iteration (`weight_d` = product of the trip
-/// counts of the loops nested inside `d`).
-fn affine_in_flat(nest: &LoopNest, lin: &sdpm_ir::AffineExpr) -> Option<(i128, i128)> {
-    let depth = nest.loops.len();
-    // weight_d = product of inner trip counts, outermost first.
-    let mut weights = vec![1i128; depth];
-    let mut acc = 1i128;
-    for d in (0..depth).rev() {
-        weights[d] = acc;
-        acc = acc.checked_mul(i128::from(nest.loops[d].count))?;
+/// `lr` as an [`AffRef`] when the loops `nest.loops[..split]` are stepped
+/// as segments, or `None` when it is not affine inside them.
+fn aff_ref(nest: &LoopNest, lr: &LinRef, split: usize, seg_len: u64) -> Option<AffRef> {
+    let (base, slope) = nest.affine_in_flat(&lr.lin, split)?;
+    // Re-anchoring to flat iterations moves `base` back by one segment's
+    // worth of slope per segment, on top of the outer loops' own steps.
+    let mut wrap = slope.checked_mul(i128::from(seg_len))?;
+    let mut carry = vec![0; split];
+    for d in (0..split).rev() {
+        let l = nest.loops[d];
+        let per_trip = i128::from(lr.lin.coeff(d)) * i128::from(l.step);
+        carry[d] = per_trip.checked_sub(wrap)?;
+        wrap = wrap.checked_add(per_trip.checked_mul(i128::from(l.count.saturating_sub(1)))?)?;
     }
-    let coeff = |d: usize| i128::from(*lin.coeffs.get(d).unwrap_or(&0));
-    // Slope fixed by the innermost loop that actually varies.
-    let mut slope = 0i128;
-    for d in (0..depth).rev() {
-        if nest.loops[d].count > 1 {
-            let contrib = coeff(d).checked_mul(i128::from(nest.loops[d].step))?;
-            if contrib % weights[d] != 0 {
-                return None;
-            }
-            slope = contrib / weights[d];
-            break;
-        }
-    }
-    for (d, &w) in weights.iter().enumerate().take(depth) {
-        if nest.loops[d].count <= 1 {
-            continue;
-        }
-        let contrib = coeff(d).checked_mul(i128::from(nest.loops[d].step))?;
-        if slope.checked_mul(w)? != contrib {
-            return None;
-        }
-    }
-    let mut base = i128::from(lin.constant);
-    for d in 0..depth {
-        base = base.checked_add(coeff(d).checked_mul(i128::from(nest.loops[d].lower))?)?;
-    }
-    Some((base, slope))
+    Some(AffRef {
+        array: lr.array,
+        kind: lr.kind,
+        base,
+        slope,
+        carry,
+    })
 }
 
-/// Builds the per-nest plan: affine descriptors for every reference, or
-/// the walk fallback if any reference resists.
-fn plan_nest(nest: &LoopNest, linrefs: &[LinRef]) -> NestPlan {
-    let mut refs = Vec::with_capacity(linrefs.len());
-    for lr in linrefs {
-        match affine_in_flat(nest, &lr.lin) {
-            Some((base, slope)) => refs.push(AffRef {
-                array: lr.array,
-                kind: lr.kind,
-                base,
-                slope,
-            }),
-            None => return NestPlan::Walk,
-        }
-    }
-    NestPlan::Affine(refs)
+/// Plans nest `ni` of `program` (an empty plan past the last nest) with
+/// the fewest outer loops under which every reference is affine.
+fn plan_nest(program: &Program, ni: usize) -> NestPlan {
+    let Some(nest) = program.nests.get(ni) else {
+        return NestPlan::default();
+    };
+    let linrefs = linrefs_of(program, ni);
+    (0..nest.depth().max(1))
+        .find_map(|split| {
+            let seg_len = nest.loops[split..].iter().map(|l| l.count).product();
+            let refs = linrefs
+                .iter()
+                .map(|lr| aff_ref(nest, lr, split, seg_len))
+                .collect::<Option<_>>()?;
+            Some(NestPlan {
+                refs,
+                trips: vec![0; split],
+                seg_len,
+                seg_end: seg_len,
+            })
+        })
+        // The innermost loop alone always passes unless `i128`
+        // arithmetic overflows, which takes coefficients and bounds near
+        // the `i64` limits.
+        .unwrap_or_else(|| panic!("nest {ni}: element index arithmetic overflows i128"))
 }
 
 /// The analytic generator as a lazy [`EventStream`]: byte-identical
 /// output to [`crate::gen::GenStream`], produced in O(1) per cache miss
-/// on affine nests.
+/// and per segment.
 pub struct RunGenStream<'a> {
     program: &'a Program,
     pool: DiskPool,
@@ -125,7 +125,6 @@ pub struct RunGenStream<'a> {
     ni: usize,
     pos: u64,
     pending_start: u64,
-    linrefs: Vec<LinRef>,
     plan: NestPlan,
     buf: Vec<AppEvent>,
     target: usize,
@@ -143,13 +142,6 @@ impl<'a> RunGenStream<'a> {
         if let Err(e) = program.validate(pool) {
             panic!("trace generation requires a valid program: {e}");
         }
-        let (linrefs, plan) = if program.nests.is_empty() {
-            (Vec::new(), NestPlan::Affine(Vec::new()))
-        } else {
-            let linrefs = linrefs_of(program, 0);
-            let plan = plan_nest(&program.nests[0], &linrefs);
-            (linrefs, plan)
-        };
         RunGenStream {
             program,
             pool,
@@ -159,18 +151,17 @@ impl<'a> RunGenStream<'a> {
             ni: 0,
             pos: 0,
             pending_start: 0,
-            linrefs,
-            plan,
+            plan: plan_nest(program, 0),
             buf: Vec::new(),
             target: DEFAULT_CHUNK_EVENTS,
         }
     }
 
-    /// First iteration `>= pos` at which `r` misses the cache, assuming
-    /// the cache does not change before then (guaranteed: no ref misses
-    /// earlier, so nothing fetches). `total` means "never within this
-    /// nest".
-    fn next_miss(&self, r: &AffRef, pos: u64, total: u64) -> u64 {
+    /// First iteration in `[pos, end)` at which `r` misses the cache,
+    /// assuming the cache does not change before then (guaranteed: no ref
+    /// misses earlier, so nothing fetches). `end` means "never within this
+    /// segment".
+    fn next_miss(&self, r: &AffRef, pos: u64, end: u64) -> u64 {
         let eb = i128::from(self.program.arrays[r.array].element_bytes);
         let cb = i128::from(self.config.io_chunk_bytes);
         let Some(c) = self.cached_chunk[r.array] else {
@@ -183,7 +174,7 @@ impl<'a> RunGenStream<'a> {
             return pos;
         }
         if r.slope == 0 {
-            return total;
+            return end;
         }
         let f = if r.slope > 0 {
             // First f with elem·eb ≥ (c+1)·cb.
@@ -192,35 +183,38 @@ impl<'a> RunGenStream<'a> {
         } else {
             // First f with elem·eb ≤ c·cb − 1; impossible when c == 0.
             if c == 0 {
-                return total;
+                return end;
             }
             let hi_elem = (c * cb - 1).div_euclid(eb);
             ceil_div(r.base - hi_elem, -r.slope)
         };
         debug_assert!(f > i128::from(pos));
-        u64::try_from(f).map_or(total, |f| f.min(total))
+        u64::try_from(f).map_or(end, |f| f.min(end))
     }
 
-    /// Processes the next miss iteration of the current (affine) nest, or
-    /// finishes the nest when no reference misses again. Replays the
-    /// walk's per-iteration body at the miss, so cache effects between
-    /// references sharing an array are exact.
-    fn step_affine(&mut self) {
+    /// Processes the next miss iteration of the current segment; when no
+    /// reference misses again in it, moves to the next segment or, after
+    /// the last, finishes the nest. Replays the walk's body at the miss,
+    /// so cache effects between references sharing an array are exact.
+    fn step(&mut self) {
         let ni = self.ni;
         let iter_secs = self.program.iter_secs(ni);
         let total = self.program.nests[ni].iter_count();
-        let NestPlan::Affine(refs) = &self.plan else {
-            unreachable!("step_affine on a walk-planned nest");
+        let end = self.plan.seg_end.min(total);
+        let m = if self.pos >= end {
+            end
+        } else {
+            let pos = self.pos;
+            let misses = self.plan.refs.iter().map(|r| self.next_miss(r, pos, end));
+            misses.min().unwrap_or(end)
         };
-        let mut m = total;
-        for r in refs {
-            if self.pos >= total {
-                break;
+        if m >= end {
+            if end >= total {
+                self.finish_nest(total, iter_secs);
+            } else {
+                self.pos = end;
+                self.next_segment();
             }
-            m = m.min(self.next_miss(r, self.pos, total));
-        }
-        if m >= total {
-            self.finish_nest(total, iter_secs);
             return;
         }
         // Replay the walk's body at iteration m, ref by ref.
@@ -235,10 +229,7 @@ impl<'a> RunGenStream<'a> {
             buf,
             ..
         } = self;
-        let NestPlan::Affine(refs) = plan else {
-            unreachable!();
-        };
-        for r in refs.iter() {
+        for r in &plan.refs {
             let file = &program.arrays[r.array];
             let elem = r.base + r.slope * i128::from(m);
             // Non-negative and in `u64` range by `Program::validate`; a
@@ -257,49 +248,24 @@ impl<'a> RunGenStream<'a> {
         self.pos = m + 1;
     }
 
-    /// Walk fallback: identical to [`crate::gen::GenStream::step`].
-    fn step_walk(&mut self) {
-        let ni = self.ni;
-        let pos = self.pos;
-        let iter_secs = self.program.iter_secs(ni);
-        let RunGenStream {
-            program,
-            pool,
-            config,
-            cached_chunk,
-            next_block,
-            pending_start,
-            linrefs,
-            buf,
-            ..
-        } = self;
-        let nest = &program.nests[ni];
-        let total = nest.iter_count();
-        let step_to = pos.saturating_add(ITERS_PER_STEP).min(total);
-        walk_nest_range(nest, pos, step_to, |flat, ivars| {
-            for lr in linrefs.iter() {
-                let file = &program.arrays[lr.array];
-                let elem = lr.lin.eval(ivars);
-                // Non-negative by `Program::validate`; a violation is a
-                // caller contract breach, reported loudly.
-                let byte = u64::try_from(elem)
-                    .unwrap_or_else(|_| panic!("negative element index {elem}"))
-                    * file.element_bytes;
-                let chunk = byte / config.io_chunk_bytes;
-                if cached_chunk[lr.array] == Some(chunk) {
-                    continue;
-                }
-                cached_chunk[lr.array] = Some(chunk);
-                flush_compute(buf, ni, pending_start, flat, iter_secs);
-                emit_chunk_fetch(
-                    file, *pool, config, next_block, buf, ni, flat, lr.kind, chunk,
-                );
+    /// Advances the outer-loop odometer one segment and re-anchors every
+    /// reference: O(#refs), amortized, and no allocation.
+    fn next_segment(&mut self) {
+        let loops = &self.program.nests[self.ni].loops;
+        let plan = &mut self.plan;
+        let mut d = plan.trips.len();
+        loop {
+            d -= 1;
+            plan.trips[d] += 1;
+            if plan.trips[d] < loops[d].count {
+                break;
             }
-        });
-        self.pos = step_to;
-        if step_to >= total {
-            self.finish_nest(total, iter_secs);
+            plan.trips[d] = 0;
         }
+        for r in &mut plan.refs {
+            r.base += r.carry[d];
+        }
+        plan.seg_end += plan.seg_len;
     }
 
     /// Flushes the nest's tail compute and advances to the next nest.
@@ -309,17 +275,7 @@ impl<'a> RunGenStream<'a> {
         self.ni += 1;
         self.pos = 0;
         self.pending_start = 0;
-        if self.ni < self.program.nests.len() {
-            self.linrefs = linrefs_of(self.program, self.ni);
-            self.plan = plan_nest(&self.program.nests[self.ni], &self.linrefs);
-        }
-    }
-
-    fn step(&mut self) {
-        match self.plan {
-            NestPlan::Affine(_) => self.step_affine(),
-            NestPlan::Walk => self.step_walk(),
-        }
+        self.plan = plan_nest(self.program, self.ni);
     }
 }
 
@@ -344,50 +300,6 @@ impl EventStream for RunGenStream<'_> {
             crate::prof::add("gen.chunks", 1);
             Some(&self.buf)
         }
-    }
-}
-
-/// A re-openable analytic generator source. Serves both interfaces: as an
-/// [`EventSource`] it streams per-event output (byte-identical to
-/// [`crate::gen::GenSource`]); as a [`RunSource`] it run-compresses that
-/// output on the fly, which is what the O(#runs) simulator consumes.
-pub struct RunGenSource<'a> {
-    program: &'a Program,
-    pool: DiskPool,
-    config: TraceGenConfig,
-}
-
-impl<'a> RunGenSource<'a> {
-    /// # Panics
-    /// If the program fails [`Program::validate`] or the I/O chunk size
-    /// is zero.
-    #[must_use]
-    pub fn new(program: &'a Program, pool: DiskPool, config: TraceGenConfig) -> Self {
-        assert!(config.io_chunk_bytes > 0, "chunk size must be positive");
-        if let Err(e) = program.validate(pool) {
-            panic!("trace generation requires a valid program: {e}");
-        }
-        RunGenSource {
-            program,
-            pool,
-            config,
-        }
-    }
-}
-
-impl EventSource for RunGenSource<'_> {
-    fn open(&self) -> Box<dyn EventStream + '_> {
-        Box::new(RunGenStream::new(self.program, self.pool, self.config))
-    }
-}
-
-impl RunSource for RunGenSource<'_> {
-    fn open_runs(&self) -> Box<dyn RunStream + '_> {
-        Box::new(CompressStream::new(RunGenStream::new(
-            self.program,
-            self.pool,
-            self.config,
-        )))
     }
 }
 
@@ -557,9 +469,9 @@ mod tests {
     }
 
     #[test]
-    fn column_scan_falls_back_to_walk_and_matches() {
+    fn column_scan_steps_the_outer_loop_and_matches() {
         // A[j][i] with i outer, j inner over a row-major array: elem =
-        // 128·j + i is NOT affine in flat — the plan must fall back.
+        // 128·j + i is not affine in flat, only inside the inner loop.
         let p = Program {
             name: "colscan".into(),
             arrays: vec![file("A", vec![128, 64], 0)],
@@ -577,8 +489,7 @@ mod tests {
             }],
             clock_hz: Program::PAPER_CLOCK_HZ,
         };
-        let linrefs = linrefs_of(&p, 0);
-        assert!(matches!(plan_nest(&p.nests[0], &linrefs), NestPlan::Walk));
+        assert_eq!(plan_nest(&p, 0).trips.len(), 1);
         assert_analytic_matches_walk(&p, DiskPool::new(4), cfg(4 * 1024, false));
     }
 
@@ -612,30 +523,5 @@ mod tests {
             clock_hz: Program::PAPER_CLOCK_HZ,
         };
         assert_analytic_matches_walk(&p, DiskPool::new(4), cfg(8 * 1024, true));
-    }
-
-    #[test]
-    fn rungen_source_reopens_and_serves_both_interfaces() {
-        let p = Program {
-            name: "scan".into(),
-            arrays: vec![file("A", vec![8192], 0)],
-            nests: vec![LoopNest {
-                label: "n".into(),
-                loops: vec![LoopDim::simple(8192)],
-                stmts: vec![Statement {
-                    label: "S".into(),
-                    refs: vec![ArrayRef::read(0, vec![AffineExpr::var(1, 0)])],
-                }],
-                cycles_per_iter: 750.0,
-            }],
-            clock_hz: Program::PAPER_CLOCK_HZ,
-        };
-        let pool = DiskPool::new(4);
-        let config = cfg(8 * 1024, false);
-        let src = RunGenSource::new(&p, pool, config);
-        let a = collect(&mut *EventSource::open(&src));
-        let b = collect_runs(&mut *src.open_runs());
-        assert_eq!(b.lower(), a);
-        assert_eq!(a, generate(&p, pool, config));
     }
 }

@@ -14,10 +14,11 @@
 //! the concrete execution. Two precision tiers:
 //!
 //! * References whose storage index is affine *in the flat iteration*
-//!   (the odometer-carry condition below) get exact first/last
-//!   iterations per disk, found by scanning stripes from both range ends
-//!   — the stripe -> disk map is periodic in the stripe factor, so the
-//!   scan is bounded, never a walk of the iteration space.
+//!   (the odometer-carry condition, [`sdpm_ir::LoopNest::affine_in_flat`])
+//!   get exact first/last iterations per disk, found by scanning stripes
+//!   from both range ends — the stripe -> disk map is periodic in the
+//!   stripe factor, so the scan is bounded, never a walk of the
+//!   iteration space.
 //! * Everything else falls back to the whole nest span for each disk the
 //!   reference's element range can reach — sound, marked inexact.
 //!
@@ -53,8 +54,9 @@ pub struct SymbolicActivity {
 struct RefShape {
     /// Storage-index range over the iteration box.
     elems: Itv,
-    /// `Some((slope, base))` when the storage index is `base + slope *
-    /// flat` for the flat iteration — the odometer-carry condition.
+    /// `Some((base, slope))` when the storage index is `base + slope *
+    /// flat` for the flat iteration — the odometer-carry condition
+    /// ([`sdpm_ir::LoopNest::affine_in_flat`]).
     flat_affine: Option<(i128, i128)>,
     element_bytes: i128,
     stripe_bytes: i128,
@@ -91,7 +93,7 @@ pub fn symbolic_windows(program: &Program, pool_size: u32, slack_bytes: u64) -> 
                 };
                 let shape = RefShape {
                     elems,
-                    flat_affine: flat_affine_form(&lin, nest),
+                    flat_affine: nest.affine_in_flat(&lin, 0),
                     element_bytes: i128::from(file.element_bytes),
                     stripe_bytes: i128::from(file.striping.stripe_bytes),
                     stripe_factor: file.striping.stripe_factor,
@@ -105,37 +107,6 @@ pub fn symbolic_windows(program: &Program, pool_size: u32, slack_bytes: u64) -> 
     SymbolicActivity { pool_size, nests }
 }
 
-/// The odometer-carry test: the linearized index is affine in the flat
-/// iteration iff each dimension's per-trip contribution equals a common
-/// slope times that dimension's flat weight (the product of inner trip
-/// counts). Returns `(slope, base)` on success.
-fn flat_affine_form(lin: &sdpm_ir::AffineExpr, nest: &sdpm_ir::LoopNest) -> Option<(i128, i128)> {
-    let depth = nest.depth();
-    // Flat weight of each dimension: product of the trip counts inside it.
-    let mut weight = vec![1i128; depth];
-    for d in (0..depth.saturating_sub(1)).rev() {
-        weight[d] = weight[d + 1] * i128::from(nest.loops[d + 1].count);
-    }
-    let mut slope: Option<i128> = None;
-    for (d, &w) in weight.iter().enumerate() {
-        if nest.loops[d].count <= 1 {
-            continue; // a fixed trip index contributes to the base only
-        }
-        let a = i128::from(lin.coeff(d)) * i128::from(nest.loops[d].step);
-        if a % w != 0 {
-            return None;
-        }
-        let s = a / w;
-        match slope {
-            None => slope = Some(s),
-            Some(prev) if prev == s => {}
-            Some(_) => return None,
-        }
-    }
-    let base = i128::from(lin.eval(&nest.ivars_of(0)));
-    Some((slope.unwrap_or(0), base))
-}
-
 /// Folds one reference's windows into the per-disk accumulator.
 fn merge_ref_windows(
     per_disk: &mut [Option<SymbolicWindow>],
@@ -145,7 +116,7 @@ fn merge_ref_windows(
     slack_bytes: u64,
 ) {
     match shape.flat_affine {
-        Some((slope, base)) => {
+        Some((base, slope)) => {
             let exact = exact_windows(shape, slope, base, iters, pool_size, slack_bytes);
             match exact {
                 Some(windows) => {
