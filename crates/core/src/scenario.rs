@@ -32,7 +32,7 @@ use crate::session::Session;
 use sdpm_ir::Program;
 use sdpm_layout::DiskPool;
 use sdpm_sim::{simulate_mix, MixPolicy, MixReport, SimError, SimReport};
-use sdpm_trace::mix::{merge_tenants, tenant_timeline, TenantEvent, TenantStream};
+use sdpm_trace::mix::{merge_tenants, tenant_timeline, TenantStream};
 
 /// One program in a shared-pool scenario.
 #[derive(Debug, Clone)]
@@ -273,23 +273,14 @@ impl<'a> MixSession<'a> {
         out
     }
 
-    /// The merged multi-tenant event stream, in `(time, tenant, seq)`
-    /// order — the shared-pool engine's input.
-    ///
-    /// # Panics
-    /// Same conditions as [`MixSession::tenant_streams`].
-    #[must_use]
-    pub fn merged(&mut self) -> Vec<TenantEvent> {
-        merge_tenants(&self.tenant_streams())
-    }
-
     /// Runs the contended scenario: all tenants' streams merged against
     /// the shared pool under `policy`.
     ///
     /// # Errors
     /// [`SimError::InvalidParams`] when the tenants disagree on the disk
     /// model or pool size (a mix shares physical disks; there is no
-    /// per-tenant hardware), plus anything [`simulate_mix`] reports.
+    /// per-tenant hardware) or when a tenant's timeline overflows at the
+    /// mix's load factor, plus anything [`simulate_mix`] reports.
     pub fn contended(&mut self, policy: &MixPolicy) -> Result<MixReport, SimError> {
         let first = self.mix.tenants[0].cfg;
         for t in &self.mix.tenants[1..] {
@@ -310,7 +301,18 @@ impl<'a> MixSession<'a> {
         let params = first.params.clone();
         let names: Vec<String> = self.mix.tenants.iter().map(|t| t.name.clone()).collect();
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let events = self.merged();
+        let streams = self.tenant_streams();
+        // A tiny load factor stretches `t / load_factor` past f64::MAX.
+        if let Some(s) = streams
+            .iter()
+            .find(|s| s.events.iter().any(|e| !e.at_secs.is_finite()))
+        {
+            return Err(SimError::InvalidParams(format!(
+                "tenant {}'s timeline is not finite at load factor {:e}",
+                s.tenant, self.mix.load_factor
+            )));
+        }
+        let events = merge_tenants(&streams);
         simulate_mix(&events, &name_refs, &params, pool, policy)
     }
 }
@@ -426,7 +428,7 @@ mod tests {
             load_factor: 2.0,
         });
         assert_eq!(mix.distinct_sessions(), 1);
-        let _ = mix.merged();
+        let _ = mix.tenant_streams();
         assert_eq!(mix.sessions[0].generations(), 1);
     }
 
@@ -495,6 +497,20 @@ mod tests {
             assert_eq!(a.per_tenant.len(), 2);
             assert!(a.requests > 0);
         }
+    }
+
+    #[test]
+    fn overflowing_timeline_is_an_error_not_a_panic() {
+        let p = checkpoint_loop(2, 2, 8.0);
+        let cfg = PipelineConfig::default();
+        let mut mix = MixSession::new(Mix {
+            load_factor: 1e-310,
+            ..degenerate_mix(&p, &cfg, Scheme::Base)
+        });
+        assert!(matches!(
+            mix.contended(&MixPolicy::Base),
+            Err(SimError::InvalidParams(_))
+        ));
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! penalty. A single tenant under [`MixPolicy::Base`] is the classic
 //! DiskSim-style open-loop replay of one trace at full speed.
 //!
-//! The engine is event-driven over the merged stream. Per disk it keeps
-//! the exact [`PowerStateMachine`] energy accounting of the closed-loop
-//! engine and a FIFO queue with response-time accounting. Pool-wide
-//! power management is a [`MixPolicy`]:
+//! The engine is event-driven over the merged stream and linear in it.
+//! Per disk it keeps the exact [`PowerStateMachine`] energy accounting
+//! of the closed-loop engine and a FIFO queue with response-time
+//! accounting. Completions never decrease, so each arrival retires
+//! finished work from the queue's front; p99s are taken by selection.
+//! Pool-wide power management is a [`MixPolicy`]:
 //!
 //! * `Base` — disks idle at full speed,
 //! * `Tpm` — the classic fixed-threshold reactive spin-down, evaluated
@@ -27,7 +29,8 @@
 //!   that would sleep (or slow) a disk while *another* tenant has an
 //!   imminent arrival on it is rejected and recorded as
 //!   [`MisfireCause::CrossTenant`]. The compiler proved its own program
-//!   safe, not the mix; the guard is the runtime's veto.
+//!   safe, not the mix; the guard is the runtime's veto, and the
+//!   per-disk arrival table it reads is built under this policy only.
 //!
 //! Determinism: the engine is a pure fold over the merged event order
 //! with no hidden iteration state; identical inputs give bit-identical
@@ -44,6 +47,7 @@ use sdpm_layout::{DiskId, DiskPool};
 use sdpm_trace::mix::TenantEvent;
 use sdpm_trace::{AppEvent, PowerAction};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// Pool-wide power-management policy for a shared-pool mix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,15 +152,15 @@ impl MixReport {
     }
 }
 
-/// 99th percentile by the nearest-rank method; sorts in place.
+/// 99th percentile by the nearest-rank method; reorders in place.
 /// Integer-only index math (no float casts): rank ⌈0.99 n⌉, 1-based.
-fn p99_sorting(responses: &mut [f64]) -> f64 {
+/// `total_cmp` is a total order, so selection returns the sorted bits.
+fn p99_selecting(responses: &mut [f64]) -> f64 {
     if responses.is_empty() {
         return 0.0;
     }
-    responses.sort_by(f64::total_cmp);
     let idx = (responses.len() * 99).div_ceil(100) - 1;
-    responses[idx]
+    *responses.select_nth_unstable_by(idx, f64::total_cmp).1
 }
 
 struct MixDisk {
@@ -166,8 +170,9 @@ struct MixDisk {
     busy_secs: f64,
     requests: u64,
     gaps: Vec<GapRecord>,
-    /// (arrival, completion) of in-flight work, for queue depth.
-    inflight: Vec<(f64, f64)>,
+    /// Completions of in-flight work, for queue depth. They never
+    /// decrease, so finished work retires from the front.
+    inflight: VecDeque<f64>,
     max_queue_depth: usize,
     /// Absolute time a reactive spin-down fires unless a request
     /// arrives first; re-armed at every service completion.
@@ -214,11 +219,14 @@ pub fn simulate_mix(
     let max_level = ladder.max_level();
     let break_even = tpm_break_even_secs(params);
 
-    // Per-disk arrival table for the cross-tenant lookahead guard.
+    // Per-disk arrival table for the cross-tenant lookahead guard, which
+    // only the Directive policy runs.
     let mut arrivals: Vec<Vec<(f64, u32)>> = vec![Vec::new(); pool.count() as usize];
-    for e in events {
-        if let AppEvent::Io(req) = &e.event {
-            arrivals[req.disk.0 as usize].push((e.at_secs, e.tenant));
+    if let MixPolicy::Directive(_) = policy {
+        for e in events {
+            if let AppEvent::Io(req) = &e.event {
+                arrivals[req.disk.0 as usize].push((e.at_secs, e.tenant));
+            }
         }
     }
 
@@ -234,7 +242,7 @@ pub fn simulate_mix(
                 busy_secs: 0.0,
                 requests: 0,
                 gaps: Vec::new(),
-                inflight: Vec::new(),
+                inflight: VecDeque::new(),
                 max_queue_depth: 0,
                 sched_down_at: None,
                 gap_deepest: max_level,
@@ -271,7 +279,9 @@ pub fn simulate_mix(
                 let a = te.at_secs;
                 let d = &mut disks[dk.0 as usize];
                 d.next_arrival += 1;
-                d.inflight.retain(|&(_, c)| c > a);
+                while d.inflight.front().is_some_and(|&c| c <= a) {
+                    d.inflight.pop_front();
+                }
 
                 let ready = if a >= d.available_at {
                     close_gap(d, a, break_even, adaptive.as_ref(), dk)?
@@ -302,10 +312,11 @@ pub fn simulate_mix(
                 d.machine
                     .end_service(completion)
                     .map_err(|e| SimError::power("mix end_service", dk, completion, e))?;
+                debug_assert!(completion >= d.available_at, "completions regressed");
                 d.available_at = completion;
                 d.busy_secs += st;
                 d.requests += 1;
-                d.inflight.push((a, completion));
+                d.inflight.push_back(completion);
                 d.max_queue_depth = d.max_queue_depth.max(d.inflight.len());
                 d.gap_deepest = lvl;
                 d.gap_standby = false;
@@ -398,7 +409,7 @@ pub fn simulate_mix(
                 busy_secs: per_tenant_busy[i],
                 active_j: per_tenant_active_j[i],
                 mean_response_secs: sum / n.max(1) as f64,
-                p99_response_secs: p99_sorting(resp),
+                p99_response_secs: p99_selecting(resp),
                 max_response_secs: max,
                 misfires: m,
             }
@@ -413,7 +424,7 @@ pub fn simulate_mix(
         energy,
         requests,
         mean_response_secs: sum / requests.max(1) as f64,
-        p99_response_secs: p99_sorting(&mut all_resp),
+        p99_response_secs: p99_selecting(&mut all_resp),
         max_response_secs: max_response,
         misfires,
         per_tenant,
@@ -815,6 +826,32 @@ mod tests {
         assert!(r.max_response_secs > 10.0 * r.mean_response_secs / 50.0);
         assert!(r.p99_response_secs <= r.max_response_secs);
         assert!(r.p99_response_secs >= r.mean_response_secs);
+    }
+
+    #[test]
+    fn p99_selection_matches_sort_bit_for_bit() {
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |k: usize| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) as usize % k
+        };
+        for n in 1..=257usize {
+            // Heavy ties over a few values, and mostly signed zeros with
+            // one outlier, so the p99 rank often lands on a ±0.0 tie.
+            let ties = [-0.0, 0.0, 1.5, 1.5, 2.0, f64::MIN_POSITIVE, 3.25];
+            let spread: Vec<f64> = (0..n).map(|_| ties[draw(ties.len())]).collect();
+            let mut zeros: Vec<f64> = (0..n).map(|_| [-0.0, 0.0][draw(2)]).collect();
+            zeros[draw(n)] = 7.0;
+            for v in [spread, zeros] {
+                let mut sorted = v.clone();
+                sorted.sort_by(f64::total_cmp);
+                let want = sorted[(n * 99).div_ceil(100) - 1];
+                let got = p99_selecting(&mut v.clone());
+                assert_eq!(got.to_bits(), want.to_bits(), "n={n}: {v:?}");
+            }
+        }
     }
 
     #[test]

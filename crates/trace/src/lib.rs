@@ -55,9 +55,7 @@ pub mod trace;
 pub use codec::{DecodeRunStream, DecodeStream, RunStreamEncoder, StreamEncoder};
 pub use event::{AppEvent, IoRequest, PowerAction, ReqKind};
 pub use gen::{generate, GenSource, GenStream, TraceGenConfig};
-pub use mix::{
-    merge_tenants, merge_tenants_chunked, tenant_timeline, TenantEvent, TenantStream, TimedEvent,
-};
+pub use mix::{merge_tenants, tenant_timeline, TenantEvent, TenantStream, TimedEvent};
 pub use run::{
     collect_runs, compress, compress_stream, CompressStream, IoTemplate, LowerStream, REvent, Run,
     RunSource, RunStream, RunTrace, RunTraceStream, MAX_ROTATION,

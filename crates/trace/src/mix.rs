@@ -11,14 +11,14 @@
 //!   wall clock (its nominal timeline shifted by the tenant's arrival
 //!   offset and compressed by the mix's load factor),
 //! * [`TenantEvent`] — one merged event, stamped with its tenant,
-//! * [`merge_tenants`] / [`merge_tenants_chunked`] — the multi-way merge
-//!   with the stable `(time, tenant, seq)` tiebreak.
+//! * [`merge_tenants`] — the multi-way merge with the stable
+//!   `(time, tenant, seq)` tiebreak.
 //!
 //! Determinism contract: the merge is a *function of the tenant streams
-//! as sets*, not of buffering. Feeding the same streams in any slice
-//! order, through any chunk size, yields a byte-identical merged vector
-//! (`tests/props.rs` drives this with random chunk boundaries and tenant
-//! orderings against the single-pass reference merge below).
+//! as sets*, not of their slice order. Feeding the same streams in any
+//! order yields a byte-identical merged vector (`tests/props.rs` drives
+//! this with random tenant orderings against a concatenate-and-sort
+//! spec merge).
 
 use crate::event::AppEvent;
 use crate::trace::Trace;
@@ -75,7 +75,9 @@ pub struct TenantStream {
 /// `load_factor` > 1 compresses the tenant's arrivals (open-loop "the
 /// offered load doubled" knob); 1.0 with a zero offset reproduces the
 /// nominal timeline exactly (`0.0 + t / 1.0` is bitwise `t`), which is
-/// what the degenerate single-tenant bit-exactness gate relies on.
+/// what the degenerate single-tenant bit-exactness gate relies on. A
+/// factor small enough that `t / load_factor` overflows stamps `+inf`,
+/// which [`merge_tenants`] rejects.
 ///
 /// # Panics
 /// If `load_factor` is not finite and positive.
@@ -137,8 +139,10 @@ fn check_stream(s: &TenantStream) {
     }
 }
 
-/// Single-pass reference merge: concatenate and stable-sort by
-/// `(time, tenant, seq)`. The spec the chunked merge is tested against.
+/// Merges the tenant streams into one `(time, tenant, seq)`-ordered
+/// stream in a single pass: each stream is already sorted, so the
+/// smallest head among the streams is the next event overall. Tenant ids
+/// are distinct, so no two keys tie and slice order cannot matter.
 ///
 /// # Panics
 /// If a stream violates the [`TenantStream`] invariants, or two streams
@@ -146,87 +150,30 @@ fn check_stream(s: &TenantStream) {
 #[must_use]
 pub fn merge_tenants(streams: &[TenantStream]) -> Vec<TenantEvent> {
     check_disjoint(streams);
-    let mut out: Vec<TenantEvent> =
-        Vec::with_capacity(streams.iter().map(|s| s.events.len()).sum());
-    for s in streams {
-        check_stream(s);
-        out.extend(s.events.iter().map(|e| TenantEvent {
-            at_secs: e.at_secs,
-            tenant: s.tenant,
-            seq: e.seq,
-            event: e.event,
-        }));
-    }
-    out.sort_by_key(|e| merge_key(e.at_secs, e.tenant, e.seq));
-    out
-}
-
-/// K-way cursor merge that only ever inspects one bounded chunk of each
-/// tenant's stream at a time — the shape a chunked
-/// [`crate::stream::EventStream`] consumer sees. Byte-identical to
-/// [`merge_tenants`] for every chunk size and input order, because
-/// within a tenant the stream is already sorted: the head of each
-/// tenant's current chunk *is* that tenant's global minimum, so chunk
-/// boundaries cannot change which event wins a comparison.
-///
-/// # Panics
-/// If `chunk` is zero, a stream violates the [`TenantStream`]
-/// invariants, or two streams share a tenant id.
-#[must_use]
-pub fn merge_tenants_chunked(streams: &[TenantStream], chunk: usize) -> Vec<TenantEvent> {
-    assert!(chunk > 0, "chunk size must be positive");
-    check_disjoint(streams);
     for s in streams {
         check_stream(s);
     }
-    // Tenant-id order, independent of slice order.
-    let mut order: Vec<usize> = (0..streams.len()).collect();
-    order.sort_by_key(|&i| streams[i].tenant);
-
-    struct Cursor<'a> {
-        stream: &'a TenantStream,
-        /// Absolute position of the next unconsumed event.
-        pos: usize,
-        /// End of the currently visible chunk (exclusive).
-        visible: usize,
-    }
-    let mut cursors: Vec<Cursor<'_>> = order
-        .iter()
-        .map(|&i| Cursor {
-            stream: &streams[i],
-            pos: 0,
-            visible: chunk.min(streams[i].events.len()),
-        })
-        .collect();
-
-    let total: usize = streams.iter().map(|s| s.events.len()).sum();
-    let mut out = Vec::with_capacity(total);
+    let mut heads = vec![0usize; streams.len()];
+    let mut out = Vec::with_capacity(streams.iter().map(|s| s.events.len()).sum());
     loop {
         let mut best: Option<(usize, (u64, u32, u64))> = None;
-        for (ci, c) in cursors.iter_mut().enumerate() {
-            if c.pos >= c.visible {
-                // Pull the next chunk into view (no-op when exhausted).
-                c.visible = (c.pos + chunk).min(c.stream.events.len());
-                if c.pos >= c.visible {
-                    continue;
+        for (i, s) in streams.iter().enumerate() {
+            if let Some(e) = s.events.get(heads[i]) {
+                let key = merge_key(e.at_secs, s.tenant, e.seq);
+                if best.is_none_or(|(_, k)| key < k) {
+                    best = Some((i, key));
                 }
             }
-            let e = &c.stream.events[c.pos];
-            let key = merge_key(e.at_secs, c.stream.tenant, e.seq);
-            if best.is_none_or(|(_, k)| key < k) {
-                best = Some((ci, key));
-            }
         }
-        let Some((ci, _)) = best else { break };
-        let c = &mut cursors[ci];
-        let e = &c.stream.events[c.pos];
+        let Some((i, _)) = best else { break };
+        let e = &streams[i].events[heads[i]];
         out.push(TenantEvent {
             at_secs: e.at_secs,
-            tenant: c.stream.tenant,
+            tenant: streams[i].tenant,
             seq: e.seq,
             event: e.event,
         });
-        c.pos += 1;
+        heads[i] += 1;
     }
     out
 }
@@ -293,17 +240,29 @@ mod tests {
     }
 
     #[test]
-    fn chunked_merge_matches_reference_and_ignores_input_order() {
+    fn merge_ignores_input_order() {
         let a = stream(0, &[0.5, 1.5, 2.5, 2.5, 9.0]);
         let b = stream(1, &[0.5, 0.5, 2.5, 8.0]);
         let c = stream(2, &[2.5]);
-        let reference = merge_tenants(&[a.clone(), b.clone(), c.clone()]);
-        for chunk in [1, 2, 3, 64] {
-            let forward = merge_tenants_chunked(&[a.clone(), b.clone(), c.clone()], chunk);
-            let shuffled = merge_tenants_chunked(&[c.clone(), a.clone(), b.clone()], chunk);
-            assert_eq!(forward, reference, "chunk={chunk}");
-            assert_eq!(shuffled, reference, "chunk={chunk}, shuffled input");
-        }
+        let forward = merge_tenants(&[a.clone(), b.clone(), c.clone()]);
+        let order: Vec<(u32, u64)> = forward.iter().map(|e| (e.tenant, e.seq)).collect();
+        assert_eq!(
+            order,
+            vec![
+                (0, 0),
+                (1, 0),
+                (1, 1),
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (1, 2),
+                (2, 0),
+                (1, 3),
+                (0, 4)
+            ]
+        );
+        assert_eq!(merge_tenants(&[c.clone(), a.clone(), b.clone()]), forward);
+        assert_eq!(merge_tenants(&[b, c, a]), forward);
     }
 
     #[test]

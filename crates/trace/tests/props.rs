@@ -12,8 +12,8 @@ use sdpm_trace::codec::{
     StreamEncoder,
 };
 use sdpm_trace::{
-    collect, compress, generate, generate_runs, AppEvent, IoRequest, PowerAction, REvent, ReqKind,
-    RunGenStream, Trace, TraceGenConfig,
+    collect, compress, generate, generate_runs, merge_tenants, AppEvent, IoRequest, PowerAction,
+    REvent, ReqKind, RunGenStream, TenantEvent, TenantStream, TimedEvent, Trace, TraceGenConfig,
 };
 
 fn event_strategy(pool: u32, nest: usize) -> impl Strategy<Value = AppEvent> {
@@ -485,19 +485,40 @@ fn hostile_length_prefix_does_not_preallocate() {
     assert_eq!(decode_runs(&v2).unwrap_err(), CodecError::Truncated);
 }
 
+/// The merge's specification: concatenate every tenant's events and
+/// stable-sort them by `(time, tenant, seq)`.
+fn spec_merge(streams: &[TenantStream]) -> Vec<TenantEvent> {
+    let mut out: Vec<TenantEvent> = streams
+        .iter()
+        .flat_map(|s| {
+            s.events.iter().map(|e| TenantEvent {
+                at_secs: e.at_secs,
+                tenant: s.tenant,
+                seq: e.seq,
+                event: e.event,
+            })
+        })
+        .collect();
+    out.sort_by(|a, b| {
+        a.at_secs
+            .total_cmp(&b.at_secs)
+            .then(a.tenant.cmp(&b.tenant))
+            .then(a.seq.cmp(&b.seq))
+    });
+    out
+}
+
 proptest! {
     /// Multi-tenant merge determinism (the scenario layer's contract):
-    /// K interleaved tenant streams, merged under a random chunk size
-    /// and a random tenant ordering, are byte-identical to the
-    /// single-pass reference merge. Extends the seq-tiebreak tests in
-    /// `trace::stream` to the `(time, tenant, seq)` tiebreak.
+    /// K interleaved tenant streams, merged in a random tenant ordering,
+    /// equal the concatenate-and-sort spec event for event. Extends the
+    /// seq-tiebreak tests in `trace::stream` to the `(time, tenant, seq)`
+    /// tiebreak.
     #[test]
     fn tenant_merge_is_chunk_and_order_invariant(
         raw in proptest::collection::vec(proptest::collection::vec(0u32..40, 0..30), 1..5),
-        chunk in 1usize..9,
         seed in any::<u64>(),
     ) {
-        use sdpm_trace::{merge_tenants, merge_tenants_chunked, TenantStream, TimedEvent};
         // Quantized timestamps force plenty of cross-tenant ties, the
         // case the tenant tiebreak exists for.
         let streams: Vec<TenantStream> = raw
@@ -528,7 +549,7 @@ proptest! {
                 }
             })
             .collect();
-        let reference = merge_tenants(&streams);
+        let reference = spec_merge(&streams);
         // Seeded Fisher-Yates permutation of the input slice order; the
         // merge keys on tenant ids, so the order must not matter.
         let mut order: Vec<usize> = (0..streams.len()).collect();
@@ -541,7 +562,7 @@ proptest! {
             order.swap(i, j);
         }
         let shuffled: Vec<TenantStream> = order.iter().map(|&i| streams[i].clone()).collect();
-        let merged = merge_tenants_chunked(&shuffled, chunk);
+        let merged = merge_tenants(&shuffled);
         prop_assert_eq!(merged.len(), reference.len());
         for (a, b) in merged.iter().zip(&reference) {
             prop_assert_eq!(a.at_secs.to_bits(), b.at_secs.to_bits(), "timestamps drifted");
