@@ -1,8 +1,8 @@
 //! The acceptance gate for the run-compressed fast path: every Table 2
 //! kernel × every scheme must produce a bitwise-identical `SimReport`
 //! through `Session::run_compressed` and `Session::run`, and the
-//! analytic generator must reproduce the walk's trace on every real
-//! nest it cannot solve in one segment.
+//! analytic generator must reproduce the walk's trace on every kernel
+//! program, original and transformed.
 
 use sdpm_bench::{config_for, parallel_map};
 use sdpm_core::{Scheme, Session};
@@ -41,10 +41,9 @@ fn run_compressed_matches_per_event_for_every_kernel_and_scheme() {
 }
 
 /// Equal reports do not prove equal traces: every kernel, original and
-/// under each transform, whose program has a nest of more than one loop
-/// must generate the walk's trace event for event.
+/// under each transform, must generate the walk's trace event for event.
 #[test]
-fn analytic_trace_matches_the_walk_on_every_multi_loop_program() {
+fn analytic_trace_matches_the_walk_on_every_program() {
     let mut programs = Vec::new();
     for bench in sdpm_workloads::all_benchmarks() {
         let pool = DiskPool::new(config_for(&bench).disks);
@@ -53,13 +52,10 @@ fn analytic_trace_matches_the_walk_on_every_multi_loop_program() {
             .into_iter()
             .chain(variants)
         {
-            if program.nests.iter().any(|n| n.depth() > 1) {
-                programs.push((format!("{} {label}", bench.name), program, pool, bench.gen));
-            }
+            programs.push((format!("{} {label}", bench.name), program, pool, bench.gen));
         }
     }
-    let labels: Vec<&str> = programs.iter().map(|(l, ..)| l.as_str()).collect();
-    assert_eq!(programs.len(), 9, "multi-loop programs: {labels:?}");
+    assert_eq!(programs.len(), 30, "6 kernels x (original + 4 transforms)");
     parallel_map(&programs, |(label, program, pool, gen)| {
         let walked = generate(program, *pool, *gen);
         let analytic = generate_runs(program, *pool, *gen).lower();

@@ -41,19 +41,41 @@ pub fn storage_strides(dims: &[u64], order: StorageOrder) -> Vec<i64> {
 /// This is the workhorse of both the conformance test and the fast
 /// activity walk in [`crate::pattern`]: evaluating one affine form per
 /// reference per iteration instead of per-dimension linearization.
+///
+/// # Panics
+/// If a coefficient or the constant does not fit `i64`, which
+/// [`crate::Program::validate`] rules out under both storage orders.
 #[must_use]
 pub fn linearized_ref(r: &ArrayRef, file: &ArrayFile, order: StorageOrder) -> AffineExpr {
+    checked_linearized_ref(r, file, order).expect("validated reference linearizes within i64")
+}
+
+/// [`linearized_ref`], summed exactly in `i128`: `None` when a
+/// coefficient or the constant does not fit `i64`. Assumes the array's
+/// element count fits `i64`, so its strides do.
+#[must_use]
+pub(crate) fn checked_linearized_ref(
+    r: &ArrayRef,
+    file: &ArrayFile,
+    order: StorageOrder,
+) -> Option<AffineExpr> {
     let strides = storage_strides(&file.dims, order);
+    let sum = |term: &dyn Fn(&AffineExpr) -> i64| {
+        r.subscripts
+            .iter()
+            .zip(&strides)
+            .try_fold(0i128, |acc, (sub, &stride)| {
+                acc.checked_add(i128::from(stride) * i128::from(term(sub)))
+            })
+            .and_then(|v| i64::try_from(v).ok())
+    };
     let depth = r.subscripts.first().map_or(0, AffineExpr::depth);
-    let mut coeffs = vec![0i64; depth];
-    let mut constant = 0i64;
-    for (sub, &stride) in r.subscripts.iter().zip(&strides) {
-        constant += stride * sub.constant;
-        for (d, c) in coeffs.iter_mut().enumerate() {
-            *c += stride * sub.coeff(d);
-        }
-    }
-    AffineExpr { coeffs, constant }
+    Some(AffineExpr {
+        coeffs: (0..depth)
+            .map(|d| sum(&|e| e.coeff(d)))
+            .collect::<Option<_>>()?,
+        constant: sum(&|e| e.constant)?,
+    })
 }
 
 /// Elements the referenced address moves per step of the innermost loop,

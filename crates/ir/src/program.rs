@@ -1,8 +1,9 @@
 //! Whole programs: symbol table + nests + clock.
 
+use crate::conform::checked_linearized_ref;
 use crate::expr::AffineExpr;
 use crate::nest::LoopNest;
-use sdpm_layout::{ArrayFile, DiskPool};
+use sdpm_layout::{ArrayFile, DiskPool, StorageOrder};
 use serde::{Deserialize, Serialize};
 
 /// Index of an array in a program's symbol table.
@@ -49,8 +50,11 @@ impl Program {
     }
 
     /// Structural validation: every reference must name an existing array
-    /// with matching rank and subscript depth, striping must fit `pool`,
-    /// and cycle counts must be positive and finite.
+    /// with matching rank and subscript depth, stay inside the array's
+    /// extents, and linearize to an affine form that fits `i64` under
+    /// either storage order; each array's byte size must fit `i64`,
+    /// striping must fit `pool`, and cycle counts must be positive and
+    /// finite.
     pub fn validate(&self, pool: DiskPool) -> Result<(), String> {
         if self.clock_hz <= 0.0 || !self.clock_hz.is_finite() {
             return Err(format!("bad clock_hz {}", self.clock_hz));
@@ -61,6 +65,16 @@ impl Program {
             }
             if a.element_bytes == 0 {
                 return Err(format!("array {ai} ({}) has zero element size", a.name));
+            }
+            let bytes = a
+                .dims
+                .iter()
+                .try_fold(a.element_bytes, |b, &d| b.checked_mul(d));
+            if bytes.is_none_or(|b| i64::try_from(b).is_err()) {
+                return Err(format!(
+                    "array {ai} ({}) spans more than i64::MAX bytes",
+                    a.name
+                ));
             }
             a.striping
                 .validate(pool)
@@ -112,6 +126,16 @@ impl Program {
                              to {v} (extent {}) at corner {ivars:?}",
                             a.name, a.dims[dim]
                         ));
+                    }
+                    // Tiling linearizes under the transposed order too.
+                    for order in [StorageOrder::RowMajor, StorageOrder::ColMajor] {
+                        if checked_linearized_ref(r, a, order).is_none() {
+                            return Err(format!(
+                                "nest {ni} ({}) stmt {si} ({}): the {order:?} linearization \
+                                 of a reference to {} overflows i64",
+                                n.label, s.label, a.name
+                            ));
+                        }
                     }
                 }
             }
@@ -290,6 +314,53 @@ mod tests {
         );
         p.nests[0].loops[16] = LoopDim::simple(4);
         assert_eq!(p.validate(DiskPool::new(8)), Ok(()));
+    }
+
+    #[test]
+    fn linearization_overflow_caught_under_either_order() {
+        // A[2^62·i0 + 1][i1] over a one-trip i0: every subscript is in
+        // bounds, but the row-major linearization's i0 coefficient is
+        // 64·2^62, which does not fit i64.
+        let mut p = valid_program();
+        p.arrays[0].dims = vec![4, 64];
+        let n = &mut p.nests[0];
+        n.loops = vec![
+            LoopDim {
+                lower: 0,
+                count: 1,
+                step: 1,
+            },
+            LoopDim::simple(64),
+        ];
+        n.stmts[0].refs[0].subscripts = vec![
+            AffineExpr::scaled_var(2, 0, 1 << 62, 1),
+            AffineExpr::var(2, 1),
+        ];
+        let err = p.validate(DiskPool::new(8)).unwrap_err();
+        assert_eq!(
+            err,
+            "nest 0 (n1) stmt 0 (S1): the RowMajor linearization of a reference \
+             to U1 overflows i64"
+        );
+        // Column-major storage linearizes it as 2^62·i0 + 1 + 4·i1, which
+        // fits, but tiling may transpose the array to row-major.
+        p.arrays[0].order = StorageOrder::ColMajor;
+        assert!(p
+            .validate(DiskPool::new(8))
+            .unwrap_err()
+            .contains("RowMajor"));
+        // A one-trip coefficient whose linearization fits is accepted.
+        p.arrays[0].order = StorageOrder::RowMajor;
+        p.nests[0].stmts[0].refs[0].subscripts[0] = AffineExpr::scaled_var(2, 0, 1 << 56, 1);
+        assert_eq!(p.validate(DiskPool::new(8)), Ok(()));
+    }
+
+    #[test]
+    fn array_wider_than_i64_bytes_caught() {
+        let mut p = valid_program();
+        p.arrays[0].dims = vec![1 << 40, 1 << 21];
+        let err = p.validate(DiskPool::new(8)).unwrap_err();
+        assert!(err.contains("spans more than i64::MAX bytes"), "{err}");
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Iteration-space walking.
 //!
-//! Analyses and the trace generator walk nests iteration by iteration.
-//! [`walk_nest`] runs an odometer over the induction variables so each
-//! step is O(1) amortized (no div/mod per iteration), which keeps walking
-//! tens of millions of iterations well under a second in release builds.
+//! Analyses (the disk-activity map, tiling's legality checks) and tests
+//! walk nests iteration by iteration. [`walk_nest`] runs an odometer over
+//! the induction variables so each step is O(1) amortized (no div/mod per
+//! iteration), which keeps walking tens of millions of iterations well
+//! under a second in release builds. The trace generator runs its own
+//! strength-reduced odometer over byte offsets (`sdpm_trace::gen`).
 
 use crate::nest::LoopNest;
 
@@ -40,51 +42,6 @@ pub fn walk_nest<F: FnMut(u64, &[i64])>(nest: &LoopNest, mut f: F) {
             trips[d] = 0;
             ivars[d] = nest.loops[d].lower;
             debug_assert!(d > 0, "odometer overflow before total reached");
-            d -= 1;
-        }
-    }
-}
-
-/// Calls `f(flat, ivars)` for iterations `[from, to)` of `nest`. Useful
-/// for resuming a walk mid-nest (the simulator's directive execution does
-/// this when a nest is strip-mined around a pre-activation point).
-pub fn walk_nest_range<F: FnMut(u64, &[i64])>(nest: &LoopNest, from: u64, to: u64, mut f: F) {
-    let total = nest.iter_count();
-    let to = to.min(total);
-    if from >= to {
-        return;
-    }
-    // Seed the odometer at `from`, then run incrementally.
-    let mut ivars = nest.ivars_of(from);
-    let mut trips = {
-        let mut t = vec![0u64; nest.depth()];
-        let mut rem = from;
-        for (d, l) in nest.loops.iter().enumerate().rev() {
-            if l.count == 0 {
-                continue;
-            }
-            t[d] = rem % l.count;
-            rem /= l.count;
-        }
-        t
-    };
-    let mut flat = from;
-    loop {
-        f(flat, &ivars);
-        flat += 1;
-        if flat == to {
-            return;
-        }
-        let mut d = nest.depth() - 1;
-        loop {
-            trips[d] += 1;
-            if trips[d] < nest.loops[d].count {
-                ivars[d] += nest.loops[d].step;
-                break;
-            }
-            trips[d] = 0;
-            ivars[d] = nest.loops[d].lower;
-            debug_assert!(d > 0);
             d -= 1;
         }
     }
@@ -153,29 +110,6 @@ mod tests {
             count += 1;
         });
         assert_eq!(count, 1);
-    }
-
-    #[test]
-    fn range_walk_matches_full_walk_segment() {
-        let n = nest(&[5, 7]);
-        let mut full = Vec::new();
-        walk_nest(&n, |f, iv| full.push((f, iv.to_vec())));
-        let mut part = Vec::new();
-        walk_nest_range(&n, 9, 23, |f, iv| part.push((f, iv.to_vec())));
-        assert_eq!(part.as_slice(), &full[9..23]);
-    }
-
-    #[test]
-    fn range_walk_clamps_to_total() {
-        let n = nest(&[4]);
-        let mut seen = Vec::new();
-        walk_nest_range(&n, 2, 100, |f, _| seen.push(f));
-        assert_eq!(seen, vec![2, 3]);
-        let mut none = Vec::new();
-        walk_nest_range(&n, 4, 4, |f, _| none.push(f));
-        assert!(none.is_empty());
-        walk_nest_range(&n, 7, 3, |f, _| none.push(f));
-        assert!(none.is_empty());
     }
 
     #[test]

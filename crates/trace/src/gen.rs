@@ -8,12 +8,22 @@
 //! unless the data is captured in the buffer cache" and no prefetching is
 //! employed. Chunk-granular requests are split along stripe boundaries
 //! into per-disk requests.
+//!
+//! The walk visits every iteration and tests every reference, in
+//! statement order, against its array's cached chunk. It is
+//! strength-reduced: each reference's byte offset is seeded once per
+//! segment and then stepped with the loop odometer (one precomputed
+//! `coeff·step·element_bytes` per trip, one rewind per wrap), so a cache
+//! hit is one range check against the cached chunk's bytes. The
+//! division, the chunk fetch and the compute flush run only on a miss.
+//! It solves no closed forms and shares only the event-emitting helpers
+//! with the analytic generator ([`crate::rungen`]), so it stays the
+//! independent per-iteration reference that generator is tested against.
 
 use crate::event::{AppEvent, IoRequest, ReqKind};
 use crate::stream::{collect, EventSource, EventStream, DEFAULT_CHUNK_EVENTS};
 use crate::trace::Trace;
 use sdpm_ir::conform::linearized_ref;
-use sdpm_ir::walk::walk_nest_range;
 use sdpm_ir::{Program, RefKind};
 use sdpm_layout::{DiskPool, BLOCK_BYTES};
 use serde::{Deserialize, Serialize};
@@ -45,8 +55,8 @@ impl Default for TraceGenConfig {
     }
 }
 
-/// A reference pre-linearized against its array's storage order, so the
-/// per-iteration work is one affine evaluation.
+/// A reference pre-linearized against its array's storage order: its
+/// element index is one affine form of the induction variables.
 pub(crate) struct LinRef {
     pub(crate) array: usize,
     pub(crate) lin: sdpm_ir::AffineExpr,
@@ -72,9 +82,10 @@ pub(crate) fn linrefs_of(program: &Program, ni: usize) -> Vec<LinRef> {
         .collect()
 }
 
-/// Iterations walked per internal step. The walk itself is O(1) per
-/// iteration; this only bounds how often the stream checks whether the
-/// chunk target has been reached.
+/// Iterations walked per internal step: one segment, whose references'
+/// byte offsets are seeded from [`sdpm_ir::LoopNest::ivars_of`] at its
+/// first iteration. The walk is O(1) per iteration; this only bounds how
+/// often the stream checks whether the chunk target has been reached.
 const ITERS_PER_STEP: u64 = 65_536;
 
 /// Flushes the compute span accumulated in `[pending_start, flat)` and
@@ -197,47 +208,29 @@ impl<'a> GenStream<'a> {
     /// nest when the current one completes.
     fn step(&mut self) {
         let ni = self.ni;
-        let pos = self.pos;
-        let iter_secs = self.program.iter_secs(ni);
-        let GenStream {
-            program,
-            pool,
-            config,
-            cached_chunk,
-            next_block,
-            pending_start,
-            linrefs,
-            buf,
-            ..
-        } = self;
-        let nest = &program.nests[ni];
-        let total = nest.iter_count();
-        let step_to = pos.saturating_add(ITERS_PER_STEP).min(total);
-        walk_nest_range(nest, pos, step_to, |flat, ivars| {
-            for lr in linrefs.iter() {
-                let file = &program.arrays[lr.array];
-                let elem = lr.lin.eval(ivars);
-                // Non-negative by `Program::validate`; a violation is a
-                // caller contract breach, reported loudly.
-                let byte = u64::try_from(elem)
-                    .unwrap_or_else(|_| panic!("negative element index {elem}"))
-                    * file.element_bytes;
-                let chunk = byte / config.io_chunk_bytes;
-                if cached_chunk[lr.array] == Some(chunk) {
-                    continue;
-                }
-                cached_chunk[lr.array] = Some(chunk);
-                // Flush the compute accumulated before this miss, then
-                // fetch the whole chunk (clipped to the file end).
-                flush_compute(buf, ni, pending_start, flat, iter_secs);
-                emit_chunk_fetch(
-                    file, *pool, config, next_block, buf, ni, flat, lr.kind, chunk,
-                );
+        let from = self.pos;
+        let total = self.program.nests[ni].iter_count();
+        let to = from.saturating_add(ITERS_PER_STEP).min(total);
+        if from < to {
+            // One loop body, monomorphised on the nest's exact reference
+            // count so its lanes live in registers.
+            match self.linrefs.len() {
+                0 => self.walk::<[u64; 0]>(from, to),
+                1 => self.walk::<[u64; 1]>(from, to),
+                2 => self.walk::<[u64; 2]>(from, to),
+                3 => self.walk::<[u64; 3]>(from, to),
+                4 => self.walk::<[u64; 4]>(from, to),
+                5 => self.walk::<[u64; 5]>(from, to),
+                6 => self.walk::<[u64; 6]>(from, to),
+                7 => self.walk::<[u64; 7]>(from, to),
+                8 => self.walk::<[u64; 8]>(from, to),
+                _ => self.walk::<Vec<u64>>(from, to),
             }
-        });
-        self.pos = step_to;
-        if step_to >= total {
+        }
+        self.pos = to;
+        if to >= total {
             // Flush the tail compute of the nest.
+            let iter_secs = self.program.iter_secs(ni);
             flush_compute(&mut self.buf, ni, &mut self.pending_start, total, iter_secs);
             self.ni += 1;
             self.pos = 0;
@@ -247,6 +240,237 @@ impl<'a> GenStream<'a> {
             }
         }
     }
+
+    /// Walks iterations `[from, to)` of the current nest with one lane per
+    /// reference (see [`LaneState`]): a hit is one comparison per
+    /// reference, and a step one addition per reference.
+    ///
+    /// Offsets are stepped modulo 2^64. The products and sums that form a
+    /// step may wrap — `Program::validate` accepts a one-trip loop with a
+    /// huge coefficient, whose step is never taken — yet every offset the
+    /// walk tests is exact: `validate` confines each visited offset to
+    /// `[0, total_bytes)`, and `total_bytes ≤ i64::MAX`, so an offset
+    /// known modulo 2^64 is known exactly.
+    fn walk<L: Lanes>(&mut self, from: u64, to: u64) {
+        let program = self.program;
+        let nest = &program.nests[self.ni];
+        let cb = self.config.io_chunk_bytes;
+        let refs = &self.linrefs;
+        let n = refs.len();
+        let elem_bytes = |k: usize| program.arrays[refs[k].array].element_bytes;
+        let arrays = L::collect(n, |k| refs[k].array as u64);
+        let cached = |k: usize| chunk_range(self.cached_chunk[refs[k].array], cb);
+        let ivars = nest.ivars_of(from);
+        let mut lo = L::collect(n, |k| cached(k).0);
+        let mut lanes = LaneState {
+            rel: L::collect(n, |k| {
+                let lin = &refs[k].lin;
+                let elem = lin
+                    .coeffs
+                    .iter()
+                    .zip(&ivars)
+                    .fold(wrap(lin.constant), |acc, (&c, &i)| {
+                        acc.wrapping_add(wrap(c.wrapping_mul(i)))
+                    });
+                elem.wrapping_mul(elem_bytes(k))
+                    .wrapping_sub(lo.as_ref()[k])
+            }),
+            len: L::collect(n, |k| cached(k).1),
+        };
+        // Per loop, each lane's offset change on a trip, and on the wrap
+        // from its last trip back to its first.
+        let steps: Vec<L> = nest
+            .loops
+            .iter()
+            .enumerate()
+            .map(|(d, l)| {
+                L::collect(n, |k| {
+                    wrap(refs[k].lin.coeff(d))
+                        .wrapping_mul(wrap(l.step))
+                        .wrapping_mul(elem_bytes(k))
+                })
+            })
+            .collect();
+        let rewinds: Vec<L> = nest
+            .loops
+            .iter()
+            .zip(&steps)
+            .map(|(l, s)| {
+                L::collect(n, |k| {
+                    s.as_ref()[k].wrapping_mul(l.count - 1).wrapping_neg()
+                })
+            })
+            .collect();
+        // Trip counters of `from`, the innermost kept apart. A depth-0
+        // nest is one trip of a loop that moves nothing.
+        let mut trips = vec![0u64; nest.depth()];
+        let mut rem = from;
+        for (t, l) in trips.iter_mut().zip(&nest.loops).rev() {
+            *t = rem % l.count;
+            rem /= l.count;
+        }
+        let (mut inner_trip, inner_count, inner_step, inner_rewind) = match trips.pop() {
+            Some(t) => {
+                let d = trips.len();
+                let lane = |v: &L| L::collect(n, |k| v.as_ref()[k]);
+                (t, nest.loops[d].count, lane(&steps[d]), lane(&rewinds[d]))
+            }
+            None => (0, 1, L::collect(n, |_| 0), L::collect(n, |_| 0)),
+        };
+        let mut flat = from;
+        loop {
+            let sweep_end = flat + (inner_count - inner_trip).min(to - flat);
+            loop {
+                let (rel, len) = (lanes.rel.as_ref(), lanes.len.as_ref());
+                if let Some(k) = (0..rel.len()).find(|&k| rel[k] >= len[k]) {
+                    lanes = self.misses(k, flat, &arrays, &mut lo, lanes);
+                }
+                flat += 1;
+                if flat == sweep_end {
+                    break;
+                }
+                add(lanes.rel.as_mut(), inner_step.as_ref());
+            }
+            if flat == to {
+                return;
+            }
+            // The innermost loop wrapped: rewind it and carry outward.
+            inner_trip = 0;
+            add(lanes.rel.as_mut(), inner_rewind.as_ref());
+            for d in (0..trips.len()).rev() {
+                trips[d] += 1;
+                if trips[d] < nest.loops[d].count {
+                    add(lanes.rel.as_mut(), steps[d].as_ref());
+                    break;
+                }
+                trips[d] = 0;
+                add(lanes.rel.as_mut(), rewinds[d].as_ref());
+            }
+        }
+    }
+
+    /// Finishes iteration `flat` from reference `first`, the first to miss
+    /// its array's cached chunk: tests the references from `first` on in
+    /// statement order, and fetches for each that misses. A fetch moves
+    /// every lane on its array (`arrays` names each lane's array) to the
+    /// new chunk, so a later reference of the iteration sees it.
+    #[cold]
+    #[inline(never)]
+    fn misses<L: Lanes>(
+        &mut self,
+        first: usize,
+        flat: u64,
+        arrays: &L,
+        lo: &mut L,
+        mut lanes: LaneState<L>,
+    ) -> LaneState<L> {
+        let (arrays, lo) = (arrays.as_ref(), lo.as_mut());
+        let (rel, len) = (lanes.rel.as_mut(), lanes.len.as_mut());
+        for k in first..rel.len() {
+            if rel[k] < len[k] {
+                continue;
+            }
+            let (new_lo, new_len) = self.fetch(k, rel[k].wrapping_add(lo[k]), flat);
+            for j in 0..rel.len() {
+                if arrays[j] == arrays[k] {
+                    rel[j] = rel[j].wrapping_add(lo[j]).wrapping_sub(new_lo);
+                    (lo[j], len[j]) = (new_lo, new_len);
+                }
+            }
+        }
+        lanes
+    }
+
+    /// Reference `k` missed at byte offset `offset` in iteration `flat`:
+    /// caches the enclosing chunk, flushes the compute span before the
+    /// miss and fetches the chunk. Returns the chunk's [`chunk_range`].
+    fn fetch(&mut self, k: usize, offset: u64, flat: u64) -> (u64, u64) {
+        let lr = &self.linrefs[k];
+        let file = &self.program.arrays[lr.array];
+        // Non-negative by `Program::validate`; a violation is a caller
+        // contract breach, reported loudly.
+        let signed = offset as i64;
+        if signed < 0 {
+            let elem_bytes = i64::try_from(file.element_bytes).unwrap_or(i64::MAX);
+            panic!("negative element index {}", signed / elem_bytes);
+        }
+        let chunk = offset / self.config.io_chunk_bytes;
+        self.cached_chunk[lr.array] = Some(chunk);
+        let iter_secs = self.program.iter_secs(self.ni);
+        flush_compute(
+            &mut self.buf,
+            self.ni,
+            &mut self.pending_start,
+            flat,
+            iter_secs,
+        );
+        emit_chunk_fetch(
+            file,
+            self.pool,
+            &self.config,
+            &mut self.next_block,
+            &mut self.buf,
+            self.ni,
+            flat,
+            lr.kind,
+            chunk,
+        );
+        chunk_range(Some(chunk), self.config.io_chunk_bytes)
+    }
+}
+
+/// The walk's hot state, one lane per reference of the nest. With the
+/// lane's array's cached chunk as the byte range `[lo, lo + len)` (see
+/// [`chunk_range`]), a lane holds `len` and its byte offset relative to
+/// the chunk, `rel = offset − lo`, so a hit is `rel < len` and a step
+/// adds to `rel`. Only a miss reads `lo`, so it stays out of this state.
+struct LaneState<L> {
+    rel: L,
+    len: L,
+}
+
+/// One `u64` per reference of a nest: the walk's lane set. An array of
+/// the exact width keeps the lanes in registers; a `Vec` carries nests
+/// wider than the widest array instantiation through the same loop body.
+trait Lanes: AsRef<[u64]> + AsMut<[u64]> {
+    fn collect(n: usize, lane: impl FnMut(usize) -> u64) -> Self;
+}
+
+impl<const N: usize> Lanes for [u64; N] {
+    fn collect(n: usize, lane: impl FnMut(usize) -> u64) -> Self {
+        debug_assert_eq!(n, N, "lane width");
+        std::array::from_fn(lane)
+    }
+}
+
+impl Lanes for Vec<u64> {
+    fn collect(n: usize, lane: impl FnMut(usize) -> u64) -> Self {
+        (0..n).map(lane).collect()
+    }
+}
+
+/// `v` modulo 2^64, the walk's offset arithmetic (two's complement).
+#[allow(clippy::cast_sign_loss)]
+fn wrap(v: i64) -> u64 {
+    v as u64
+}
+
+/// Adds `by` to `off` lane by lane, modulo 2^64.
+fn add(off: &mut [u64], by: &[u64]) {
+    for (o, b) in off.iter_mut().zip(by) {
+        *o = o.wrapping_add(*b);
+    }
+}
+
+/// Cached chunk `c`'s bytes `[c·cb, (c+1)·cb)` as `(lo, len)`, so that an
+/// offset hits iff `offset − lo < len` in wrapping `u64` arithmetic. The
+/// range is cut at 2^63, so no offset that is negative as an `i64` hits.
+/// With nothing cached it is `(0, 0)`, which no offset hits.
+fn chunk_range(chunk: Option<u64>, cb: u64) -> (u64, u64) {
+    chunk.map_or((0, 0), |c| {
+        let lo = c * cb;
+        (lo, lo.saturating_add(cb).min(1 << 63) - lo)
+    })
 }
 
 impl EventStream for GenStream<'_> {

@@ -1,10 +1,11 @@
 //! Analytic trace generation: closed-form chunk-boundary crossings.
 //!
-//! The per-iteration walk in [`crate::gen`] evaluates every affine
-//! reference at every iteration — O(iterations) work to discover a
-//! request count that is orders of magnitude smaller (one fetch per
-//! chunk). This generator splits each nest's loops in two. Inside the
-//! inner loops every reference's linearized element index is affine in
+//! The per-iteration walk in [`crate::gen`] tests every reference at
+//! every iteration — O(iterations) work, strength-reduced to one
+//! addition and one comparison per reference, to discover a request
+//! count that is orders of magnitude smaller (one fetch per chunk).
+//! This generator splits each nest's loops in two. Inside the inner
+//! loops every reference's linearized element index is affine in
 //! their flat iteration (the odometer-carry test,
 //! [`sdpm_ir::LoopNest::affine_in_flat`]), so the next cache miss is the
 //! solution of a one-variable linear inequality and the generator jumps

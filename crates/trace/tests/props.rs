@@ -1,12 +1,12 @@
-//! Property tests for traces: codec round-trips and generator
-//! conservation laws.
+//! Property tests for traces: codec round-trips, generator
+//! conservation laws, and the walk against a spec walk.
 
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 use sdpm_disk::RpmLevel;
 use sdpm_ir::conform::linearized_ref;
-use sdpm_ir::{AffineExpr, ArrayRef, LoopDim, LoopNest, Program, Statement};
-use sdpm_layout::{ArrayFile, DiskId, DiskPool, StorageOrder, Striping};
+use sdpm_ir::{walk_nest, AffineExpr, ArrayRef, LoopDim, LoopNest, Program, RefKind, Statement};
+use sdpm_layout::{ArrayFile, DiskId, DiskPool, StorageOrder, Striping, BLOCK_BYTES};
 use sdpm_trace::codec::{
     decode, decode_runs, encode, encode_runs, CodecError, DecodeRunStream, DecodeStream,
     StreamEncoder,
@@ -711,16 +711,17 @@ fn random_program(seed: u64) -> (Program, TraceGenConfig) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The analytic generator, streamed or run-compressed and lowered,
-    /// reproduces the per-iteration walk event for event on random
-    /// programs, including nests it must step one outer segment at a
-    /// time.
+    /// The per-iteration walk equals the spec walk, and the analytic
+    /// generator, streamed or run-compressed and lowered, reproduces the
+    /// walk event for event on random programs, including nests it must
+    /// step one outer segment at a time.
     #[test]
     fn analytic_generation_matches_the_walk(seed in any::<u64>()) {
         let (p, config) = random_program(seed);
         let pool = DiskPool::new(4);
         prop_assert_eq!(p.validate(pool), Ok(()));
         let walked = generate(&p, pool, config);
+        prop_assert_eq!(&walked.events, &spec_walk(&p, pool, config));
         prop_assert_eq!(&collect(&mut RunGenStream::new(&p, pool, config)), &walked);
         prop_assert_eq!(&generate_runs(&p, pool, config).lower(), &walked);
     }
@@ -747,4 +748,219 @@ fn random_programs_include_nests_that_need_outer_segments() {
         segmented >= 64,
         "{segmented} of 256 programs need outer segments"
     );
+}
+
+/// The walk as specified, written apart from `sdpm_trace::gen`: every
+/// iteration in odometer order ([`walk_nest`]), each reference's element
+/// from its subscripts evaluated at the induction variables, its chunk
+/// by division of the byte offset, and one `Option` cached chunk per
+/// array, tested in statement order.
+fn spec_walk(p: &Program, pool: DiskPool, config: TraceGenConfig) -> Vec<AppEvent> {
+    let cb = config.io_chunk_bytes;
+    let mut events = Vec::new();
+    let mut cached: Vec<Option<u64>> = vec![None; p.arrays.len()];
+    let mut next_block: Vec<Option<u64>> = vec![None; pool.count() as usize];
+    for (ni, nest) in p.nests.iter().enumerate() {
+        let iter_secs = p.iter_secs(ni);
+        let mut pending = 0u64;
+        let flush = |events: &mut Vec<AppEvent>, pending: &mut u64, flat: u64| {
+            if flat > *pending {
+                events.push(AppEvent::Compute {
+                    nest: ni,
+                    first_iter: *pending,
+                    iters: flat - *pending,
+                    secs: (flat - *pending) as f64 * iter_secs,
+                });
+                *pending = flat;
+            }
+        };
+        walk_nest(nest, |flat, ivars| {
+            for r in nest.stmts.iter().flat_map(|s| &s.refs) {
+                let file = &p.arrays[r.array];
+                let idx: Vec<u64> = r
+                    .subscripts
+                    .iter()
+                    .map(|e| u64::try_from(e.eval(ivars)).expect("validated subscript"))
+                    .collect();
+                let chunk = file.byte_offset_of(&idx) / cb;
+                if cached[r.array] == Some(chunk) {
+                    continue;
+                }
+                cached[r.array] = Some(chunk);
+                flush(&mut events, &mut pending, flat);
+                let start = chunk * cb;
+                for ext in file.map_bytes(pool, start, cb.min(file.total_bytes() - start)) {
+                    let d = ext.disk.0 as usize;
+                    let sequential =
+                        config.detect_sequential && next_block[d] == Some(ext.start_block);
+                    next_block[d] =
+                        Some(ext.start_block + (ext.block_offset + ext.len).div_ceil(BLOCK_BYTES));
+                    events.push(AppEvent::Io(IoRequest {
+                        disk: ext.disk,
+                        start_block: ext.start_block,
+                        size_bytes: ext.len,
+                        kind: match r.kind {
+                            RefKind::Read => ReqKind::Read,
+                            RefKind::Write => ReqKind::Write,
+                        },
+                        sequential,
+                        nest: ni,
+                        iter: flat,
+                    }));
+                }
+            }
+        });
+        flush(&mut events, &mut pending, nest.iter_count());
+    }
+    events
+}
+
+/// `generate` equals the spec walk under both `detect_sequential` values.
+fn assert_walk_matches_spec(p: &Program, pool: DiskPool, io_chunk_bytes: u64) {
+    assert_eq!(p.validate(pool), Ok(()), "{}", p.name);
+    for detect_sequential in [false, true] {
+        let config = TraceGenConfig {
+            io_chunk_bytes,
+            detect_sequential,
+        };
+        assert_eq!(
+            generate(p, pool, config).events,
+            spec_walk(p, pool, config),
+            "{} chunk {io_chunk_bytes} seq {detect_sequential}",
+            p.name
+        );
+    }
+}
+
+fn file(name: &str, dims: Vec<u64>, element_bytes: u64, order: StorageOrder) -> ArrayFile {
+    ArrayFile {
+        name: name.into(),
+        dims,
+        element_bytes,
+        order,
+        striping: Striping {
+            start_disk: DiskId(1),
+            stripe_factor: 3,
+            stripe_bytes: 512,
+        },
+        base_block: 0,
+    }
+}
+
+fn affine(coeffs: &[i64], constant: i64) -> AffineExpr {
+    AffineExpr {
+        coeffs: coeffs.to_vec(),
+        constant,
+    }
+}
+
+/// A program that reaches every corner of the walk: a depth-0 nest, a
+/// zero-trip loop, and two 70,000-iteration nests whose inner loop of
+/// 1,000 trips does not divide the 65,536-iteration segment (so a
+/// segment resumes mid-sweep), with negative steps and coefficients,
+/// arrays read through several strides in one iteration, and 6 and 11
+/// references (the exact-width and the slice-backed lane sets).
+fn corner_program() -> Program {
+    let arrays = vec![
+        file("A", vec![140_000], 8, StorageOrder::RowMajor),
+        file("B", vec![70, 1000], 8, StorageOrder::ColMajor),
+        file("C", vec![1000, 70], 4, StorageOrder::RowMajor),
+        file("D", vec![2000], 4, StorageOrder::RowMajor),
+    ];
+    // i0 runs 69 down to 0, i1 runs 0 to 999.
+    let loops = vec![
+        LoopDim {
+            lower: 69,
+            count: 70,
+            step: -1,
+        },
+        LoopDim::simple(1000),
+    ];
+    let wide = vec![
+        ArrayRef::read(0, vec![affine(&[1000, 1], 0)]),
+        ArrayRef::read(3, vec![affine(&[0, 2], 0)]),
+        ArrayRef::write(0, vec![affine(&[-1000, -1], 139_999)]),
+        ArrayRef::read(1, vec![affine(&[1, 0], 0), affine(&[0, 1], 0)]),
+        ArrayRef::read(2, vec![affine(&[0, 1], 0), affine(&[1, 0], 0)]),
+        ArrayRef::write(1, vec![affine(&[-1, 0], 69), affine(&[0, -1], 999)]),
+        ArrayRef::read(0, vec![affine(&[0, 2], 70_000)]),
+        ArrayRef::read(3, vec![affine(&[0, 1], 1000)]),
+        ArrayRef::write(2, vec![affine(&[0, -1], 999), affine(&[-1, 0], 69)]),
+        ArrayRef::read(3, vec![affine(&[0, -2], 1999)]),
+        ArrayRef::read(0, vec![affine(&[1000, 1], 0)]),
+    ];
+    let nest = |label: &str, loops: Vec<LoopDim>, refs: Vec<ArrayRef>| LoopNest {
+        label: label.into(),
+        loops,
+        stmts: vec![Statement {
+            label: "S".into(),
+            refs,
+        }],
+        cycles_per_iter: 750.0,
+    };
+    Program {
+        name: "corners".into(),
+        arrays,
+        nests: vec![
+            nest(
+                "depth0",
+                vec![],
+                vec![
+                    ArrayRef::read(0, vec![affine(&[], 5)]),
+                    ArrayRef::write(1, vec![affine(&[], 3), affine(&[], 7)]),
+                ],
+            ),
+            nest(
+                "zero-trip",
+                vec![
+                    LoopDim::simple(5),
+                    LoopDim {
+                        lower: 3,
+                        count: 0,
+                        step: 1,
+                    },
+                ],
+                vec![ArrayRef::read(0, vec![affine(&[1, 1], 0)])],
+            ),
+            nest("wide", loops.clone(), wide.clone()),
+            nest("narrow", loops, wide[..6].to_vec()),
+        ],
+        clock_hz: Program::PAPER_CLOCK_HZ,
+    }
+}
+
+/// A one-trip loop may carry a coefficient whose byte step overflows
+/// `i64` (`2^61·8`): `validate` accepts it, since that step is never
+/// taken, and the walk must still be exact.
+fn huge_coefficient_program() -> Program {
+    Program {
+        name: "huge-coefficient".into(),
+        arrays: vec![file("H", vec![4096], 8, StorageOrder::RowMajor)],
+        nests: vec![LoopNest {
+            label: "n".into(),
+            loops: vec![
+                LoopDim {
+                    lower: 0,
+                    count: 1,
+                    step: 1,
+                },
+                LoopDim::simple(4096),
+            ],
+            stmts: vec![Statement {
+                label: "S".into(),
+                refs: vec![ArrayRef::read(0, vec![affine(&[1 << 61, 1], 0)])],
+            }],
+            cycles_per_iter: 750.0,
+        }],
+        clock_hz: Program::PAPER_CLOCK_HZ,
+    }
+}
+
+#[test]
+fn walk_matches_the_spec_walk_at_every_corner() {
+    let pool = DiskPool::new(4);
+    for chunk in [64, 4096] {
+        assert_walk_matches_spec(&corner_program(), pool, chunk);
+        assert_walk_matches_spec(&huge_coefficient_program(), pool, chunk);
+    }
 }

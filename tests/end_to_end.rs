@@ -40,6 +40,40 @@ fn every_kernel_reproduces_the_paper_scheme_ordering() {
             "{name}: CMDRPM time {} vs Base {base_t}",
             t(Scheme::CmDrpm)
         );
+        // Figure 3: the TPM family saves nothing on the untransformed
+        // codes, whose idle periods sit below the TPM break-even.
+        let base = get(Scheme::Base);
+        let norm = |s: Scheme| get(s).normalized_energy(base);
+        for (scheme, tol) in [
+            (Scheme::Tpm, 1e-6),
+            (Scheme::ITpm, 1e-6),
+            (Scheme::CmTpm, 0.01),
+        ] {
+            assert!(
+                (norm(scheme) - 1.0).abs() < tol,
+                "{name}: {scheme:?} normalized energy {}",
+                norm(scheme)
+            );
+        }
+        // The DRPM family: reactive DRPM saves energy but pays in time
+        // (Figure 4; wupwise's 1.035 is the smallest slowdown), and the
+        // oracle lower-bounds CMDRPM.
+        let (e_i, e_cm, e_d) = (
+            norm(Scheme::IDrpm),
+            norm(Scheme::CmDrpm),
+            norm(Scheme::Drpm),
+        );
+        assert!(e_d < 1.0, "{name}: reactive DRPM must save energy, {e_d}");
+        let slowdown = get(Scheme::Drpm).normalized_time(base);
+        assert!(slowdown > 1.03, "{name}: DRPM time {slowdown}");
+        assert!(e_i <= e_cm + 1e-9, "{name}: IDRPM {e_i} vs CMDRPM {e_cm}");
+        // CMDRPM beats reactive DRPM on every kernel but mgrid, where
+        // reactive DRPM nearly ties the oracle (0.590 vs IDRPM 0.586) and
+        // CMDRPM sits at 0.626: EXPERIMENTS.md's Figure 3 verdict records
+        // the exception.
+        if name != "172.mgrid" {
+            assert!(e_cm < e_d, "{name}: CMDRPM {e_cm} must beat DRPM {e_d}");
+        }
     }
 }
 
