@@ -6,9 +6,10 @@
 //! [`Session`] owns the cached base trace (validated once, at cache time)
 //! and the per-mode instrumentation outcomes, so repeated scheme runs —
 //! including the artifact- and recorder-carrying variants — pay for
-//! generation and instrumentation at most once. Schemes consume the
-//! cached traces through the [`sdpm_trace::EventSource`] stream interface
-//! rather than a fresh materialization.
+//! generation and instrumentation at most once. Schemes hand the cached
+//! [`Trace`]s and [`RunTrace`]s to [`sdpm_sim::Engine::events`] and
+//! [`sdpm_sim::Engine::runs`] by reference, so no scheme run regenerates
+//! or re-validates a trace.
 //!
 //! Phase spans (`dap-construction`, the compiler phases) are emitted to a
 //! recorder only when the corresponding work actually runs, i.e. on the
@@ -251,7 +252,7 @@ impl<'a> Session<'a> {
     /// The per-event run behind [`Session::run`] and its variants: the
     /// cached trace `scheme` needs, played under a `simulation` phase span
     /// with the given options. The trace was validated when the session
-    /// cached it, so it enters the engine as a stream without a second
+    /// cached it, so the engine takes it by reference without a second
     /// validation pass.
     fn simulate(
         &mut self,

@@ -1,11 +1,10 @@
 //! Deterministic, seedable fault injection for the trace→sim pipeline.
 //!
 //! Real storage misbehaves in ways a clean simulator never exercises:
-//! bits rot on the wire, services fail transiently and are retried, a
-//! cold spindle takes longer than its datasheet `Tsu` to reach speed, a
-//! multi-RPM actuator sticks at its current level. This crate models
-//! those faults as *pure, seeded decisions* so a run with faults is as
-//! reproducible as a run without:
+//! services fail transiently and are retried, a cold spindle takes longer
+//! than its datasheet `Tsu` to reach speed, a multi-RPM actuator sticks
+//! at its current level. This crate models those faults as *pure, seeded
+//! decisions* so a run with faults is as reproducible as a run without:
 //!
 //! * [`FaultConfig`] — rates and knobs for each fault class;
 //! * [`FaultPlan`] — the decision oracle. Every decision is a pure
@@ -13,10 +12,7 @@
 //!   with the same seed inject byte-for-byte the same faults regardless
 //!   of wall-clock or thread timing;
 //! * [`FaultCounts`] — per-cause counters the engine folds into its
-//!   report (`SimReport::faults`), mirroring the misfire breakdown;
-//! * [`FaultPlan::mangle`] — byte-level corruption/truncation for
-//!   encoded traces, and [`ReorderStream`] — an
-//!   [`EventStream`] wrapper that swaps events within a chunk.
+//!   report (`SimReport::faults`), mirroring the misfire breakdown.
 //!
 //! The slow spin-up class interacts with the paper's pre-activation
 //! distance `d = ceil(Tsu / (s + Tm))`: a directive issued exactly `d`
@@ -27,7 +23,6 @@
 #![forbid(unsafe_code)]
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sdpm_trace::{AppEvent, EventStream};
 use serde::{Deserialize, Serialize};
 
 /// Decision sites, mixed into the per-decision seed so the same
@@ -36,9 +31,6 @@ mod site {
     pub const TRANSIENT: u64 = 0x5449;
     pub const SLOW_SPINUP: u64 = 0x534c;
     pub const STUCK_RPM: u64 = 0x5354;
-    pub const CORRUPT: u64 = 0x434f;
-    pub const TRUNCATE: u64 = 0x5452;
-    pub const REORDER: u64 = 0x5245;
 }
 
 /// Rates and knobs for every fault class. All rates are probabilities in
@@ -47,12 +39,6 @@ mod site {
 pub struct FaultConfig {
     /// Root seed; every decision derives from it deterministically.
     pub seed: u64,
-    /// Per-byte probability that [`FaultPlan::mangle`] flips a byte.
-    pub byte_corrupt_rate: f64,
-    /// Probability that [`FaultPlan::mangle`] truncates the buffer.
-    pub truncate_rate: f64,
-    /// Per-chunk probability that [`ReorderStream`] swaps two events.
-    pub reorder_rate: f64,
     /// Per-request probability of a transient service failure (each
     /// retry re-draws, so a request can fail several times in a row).
     pub transient_rate: f64,
@@ -82,9 +68,6 @@ impl FaultConfig {
     pub fn uniform(seed: u64, rate: f64) -> Self {
         FaultConfig {
             seed,
-            byte_corrupt_rate: rate,
-            truncate_rate: rate,
-            reorder_rate: rate,
             transient_rate: rate,
             max_retries: 3,
             retry_backoff_secs: 0.005,
@@ -97,12 +80,7 @@ impl FaultConfig {
     /// True when no fault class can ever fire.
     #[must_use]
     pub fn is_disabled(&self) -> bool {
-        self.byte_corrupt_rate == 0.0
-            && self.truncate_rate == 0.0
-            && self.reorder_rate == 0.0
-            && self.transient_rate == 0.0
-            && self.slow_spinup_rate == 0.0
-            && self.stuck_rpm_rate == 0.0
+        self.transient_rate == 0.0 && self.slow_spinup_rate == 0.0 && self.stuck_rpm_rate == 0.0
     }
 }
 
@@ -164,15 +142,6 @@ impl FaultCounts {
     }
 }
 
-/// What [`FaultPlan::mangle`] did to a byte buffer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MangleSummary {
-    /// Bytes XOR-flipped.
-    pub corrupted: u64,
-    /// New length if the buffer was truncated.
-    pub truncated_to: Option<usize>,
-}
-
 /// The decision oracle: a stateless function from `(site, disk, n)` to
 /// a uniform draw, derived from the config's seed. Statelessness is the
 /// point — the engine threads a per-disk sequence number through its
@@ -195,14 +164,9 @@ impl FaultPlan {
         &self.cfg
     }
 
-    /// One uniform draw in `[0, 1)` for decision `(site, disk, n)`.
+    /// One uniform draw in `[0, 1)` for decision `(site, disk, n)`, from a
+    /// generator seeded by those coordinates alone.
     fn draw(&self, site: u64, disk: u32, n: u64) -> f64 {
-        self.rng(site, disk, n).random_range(0.0..1.0)
-    }
-
-    /// A decision-local generator (used when a decision needs more than
-    /// one draw, e.g. picking corruption positions).
-    fn rng(&self, site: u64, disk: u32, n: u64) -> StdRng {
         // SplitMix-style avalanche over the decision coordinates so
         // neighbouring (site, disk, n) triples land far apart in seed
         // space even though StdRng seeds are used raw.
@@ -214,7 +178,7 @@ impl FaultPlan {
             .wrapping_add(n.wrapping_mul(0x94D0_49BB_1331_11EB));
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        StdRng::seed_from_u64(z ^ (z >> 31))
+        StdRng::seed_from_u64(z ^ (z >> 31)).random_range(0.0..1.0)
     }
 
     /// Number of failed attempts before request `n` on `disk` is
@@ -272,102 +236,11 @@ impl FaultPlan {
         self.cfg.stuck_rpm_rate > 0.0
             && self.draw(site::STUCK_RPM, disk, n) < self.cfg.stuck_rpm_rate
     }
-
-    /// Corrupts and/or truncates an encoded byte buffer in place.
-    /// Deterministic in the seed and the buffer length. The number of
-    /// flipped bytes is `round(len * byte_corrupt_rate)`, at positions
-    /// drawn from the decision stream; truncation (probability
-    /// `truncate_rate`) cuts at a drawn position.
-    pub fn mangle(&self, bytes: &mut Vec<u8>) -> MangleSummary {
-        let mut summary = MangleSummary::default();
-        if bytes.is_empty() {
-            return summary;
-        }
-        let len = bytes.len();
-        let flips = (len as f64 * self.cfg.byte_corrupt_rate).round() as u64;
-        if flips > 0 {
-            let mut rng = self.rng(site::CORRUPT, 0, len as u64);
-            for _ in 0..flips {
-                let pos = rng.random_range(0usize..len);
-                bytes[pos] ^= 0xFF;
-                summary.corrupted += 1;
-            }
-        }
-        if self.cfg.truncate_rate > 0.0
-            && self.draw(site::TRUNCATE, 0, len as u64) < self.cfg.truncate_rate
-        {
-            let mut rng = self.rng(site::TRUNCATE, 1, len as u64);
-            let cut = rng.random_range(0usize..len);
-            bytes.truncate(cut);
-            summary.truncated_to = Some(cut);
-        }
-        summary
-    }
-}
-
-/// Wraps an [`EventStream`], swapping two events inside a chunk with
-/// per-chunk probability `reorder_rate` — a model of delivery reordering
-/// in a trace transport. The event *multiset* is preserved; only order
-/// changes, which is exactly the class of corruption the engine's typed
-/// errors (out-of-pool disks aside) must absorb without a panic.
-pub struct ReorderStream<'a> {
-    inner: &'a mut dyn EventStream,
-    plan: FaultPlan,
-    buf: Vec<AppEvent>,
-    chunk_no: u64,
-    /// Chunks that were actually reordered.
-    pub swaps: u64,
-}
-
-impl<'a> ReorderStream<'a> {
-    #[must_use]
-    pub fn new(inner: &'a mut dyn EventStream, plan: FaultPlan) -> Self {
-        ReorderStream {
-            inner,
-            plan,
-            buf: Vec::new(),
-            chunk_no: 0,
-            swaps: 0,
-        }
-    }
-}
-
-impl EventStream for ReorderStream<'_> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn pool_size(&self) -> u32 {
-        self.inner.pool_size()
-    }
-
-    fn next_chunk(&mut self) -> Option<&[AppEvent]> {
-        let chunk = self.inner.next_chunk()?;
-        self.buf.clear();
-        self.buf.extend_from_slice(chunk);
-        let n = self.chunk_no;
-        self.chunk_no += 1;
-        if self.buf.len() >= 2
-            && self.plan.cfg.reorder_rate > 0.0
-            && self.plan.draw(site::REORDER, 0, n) < self.plan.cfg.reorder_rate
-        {
-            let mut rng = self.plan.rng(site::REORDER, 1, n);
-            let i = rng.random_range(0usize..self.buf.len());
-            let j = rng.random_range(0usize..self.buf.len());
-            if i != j {
-                self.buf.swap(i, j);
-                self.swaps += 1;
-            }
-        }
-        Some(&self.buf)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdpm_layout::DiskId;
-    use sdpm_trace::{IoRequest, ReqKind, Trace};
 
     fn plan(rate: f64) -> FaultPlan {
         FaultPlan::new(FaultConfig::uniform(42, rate))
@@ -408,10 +281,6 @@ mod tests {
             assert_eq!(p.slow_spinup_extra(0, n, 10.9), 0.0);
             assert!(!p.stuck_rpm(0, n));
         }
-        let mut bytes = vec![1u8, 2, 3, 4];
-        let s = p.mangle(&mut bytes);
-        assert_eq!(s, MangleSummary::default());
-        assert_eq!(bytes, vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -438,55 +307,5 @@ mod tests {
         let p = FaultPlan::new(cfg);
         let extra = p.slow_spinup_extra(0, 0, 10.0);
         assert!((extra - 15.0).abs() < 1e-12, "2.5x of 10 s adds 15 s");
-    }
-
-    #[test]
-    fn mangle_is_deterministic() {
-        let p = plan(0.1);
-        let orig: Vec<u8> = (0..=255u8).collect();
-        let mut a = orig.clone();
-        let mut b = orig.clone();
-        let sa = p.mangle(&mut a);
-        let sb = p.mangle(&mut b);
-        assert_eq!(a, b);
-        assert_eq!(sa, sb);
-        assert!(sa.corrupted > 0, "10% of 256 bytes must flip some");
-        assert_ne!(a, orig);
-    }
-
-    #[test]
-    fn reorder_preserves_the_event_multiset() {
-        let io = |iter| {
-            AppEvent::Io(IoRequest {
-                disk: DiskId(0),
-                start_block: iter * 8,
-                size_bytes: 4096,
-                kind: ReqKind::Read,
-                sequential: false,
-                nest: 0,
-                iter,
-            })
-        };
-        let t = Trace {
-            name: "r".into(),
-            pool_size: 1,
-            events: (0..100).map(io).collect(),
-        };
-        let mut inner = t.stream();
-        let mut s = ReorderStream::new(&mut inner, plan(1.0));
-        let mut got = Vec::new();
-        while let Some(chunk) = s.next_chunk() {
-            got.extend_from_slice(chunk);
-        }
-        assert_eq!(got.len(), t.events.len());
-        let key = |e: &AppEvent| match e {
-            AppEvent::Io(r) => r.iter,
-            _ => unreachable!("trace is all Io"),
-        };
-        let mut a: Vec<u64> = got.iter().map(key).collect();
-        let mut b: Vec<u64> = t.events.iter().map(key).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "reorder must not drop or duplicate events");
     }
 }

@@ -18,9 +18,7 @@ use sdpm_disk::{
 };
 use sdpm_fault::{FaultCounts, FaultPlan};
 use sdpm_layout::{DiskId, DiskPool};
-use sdpm_trace::{
-    AppEvent, EventSource, EventStream, IoRequest, PowerAction, REvent, Run, RunSource, RunStream,
-};
+use sdpm_trace::{AppEvent, IoRequest, PowerAction, REvent, Run, RunTrace, Trace};
 
 #[cfg(feature = "obs")]
 use sdpm_obs::{Event as ObsEvent, Recorder};
@@ -179,12 +177,12 @@ struct ExecState {
 ///
 /// Build with [`Engine::new`], optionally attach a fault plan
 /// ([`Engine::faults`]) and, with the `obs` feature, a recorder
-/// ([`Engine::recorder`]), then play a per-event source
-/// ([`Engine::events`]) or a run-compressed one ([`Engine::runs`]). The
-/// two inputs give bit-identical reports; only
+/// ([`Engine::recorder`]), then play a per-event [`Trace`]
+/// ([`Engine::events`]) or a run-compressed [`RunTrace`]
+/// ([`Engine::runs`]). The two inputs give bit-identical reports; only
 /// [`SimReport::sim_path`] differs.
 ///
-/// The oracle policies (`IdealTpm`/`IdealDrpm`) play the source twice: a
+/// The oracle policies (`IdealTpm`/`IdealDrpm`) play the trace twice: a
 /// clean Base pass — no faults, no recorder — recovers the true gap
 /// structure, from which [`oracle`] derives a [`Policy::Schedule`] that
 /// the measured pass replays.
@@ -235,39 +233,32 @@ impl<'r> Engine<'r> {
         self
     }
 
-    /// Plays an event source — a materialized [`sdpm_trace::Trace`], a
-    /// lazy generator ([`sdpm_trace::GenSource`]), an encoded trace, or
-    /// any other re-openable stream — to completion. Chunking does not
-    /// alter the event sequence, so every source with the same events
-    /// gives the same report.
+    /// Plays `trace` event by event to completion.
     ///
-    /// The events are not pre-validated (a stream can only be validated
-    /// by draining it); malformed events surface as errors from the loop.
+    /// The events are not validated here: [`crate::simulate`] validates
+    /// first, and `sdpm_core::Session` validates each trace once, when it
+    /// caches it. Malformed events surface as errors from the loop.
     ///
     /// # Errors
     /// A [`SimError`] describing the invalid parameters, the malformed
     /// input, or the machine call that could not be applied.
-    pub fn events(&self, source: &dyn EventSource) -> Result<SimReport, SimError> {
+    pub fn events(&self, trace: &Trace) -> Result<SimReport, SimError> {
         let _sp = prof::span("sim.simulate");
-        let lowered = self.lower(|base| base.play_events(&mut *source.open()))?;
-        self.replay(lowered.as_ref())
-            .play_events(&mut *source.open())
+        let lowered = self.lower(|base| base.play_events(trace))?;
+        self.replay(lowered.as_ref()).play_events(trace)
     }
 
-    /// Plays a run-compressed source — a materialized
-    /// [`sdpm_trace::RunTrace`] or any other re-openable run stream —
-    /// through the O(#runs) loop. The report is bit-identical to
-    /// [`Engine::events`] on the lowered per-event equivalent; only
-    /// [`SimReport::sim_path`] differs.
+    /// Plays a run-compressed trace through the O(#runs) loop. The report
+    /// is bit-identical to [`Engine::events`] on the lowered per-event
+    /// trace; only [`SimReport::sim_path`] differs.
     ///
     /// # Errors
     /// As [`Engine::events`], plus [`SimError::InvalidRun`] for a
     /// degenerate run record.
-    pub fn runs(&self, source: &dyn RunSource) -> Result<SimReport, SimError> {
+    pub fn runs(&self, trace: &RunTrace) -> Result<SimReport, SimError> {
         let _sp = prof::span("sim.simulate_runs");
-        let lowered = self.lower(|base| base.play_runs(&mut *source.open_runs()))?;
-        self.replay(lowered.as_ref())
-            .play_runs(&mut *source.open_runs())
+        let lowered = self.lower(|base| base.play_runs(trace))?;
+        self.replay(lowered.as_ref()).play_runs(trace)
     }
 
     /// Validates the parameters and, for an oracle policy, runs the clean
@@ -285,7 +276,7 @@ impl<'r> Engine<'r> {
         };
         let clean = Replay::new(&self.params, self.pool, &Policy::Base, None, None);
         let report = base(&clean)?;
-        Ok(Some(Policy::schedule(schedule(&report, &self.params))))
+        Ok(Some(Policy::Schedule(schedule(&report, &self.params))))
     }
 
     /// The measured pass: `lowered` (an oracle's schedule) if given, the
@@ -333,26 +324,24 @@ impl<'a> Replay<'a> {
         }
     }
 
-    fn check_pool(&self, stream: u32) -> Result<(), SimError> {
-        if stream == self.pool.count() {
+    fn check_pool(&self, trace: u32) -> Result<(), SimError> {
+        if trace == self.pool.count() {
             Ok(())
         } else {
             Err(SimError::PoolMismatch {
-                stream,
+                trace,
                 pool: self.pool.count(),
             })
         }
     }
 
     /// The per-event engine loop.
-    fn play_events(&self, stream: &mut dyn EventStream) -> Result<SimReport, SimError> {
-        self.check_pool(stream.pool_size())?;
+    fn play_events(&self, trace: &Trace) -> Result<SimReport, SimError> {
+        self.check_pool(trace.pool_size)?;
         let mut st = self.init_state();
-        while let Some(chunk) = stream.try_next_chunk().map_err(SimError::Codec)? {
-            prof::add("sim.events", chunk.len() as u64);
-            for event in chunk {
-                self.handle_event(&mut st, event)?;
-            }
+        prof::add("sim.events", trace.events.len() as u64);
+        for event in &trace.events {
+            self.handle_event(&mut st, event)?;
         }
         self.finish(st)
     }
@@ -363,16 +352,14 @@ impl<'a> Replay<'a> {
     /// policy dispatch or state-machine branching and expands to the
     /// per-event handler exactly where a policy boundary (TPM threshold,
     /// DRPM drift window, scheduled action) lands inside the run.
-    fn play_runs(&self, stream: &mut dyn RunStream) -> Result<SimReport, SimError> {
-        self.check_pool(stream.pool_size())?;
+    fn play_runs(&self, trace: &RunTrace) -> Result<SimReport, SimError> {
+        self.check_pool(trace.pool_size)?;
         let mut st = self.init_state();
-        while let Some(chunk) = stream.try_next_chunk().map_err(SimError::Codec)? {
-            prof::add("sim.records", chunk.len() as u64);
-            for record in chunk {
-                match record {
-                    REvent::Event(event) => self.handle_event(&mut st, event)?,
-                    REvent::Run(run) => self.handle_run(&mut st, run)?,
-                }
+        prof::add("sim.records", trace.events.len() as u64);
+        for record in &trace.events {
+            match record {
+                REvent::Event(event) => self.handle_event(&mut st, event)?,
+                REvent::Run(run) => self.handle_run(&mut st, run)?,
             }
         }
         let mut report = self.finish(st)?;
@@ -1256,10 +1243,10 @@ impl<'a> Replay<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::TpmConfig;
+    use crate::policy::{DirectiveConfig, TpmConfig};
     use sdpm_disk::ultrastar36z15;
     use sdpm_layout::DiskId;
-    use sdpm_trace::{ReqKind, Trace};
+    use sdpm_trace::ReqKind;
 
     fn pool() -> DiskPool {
         DiskPool::new(2)
@@ -1418,22 +1405,14 @@ mod tests {
         let base = Engine::new(p.clone(), pool(), Policy::Base)
             .events(&tr)
             .unwrap();
-        let cm = Engine::new(
-            p,
-            pool(),
-            Policy::Directive(DirectiveConfigForTest::default().0),
-        )
-        .events(&tr)
-        .unwrap();
+        let cm = Engine::new(p, pool(), Policy::Directive(DirectiveConfig::default()))
+            .events(&tr)
+            .unwrap();
         assert!(cm.total_energy_j() < base.total_energy_j());
         // Pre-activation hides the transition: negligible stall.
         assert!(cm.stall_secs < 1e-6, "stall {}", cm.stall_secs);
         assert_eq!(cm.misfire_causes.total(), 0);
     }
-
-    /// Helper so the test reads clearly.
-    #[derive(Default)]
-    struct DirectiveConfigForTest(crate::policy::DirectiveConfig);
 
     #[test]
     fn directive_spin_down_and_preactivate_hides_spinup() {
@@ -1455,7 +1434,7 @@ mod tests {
         let cm = Engine::new(
             p.clone(),
             pool(),
-            Policy::Directive(crate::policy::DirectiveConfig::default()),
+            Policy::Directive(DirectiveConfig::default()),
         )
         .events(&tr)
         .unwrap();
@@ -1483,13 +1462,9 @@ mod tests {
             compute(0, 2.0), // far less than the 10.9 s spin-up
             io(0, 4096, 0, 1),
         ]);
-        let cm = Engine::new(
-            p,
-            pool(),
-            Policy::Directive(crate::policy::DirectiveConfig::default()),
-        )
-        .events(&tr)
-        .unwrap();
+        let cm = Engine::new(p, pool(), Policy::Directive(DirectiveConfig::default()))
+            .events(&tr)
+            .unwrap();
         // The app waits out the remaining ~8.9 s of spin-up.
         assert!(
             cm.stall_secs > 8.0 && cm.stall_secs < 10.0,
@@ -1514,13 +1489,9 @@ mod tests {
             },
             compute(0, 1.0),
         ]);
-        let cm = Engine::new(
-            p,
-            pool(),
-            Policy::Directive(crate::policy::DirectiveConfig::default()),
-        )
-        .events(&tr)
-        .unwrap();
+        let cm = Engine::new(p, pool(), Policy::Directive(DirectiveConfig::default()))
+            .events(&tr)
+            .unwrap();
         assert_eq!(cm.misfire_causes.total(), 2);
         assert_eq!(cm.misfire_causes.spin_up_rejected, 1);
         assert_eq!(cm.misfire_causes.off_ladder_level, 1);
@@ -1545,7 +1516,7 @@ mod tests {
             vec![],
         ];
         let tr = trace(vec![compute(0, 20.0), io(0, 4096, 0, 0)]);
-        let r = Engine::new(p, pool(), Policy::schedule(sched))
+        let r = Engine::new(p, pool(), Policy::Schedule(sched))
             .events(&tr)
             .unwrap();
         assert_eq!(r.per_disk[0].rpm_shifts, 2);

@@ -11,22 +11,21 @@
 
 use sdpm_disk::PowerError;
 use sdpm_layout::DiskId;
-use sdpm_trace::codec::CodecError;
 
 /// Why a simulation could not run to completion.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
-    /// The stream was generated against a different pool size than the
+    /// The trace was generated against a different pool size than the
     /// engine simulates.
     PoolMismatch {
-        /// Pool size the stream was generated for.
-        stream: u32,
+        /// Pool size the trace was generated for.
+        trace: u32,
         /// Pool size the engine simulates.
         pool: u32,
     },
-    /// An event named a disk outside the pool (corrupted or hand-built
-    /// trace — validation catches this for materialized traces, but a
-    /// stream cannot be pre-validated).
+    /// An event named a disk outside the pool (a corrupted or hand-built
+    /// trace that skipped [`sdpm_trace::Trace::validate`], or a run
+    /// record's template).
     DiskOutOfRange {
         /// The offending disk id.
         disk: u32,
@@ -46,8 +45,6 @@ pub enum SimError {
         /// The underlying state-machine error.
         source: PowerError,
     },
-    /// The byte stream feeding the simulation is corrupt.
-    Codec(CodecError),
     /// A materialized trace failed [`sdpm_trace::Trace::validate`].
     InvalidTrace(String),
     /// Disk parameters failed [`sdpm_disk::DiskParams::validate`].
@@ -76,10 +73,10 @@ impl std::fmt::Display for SimError {
             // Wording matches the historical assert/expect messages: the
             // infallible entry points panic with `Display`, and callers
             // match on these substrings.
-            SimError::PoolMismatch { stream, pool } => {
+            SimError::PoolMismatch { trace, pool } => {
                 write!(
                     f,
-                    "stream generated for a {stream}-disk pool, simulating {pool}"
+                    "trace generated for a {trace}-disk pool, simulating {pool}"
                 )
             }
             SimError::DiskOutOfRange { disk, pool } => {
@@ -93,7 +90,6 @@ impl std::fmt::Display for SimError {
             } => {
                 write!(f, "{op} failed on disk {disk} at t={at}: {source}")
             }
-            SimError::Codec(e) => write!(f, "corrupt trace stream: {e}"),
             SimError::InvalidTrace(why) => write!(f, "simulate requires a valid trace: {why}"),
             SimError::InvalidParams(why) => {
                 write!(f, "simulate requires valid DiskParams: {why}")
@@ -107,15 +103,8 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Power { source, .. } => Some(source),
-            SimError::Codec(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<CodecError> for SimError {
-    fn from(e: CodecError) -> Self {
-        SimError::Codec(e)
     }
 }
 
@@ -126,7 +115,7 @@ mod tests {
     #[test]
     fn display_preserves_legacy_panic_substrings() {
         // Callers (and #[should_panic] expectations) match on these.
-        let pm = SimError::PoolMismatch { stream: 4, pool: 2 };
+        let pm = SimError::PoolMismatch { trace: 4, pool: 2 };
         assert!(pm.to_string().contains("pool"));
         let it = SimError::InvalidTrace("x".into());
         assert!(it.to_string().contains("valid trace"));

@@ -1,20 +1,21 @@
 //! Trace-driven multi-disk power simulator.
 //!
-//! The simulator plays an application event stream ([`sdpm_trace::Trace`])
-//! against a bank of modeled disks and reports execution time and a
-//! per-disk energy breakdown. It is *closed-loop*: the application blocks
-//! on each I/O request, so any extra device latency — low-RPM service, an
-//! in-flight speed shift, a spin-up from standby — lengthens execution
-//! time, which is how the paper's Fig. 4 penalties arise.
+//! The simulator plays an application trace ([`sdpm_trace::Trace`], or its
+//! run-compressed form [`sdpm_trace::RunTrace`]) against a bank of modeled
+//! disks and reports execution time and a per-disk energy breakdown. It
+//! is *closed-loop*: the application blocks on each I/O request, so any
+//! extra device latency — low-RPM service, an in-flight speed shift, a
+//! spin-up from standby — lengthens execution time, which is how the
+//! paper's Fig. 4 penalties arise.
 //!
 //! Two engines share the disk model, one per arrival kind:
 //!
 //! * [`Engine`] — the closed loop above, and the crate's one fallible
 //!   entry point for it: `Engine::new(params, pool, policy)`, optional
 //!   [`Engine::faults`] and (with the `obs` feature) `Engine::recorder`,
-//!   then [`Engine::events`] for a per-event source or [`Engine::runs`]
-//!   for a run-compressed one. [`simulate`] and [`simulate_source`] are
-//!   the panicking shorthands.
+//!   then [`Engine::events`] for a per-event [`Trace`] or [`Engine::runs`]
+//!   for a run-compressed [`sdpm_trace::RunTrace`]. [`simulate`] and
+//!   [`simulate_source`] are the panicking shorthands.
 //! * [`simulate_mix`] — the open loop: requests from one or more tenants
 //!   arrive at fixed times on a shared pool, so delays show up as
 //!   response time and queueing instead. One tenant under
@@ -97,7 +98,7 @@ pub use report::{GapRecord, MisfireCause, MisfireCauses, PerDiskReport, SimPath,
 
 use sdpm_disk::DiskParams;
 use sdpm_layout::DiskPool;
-use sdpm_trace::{EventSource, Trace};
+use sdpm_trace::Trace;
 
 /// Simulates `trace` on `pool.count()` disks of model `params` under
 /// `policy`: [`simulate_source`] after validating the trace.
@@ -114,20 +115,19 @@ pub fn simulate(trace: &Trace, params: &DiskParams, pool: DiskPool, policy: &Pol
 }
 
 /// Panicking shorthand for [`Engine::events`] with no faults and no
-/// recorder: simulates an event source (a materialized [`Trace`], a lazy
-/// generator, an encoded trace) under `policy`.
+/// recorder: simulates `trace` under `policy` without validating it first.
 ///
 /// # Panics
 /// On any [`SimError`]: invalid `params`, a pool size that does not match
-/// the stream's, or malformed events.
+/// the trace's, or malformed events.
 #[must_use]
 pub fn simulate_source(
-    source: &dyn EventSource,
+    trace: &Trace,
     params: &DiskParams,
     pool: DiskPool,
     policy: &Policy,
 ) -> SimReport {
-    match Engine::new(params.clone(), pool, policy.clone()).events(source) {
+    match Engine::new(params.clone(), pool, policy.clone()).events(trace) {
         Ok(r) => r,
         Err(e) => panic!("{e}"),
     }

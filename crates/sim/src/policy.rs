@@ -137,12 +137,6 @@ pub enum Policy {
 }
 
 impl Policy {
-    /// Wraps a per-disk schedule.
-    #[must_use]
-    pub fn schedule(per_disk: Vec<Vec<ScheduledAction>>) -> Policy {
-        Policy::Schedule(per_disk)
-    }
-
     /// Short display name matching the paper's scheme labels.
     #[must_use]
     pub fn label(&self) -> &'static str {

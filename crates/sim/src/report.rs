@@ -144,22 +144,13 @@ pub struct PerDiskReport {
 /// are.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SimPath {
-    /// Per-event loop ([`crate::Engine::events`]).
+    /// Per-event loop ([`crate::Engine::events`]). The benchmark's golden
+    /// digests hash this variant's `Debug` text, so renaming it needs a
+    /// benchmark change.
     #[default]
     Streamed,
     /// Run-compressed loop ([`crate::Engine::runs`]).
     RunCompressed,
-}
-
-impl SimPath {
-    /// Stable snake_case label (used in bench report metadata).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            SimPath::Streamed => "streamed",
-            SimPath::RunCompressed => "run_compressed",
-        }
-    }
 }
 
 /// Whole-run outcome.

@@ -155,7 +155,7 @@ fn schedule_actions_beyond_end_of_trace_apply_at_finalize() {
         }],
     ];
     let t = trace(vec![compute(10.0, 0)]);
-    let r = run(&t, &Policy::schedule(sched));
+    let r = run(&t, &Policy::Schedule(sched));
     assert_eq!(r.per_disk[0].rpm_shifts, 1);
     assert_eq!(r.per_disk[1].rpm_shifts, 0);
     assert_eq!(r.per_disk[0].gaps[0].level, RpmLevel(0));

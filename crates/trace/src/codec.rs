@@ -1,9 +1,9 @@
 //! Compact binary trace encoding.
 //!
-//! Traces for the larger workloads run to tens of thousands of events;
-//! the benchmark harness stores and replays them, so a compact,
-//! allocation-light binary form beats generic serialization. The format
-//! is little-endian, tagged per event:
+//! Traces for the larger workloads run to tens of thousands of events, so
+//! a compact, allocation-light binary form beats generic serialization.
+//! `repro profile` times it as its codec leg. The format is
+//! little-endian, tagged per event:
 //!
 //! ```text
 //! header:  magic "SDPM" | version u16 | pool_size u32 | name_len u16 | name
@@ -26,13 +26,12 @@
 //!                        | flags u8 | nest u32 | iter u64)
 //! ```
 //!
-//! [`DecodeStream`] accepts both versions and always yields per-event
-//! output (runs are lowered incrementally), so legacy consumers read v2
-//! files unchanged; [`DecodeRunStream`] preserves the run structure.
+//! [`decode`] accepts both versions and always returns the per-event
+//! trace (runs are lowered), so legacy consumers read v2 buffers
+//! unchanged; [`decode_runs`] preserves the run structure.
 
 use crate::event::{AppEvent, IoRequest, PowerAction, ReqKind};
-use crate::run::{IoTemplate, REvent, Run, RunStream, RunTrace};
-use crate::stream::{EventStream, DEFAULT_CHUNK_EVENTS};
+use crate::run::{IoTemplate, REvent, Run, RunTrace};
 use crate::trace::Trace;
 use sdpm_disk::RpmLevel;
 use sdpm_layout::DiskId;
@@ -134,89 +133,31 @@ fn write_event(buf: &mut Vec<u8>, e: &AppEvent) {
     }
 }
 
-/// Incremental encoder: header up front, events appended one at a time,
-/// the count backpatched at [`StreamEncoder::finish`]. Producing the
-/// whole byte stream this way is byte-identical to [`encode`] on the
-/// materialized trace, so streamed writers and whole-trace writers can
-/// share files.
-pub struct StreamEncoder {
-    buf: Vec<u8>,
-    count_pos: usize,
-    count: u64,
-}
-
-impl StreamEncoder {
-    /// Starts an encoding for a trace named `name` over `pool_size`
-    /// disks.
-    #[must_use]
-    pub fn new(name: &str, pool_size: u32) -> Self {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&pool_size.to_le_bytes());
-        let name = name.as_bytes();
-        buf.extend_from_slice(&wire_name_len(name.len()).to_le_bytes());
-        buf.extend_from_slice(name);
-        let count_pos = buf.len();
-        buf.extend_from_slice(&0u64.to_le_bytes()); // backpatched by finish
-        StreamEncoder {
-            buf,
-            count_pos,
-            count: 0,
-        }
-    }
-
-    /// Appends one event.
-    pub fn push(&mut self, e: &AppEvent) {
-        write_event(&mut self.buf, e);
-        self.count += 1;
-    }
-
-    /// Appends a chunk of events.
-    pub fn extend(&mut self, events: &[AppEvent]) {
-        for e in events {
-            self.push(e);
-        }
-    }
-
-    /// Events encoded so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Finishes the encoding: backpatches the event count and returns
-    /// the complete byte stream.
-    #[must_use]
-    pub fn finish(mut self) -> Vec<u8> {
-        self.buf[self.count_pos..self.count_pos + 8].copy_from_slice(&self.count.to_le_bytes());
-        crate::prof::add("encode.events", self.count);
-        crate::prof::add("encode.bytes", self.buf.len() as u64);
-        self.buf
-    }
+/// The common header, `count` records announced.
+fn write_header(version: u16, name: &str, pool_size: u32, count: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&version.to_le_bytes());
+    buf.extend_from_slice(&pool_size.to_le_bytes());
+    let name = name.as_bytes();
+    buf.extend_from_slice(&wire_name_len(name.len()).to_le_bytes());
+    buf.extend_from_slice(name);
+    buf.extend_from_slice(&(count as u64).to_le_bytes());
+    buf
 }
 
 /// Serializes `trace` into the binary format.
 #[must_use]
 pub fn encode(trace: &Trace) -> Vec<u8> {
     let _sp = crate::prof::span("trace.encode");
-    let mut enc = StreamEncoder::new(&trace.name, trace.pool_size);
-    enc.buf.reserve(trace.events.len() * 34);
-    enc.extend(&trace.events);
-    enc.finish()
-}
-
-/// Drains `stream` through a [`StreamEncoder`]; the result is
-/// byte-identical to `encode(&collect(stream))` without materializing
-/// the trace.
-#[must_use]
-pub fn encode_stream(stream: &mut dyn EventStream) -> Vec<u8> {
-    let _sp = crate::prof::span("trace.encode");
-    let mut enc = StreamEncoder::new(stream.name(), stream.pool_size());
-    while let Some(chunk) = stream.next_chunk() {
-        enc.extend(chunk);
+    let mut buf = write_header(VERSION, &trace.name, trace.pool_size, trace.events.len());
+    buf.reserve(trace.events.len() * 34);
+    for e in &trace.events {
+        write_event(&mut buf, e);
     }
-    enc.finish()
+    crate::prof::add("encode.events", trace.events.len() as u64);
+    crate::prof::add("encode.bytes", buf.len() as u64);
+    buf
 }
 
 /// Bounds-checked little-endian reader over a byte slice.
@@ -265,7 +206,7 @@ impl<'a> Reader<'a> {
 /// rotation at [`crate::run::MAX_ROTATION`], so only hand-built records
 /// can) is rejected rather than panicking mid-encode.
 ///
-/// [`Compressor`]: crate::run::compress
+/// [`Compressor`]: crate::run::Compressor
 fn write_run(buf: &mut Vec<u8>, run: &Run) -> Result<(), CodecError> {
     let rotation =
         u32::try_from(run.rotation).map_err(|_| CodecError::RotationOverflow(run.rotation))?;
@@ -305,12 +246,6 @@ fn write_revent(buf: &mut Vec<u8>, re: &REvent) -> Result<(), CodecError> {
         }
         REvent::Run(r) => write_run(buf, r),
     }
-}
-
-/// Deserializes one event record.
-fn read_event(r: &mut Reader<'_>) -> Result<AppEvent, CodecError> {
-    let tag = r.get_u8()?;
-    read_event_body(tag, r)
 }
 
 /// Deserializes the body of an event record whose tag byte has already
@@ -409,28 +344,26 @@ fn read_run_body(r: &mut Reader<'_>) -> Result<Run, CodecError> {
     Ok(run)
 }
 
-/// Deserializes one run-compressed record.
-fn read_revent(r: &mut Reader<'_>) -> Result<REvent, CodecError> {
+/// Deserializes one record of a buffer in format `version`: a run
+/// (tag 3) only in v2, where v1 rejects the tag.
+fn read_record(r: &mut Reader<'_>, version: u16) -> Result<REvent, CodecError> {
     let tag = r.get_u8()?;
-    if tag == 3 {
+    if tag == 3 && version == VERSION_RUNS {
         Ok(REvent::Run(read_run_body(r)?))
     } else {
         Ok(REvent::Event(read_event_body(tag, r)?))
     }
 }
 
-/// Parses the common header; returns the reader positioned at the first
-/// record plus `(version, pool_size, name, count)`.
-fn read_header<'a>(
-    buf: &'a [u8],
-    accept: &[u16],
-) -> Result<(Reader<'a>, u16, u32, String, u64), CodecError> {
+/// Parses the common header (either version); returns the reader
+/// positioned at the first record plus `(version, pool_size, name, count)`.
+fn read_header(buf: &[u8]) -> Result<(Reader<'_>, u16, u32, String, u64), CodecError> {
     let mut r = Reader { buf };
     if r.take(4)? != MAGIC {
         return Err(CodecError::BadHeader);
     }
     let version = r.get_u16_le()?;
-    if !accept.contains(&version) {
+    if version != VERSION && version != VERSION_RUNS {
         return Err(CodecError::BadHeader);
     }
     let pool_size = r.get_u32_le()?;
@@ -440,242 +373,38 @@ fn read_header<'a>(
     Ok((r, version, pool_size, name, count))
 }
 
-/// Incremental decoder over an encoded byte buffer: the header is parsed
-/// up front, events are decoded one chunk at a time, so only one chunk
-/// of events is resident regardless of trace length.
+/// Capacity to reserve for a header's `count` records: the smallest
+/// record is 7 bytes (a Power event), so a count exceeding the buffer's
+/// length over 7 cannot be satisfied. The cap keeps a corrupted count from
+/// triggering an allocation failure before the `Truncated` error surfaces.
+fn reservation(count: u64, buf: &[u8]) -> usize {
+    usize::try_from(count)
+        .unwrap_or(usize::MAX)
+        .min(buf.len() / 7 + 1)
+}
+
+/// Deserializes a trace previously produced by [`encode`], or the
+/// per-event lowering of one produced by [`encode_runs`].
 ///
-/// Accepts both format versions and always yields *per-event* output: a
-/// v2 run record is lowered incrementally (a long run spans as many
-/// chunks as needed), so every legacy consumer reads run-compressed
-/// files unchanged.
-///
-/// Corruption surfaces from [`DecodeStream::try_next_chunk`] as a
-/// [`CodecError`]; the infallible [`EventStream`] view panics instead,
-/// so callers that must handle corrupt inputs should drain the stream
-/// through the fallible method.
-pub struct DecodeStream<'a> {
-    r: Reader<'a>,
-    version: u16,
-    name: String,
-    pool_size: u32,
-    remaining: u64,
-    /// A v2 run mid-lowering: the run plus the next `(rep, sub)` to emit.
-    pending: Option<(Run, u64, u64)>,
-    buf: Vec<AppEvent>,
-    chunk: usize,
-}
-
-impl<'a> DecodeStream<'a> {
-    /// Parses the header and positions the stream at the first event,
-    /// decoding in [`DEFAULT_CHUNK_EVENTS`]-sized chunks.
-    pub fn new(buf: &'a [u8]) -> Result<Self, CodecError> {
-        Self::chunked(buf, DEFAULT_CHUNK_EVENTS)
-    }
-
-    /// Like [`DecodeStream::new`] with an explicit chunk size.
-    ///
-    /// # Panics
-    /// If `chunk` is zero.
-    pub fn chunked(buf: &'a [u8], chunk: usize) -> Result<Self, CodecError> {
-        assert!(chunk > 0, "chunk size must be positive");
-        let (r, version, pool_size, name, remaining) = read_header(buf, &[VERSION, VERSION_RUNS])?;
-        Ok(DecodeStream {
-            r,
-            version,
-            name,
-            pool_size,
-            remaining,
-            pending: None,
-            buf: Vec::new(),
-            chunk,
-        })
-    }
-
-    /// Records not yet decoded (per the header's count). In a v1 file
-    /// records are events; in a v2 file a record may lower to many
-    /// events.
-    #[must_use]
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Decodes the next chunk, or returns `Ok(None)` when the header's
-    /// record count has been fully delivered.
-    pub fn try_next_chunk(&mut self) -> Result<Option<&[AppEvent]>, CodecError> {
-        self.buf.clear();
-        if self.version == VERSION {
-            if self.remaining == 0 {
-                return Ok(None);
-            }
-            let n = usize::try_from(self.remaining)
-                .unwrap_or(usize::MAX)
-                .min(self.chunk);
-            self.buf.reserve(n);
-            for _ in 0..n {
-                self.buf.push(read_event(&mut self.r)?);
-            }
-            self.remaining -= n as u64;
-            crate::prof::add("decode.events", self.buf.len() as u64);
-            return Ok(Some(&self.buf));
-        }
-        let DecodeStream {
-            r,
-            remaining,
-            pending,
-            buf,
-            chunk,
-            ..
-        } = self;
-        while buf.len() < *chunk {
-            if let Some((run, rep, sub)) = pending {
-                let per = run.events_per_rep();
-                while *rep < run.count && buf.len() < *chunk {
-                    while *sub < per && buf.len() < *chunk {
-                        buf.push(run.event_at(*rep, *sub));
-                        *sub += 1;
-                    }
-                    if *sub == per {
-                        *sub = 0;
-                        *rep += 1;
-                    }
-                }
-                if *rep == run.count {
-                    *pending = None;
-                } else {
-                    break; // chunk full mid-run
-                }
-                continue;
-            }
-            if *remaining == 0 {
-                break;
-            }
-            *remaining -= 1;
-            match read_revent(r)? {
-                REvent::Event(e) => buf.push(e),
-                REvent::Run(run) => *pending = Some((run, 0, 0)),
-            }
-        }
-        if buf.is_empty() {
-            Ok(None)
-        } else {
-            crate::prof::add("decode.events", buf.len() as u64);
-            Ok(Some(buf))
-        }
-    }
-}
-
-impl EventStream for DecodeStream<'_> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn pool_size(&self) -> u32 {
-        self.pool_size
-    }
-
-    /// # Panics
-    /// On a corrupt byte stream — use [`DecodeStream::try_next_chunk`]
-    /// when corruption must be handled rather than aborted on.
-    fn next_chunk(&mut self) -> Option<&[AppEvent]> {
-        DecodeStream::try_next_chunk(self).unwrap_or_else(|e| panic!("corrupt trace stream: {e}"))
-    }
-
-    fn try_next_chunk(&mut self) -> Result<Option<&[AppEvent]>, CodecError> {
-        DecodeStream::try_next_chunk(self)
-    }
-}
-
-/// Deserializes a trace previously produced by [`encode`].
+/// # Errors
+/// A [`CodecError`] naming the first defect in `buf`.
 pub fn decode(buf: &[u8]) -> Result<Trace, CodecError> {
     let _sp = crate::prof::span("trace.decode");
     crate::prof::add("decode.bytes", buf.len() as u64);
-    let mut s = DecodeStream::new(buf)?;
-    // The smallest event record is 7 bytes (a Power event), so a count
-    // exceeding remaining/7 cannot be satisfied — cap the reservation so
-    // a corrupted count cannot trigger an allocation failure before the
-    // Truncated error surfaces.
-    let cap = usize::try_from(s.remaining())
-        .unwrap_or(usize::MAX)
-        .min(buf.len() / 7 + 1);
-    let mut events = Vec::with_capacity(cap);
-    while let Some(chunk) = s.try_next_chunk()? {
-        events.extend_from_slice(chunk);
+    let (mut r, version, pool_size, name, count) = read_header(buf)?;
+    let mut events = Vec::with_capacity(reservation(count, buf));
+    for _ in 0..count {
+        match read_record(&mut r, version)? {
+            REvent::Event(e) => events.push(e),
+            REvent::Run(run) => run.lower_into(&mut events),
+        }
     }
+    crate::prof::add("decode.events", events.len() as u64);
     Ok(Trace {
-        name: s.name,
-        pool_size: s.pool_size,
+        name,
+        pool_size,
         events,
     })
-}
-
-/// Incremental run-compressed encoder (format version 2); the `count`
-/// field counts records, backpatched by [`RunStreamEncoder::finish`].
-pub struct RunStreamEncoder {
-    buf: Vec<u8>,
-    count_pos: usize,
-    count: u64,
-}
-
-impl RunStreamEncoder {
-    /// Starts a v2 encoding for a trace named `name` over `pool_size`
-    /// disks.
-    #[must_use]
-    pub fn new(name: &str, pool_size: u32) -> Self {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION_RUNS.to_le_bytes());
-        buf.extend_from_slice(&pool_size.to_le_bytes());
-        let name = name.as_bytes();
-        buf.extend_from_slice(&wire_name_len(name.len()).to_le_bytes());
-        buf.extend_from_slice(name);
-        let count_pos = buf.len();
-        buf.extend_from_slice(&0u64.to_le_bytes()); // backpatched by finish
-        RunStreamEncoder {
-            buf,
-            count_pos,
-            count: 0,
-        }
-    }
-
-    /// Appends one record. A rejected record (rotation overflow) leaves
-    /// the encoding unchanged, so the encoder stays usable.
-    ///
-    /// # Errors
-    /// [`CodecError::RotationOverflow`] when a run's rotation exceeds the
-    /// format's u32 field.
-    pub fn push(&mut self, re: &REvent) -> Result<(), CodecError> {
-        write_revent(&mut self.buf, re)?;
-        self.count += 1;
-        Ok(())
-    }
-
-    /// Appends a chunk of records.
-    ///
-    /// # Errors
-    /// As [`RunStreamEncoder::push`]; records before the offending one
-    /// stay encoded.
-    pub fn extend(&mut self, records: &[REvent]) -> Result<(), CodecError> {
-        for re in records {
-            self.push(re)?;
-        }
-        Ok(())
-    }
-
-    /// Records encoded so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Finishes the encoding: backpatches the record count and returns
-    /// the complete byte stream.
-    #[must_use]
-    pub fn finish(mut self) -> Vec<u8> {
-        self.buf[self.count_pos..self.count_pos + 8].copy_from_slice(&self.count.to_le_bytes());
-        crate::prof::add("encode.records", self.count);
-        crate::prof::add("encode.bytes", self.buf.len() as u64);
-        self.buf
-    }
 }
 
 /// Serializes a run-compressed trace into the v2 binary format.
@@ -684,131 +413,37 @@ impl RunStreamEncoder {
 /// [`CodecError::RotationOverflow`] when a (necessarily hand-built) run
 /// record's rotation exceeds the format's u32 field.
 pub fn encode_runs(trace: &RunTrace) -> Result<Vec<u8>, CodecError> {
-    let mut enc = RunStreamEncoder::new(&trace.name, trace.pool_size);
-    enc.extend(&trace.events)?;
-    Ok(enc.finish())
-}
-
-/// Drains a run stream through a [`RunStreamEncoder`]; byte-identical to
-/// `encode_runs(&collect_runs(stream))` without materializing the trace.
-///
-/// # Errors
-/// As [`encode_runs`].
-pub fn encode_run_stream(stream: &mut dyn RunStream) -> Result<Vec<u8>, CodecError> {
-    let mut enc = RunStreamEncoder::new(stream.name(), stream.pool_size());
-    while let Some(chunk) = stream.next_chunk() {
-        enc.extend(chunk)?;
+    let mut buf = write_header(
+        VERSION_RUNS,
+        &trace.name,
+        trace.pool_size,
+        trace.events.len(),
+    );
+    for re in &trace.events {
+        write_revent(&mut buf, re)?;
     }
-    Ok(enc.finish())
-}
-
-/// Incremental run-preserving decoder: like [`DecodeStream`] but yields
-/// the run-compressed records themselves. A v1 file decodes as all-plain
-/// records.
-pub struct DecodeRunStream<'a> {
-    r: Reader<'a>,
-    version: u16,
-    name: String,
-    pool_size: u32,
-    remaining: u64,
-    buf: Vec<REvent>,
-    chunk: usize,
-}
-
-impl<'a> DecodeRunStream<'a> {
-    /// Parses the header (either version) and positions the stream at
-    /// the first record.
-    pub fn new(buf: &'a [u8]) -> Result<Self, CodecError> {
-        Self::chunked(buf, DEFAULT_CHUNK_EVENTS)
-    }
-
-    /// Like [`DecodeRunStream::new`] with an explicit chunk size.
-    ///
-    /// # Panics
-    /// If `chunk` is zero.
-    pub fn chunked(buf: &'a [u8], chunk: usize) -> Result<Self, CodecError> {
-        assert!(chunk > 0, "chunk size must be positive");
-        let (r, version, pool_size, name, remaining) = read_header(buf, &[VERSION, VERSION_RUNS])?;
-        Ok(DecodeRunStream {
-            r,
-            version,
-            name,
-            pool_size,
-            remaining,
-            buf: Vec::new(),
-            chunk,
-        })
-    }
-
-    /// Records not yet decoded (per the header's count).
-    #[must_use]
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Decodes the next chunk of records, or returns `Ok(None)` when the
-    /// header's record count has been fully delivered.
-    pub fn try_next_chunk(&mut self) -> Result<Option<&[REvent]>, CodecError> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        let n = usize::try_from(self.remaining)
-            .unwrap_or(usize::MAX)
-            .min(self.chunk);
-        self.buf.clear();
-        for _ in 0..n {
-            let re = if self.version == VERSION {
-                REvent::Event(read_event(&mut self.r)?)
-            } else {
-                read_revent(&mut self.r)?
-            };
-            self.buf.push(re);
-        }
-        self.remaining -= n as u64;
-        crate::prof::add("decode.records", self.buf.len() as u64);
-        Ok(Some(&self.buf))
-    }
-}
-
-impl RunStream for DecodeRunStream<'_> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn pool_size(&self) -> u32 {
-        self.pool_size
-    }
-
-    /// # Panics
-    /// On a corrupt byte stream — use
-    /// [`DecodeRunStream::try_next_chunk`] when corruption must be
-    /// handled rather than aborted on.
-    fn next_chunk(&mut self) -> Option<&[REvent]> {
-        DecodeRunStream::try_next_chunk(self)
-            .unwrap_or_else(|e| panic!("corrupt run trace stream: {e}"))
-    }
-
-    fn try_next_chunk(&mut self) -> Result<Option<&[REvent]>, CodecError> {
-        DecodeRunStream::try_next_chunk(self)
-    }
+    crate::prof::add("encode.records", trace.events.len() as u64);
+    crate::prof::add("encode.bytes", buf.len() as u64);
+    Ok(buf)
 }
 
 /// Deserializes a run-compressed trace previously produced by
-/// [`encode_runs`] (or a v1 file, which decodes as all-plain records).
+/// [`encode_runs`] (or a v1 buffer, which decodes as all-plain records).
+///
+/// # Errors
+/// A [`CodecError`] naming the first defect in `buf`.
 pub fn decode_runs(buf: &[u8]) -> Result<RunTrace, CodecError> {
     let _sp = crate::prof::span("trace.decode");
     crate::prof::add("decode.bytes", buf.len() as u64);
-    let mut s = DecodeRunStream::new(buf)?;
-    let cap = usize::try_from(s.remaining())
-        .unwrap_or(usize::MAX)
-        .min(buf.len() / 7 + 1);
-    let mut events = Vec::with_capacity(cap);
-    while let Some(chunk) = s.try_next_chunk()? {
-        events.extend_from_slice(chunk);
+    let (mut r, version, pool_size, name, count) = read_header(buf)?;
+    let mut events = Vec::with_capacity(reservation(count, buf));
+    for _ in 0..count {
+        events.push(read_record(&mut r, version)?);
     }
+    crate::prof::add("decode.records", events.len() as u64);
     Ok(RunTrace {
-        name: s.name,
-        pool_size: s.pool_size,
+        name,
+        pool_size,
         events,
     })
 }
@@ -948,11 +583,6 @@ mod tests {
     fn v2_decodes_to_per_event_stream_for_legacy_consumers() {
         let rt = sample_runs();
         let bytes = encode_runs(&rt).unwrap();
-        // Tiny chunks so runs lower across chunk boundaries.
-        let mut s = DecodeStream::chunked(&bytes, 3).unwrap();
-        let lowered = crate::stream::collect(&mut s);
-        assert_eq!(lowered, rt.lower());
-        // decode() sees the same per-event trace.
         assert_eq!(decode(&bytes).unwrap(), rt.lower());
     }
 
@@ -1030,100 +660,12 @@ mod tests {
         let rt = RunTrace {
             name: "overflow".into(),
             pool_size: 1,
-            events: vec![REvent::Run(run.clone())],
+            events: vec![REvent::Run(run)],
         };
         assert_eq!(
             encode_runs(&rt),
             Err(CodecError::RotationOverflow(big)),
             "encode_runs must reject, not panic"
         );
-        let mut enc = RunStreamEncoder::new("overflow", 1);
-        let before = enc.count();
-        assert!(enc.push(&REvent::Run(run)).is_err());
-        assert_eq!(enc.count(), before, "rejected record must not count");
-        // The encoder stays usable after a rejected record.
-        enc.push(&REvent::Event(AppEvent::Compute {
-            nest: 0,
-            first_iter: 0,
-            iters: 1,
-            secs: 0.5,
-        }))
-        .unwrap();
-        let bytes = enc.finish();
-        assert_eq!(decode_runs(&bytes).unwrap().events.len(), 1);
-    }
-
-    #[test]
-    fn run_stream_encoder_matches_materialized_encoding() {
-        let rt = sample_runs();
-        let via_stream = encode_run_stream(&mut rt.stream()).unwrap();
-        assert_eq!(via_stream, encode_runs(&rt).unwrap());
-    }
-}
-
-/// Writes a trace to `path` in the binary format.
-///
-/// # Errors
-/// Propagates filesystem errors.
-pub fn write_file(trace: &Trace, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, encode(trace))
-}
-
-/// Reads a trace previously written with [`write_file`].
-///
-/// # Errors
-/// Filesystem errors, or a [`CodecError`] (wrapped as `InvalidData`).
-pub fn read_file(path: &std::path::Path) -> std::io::Result<Trace> {
-    let bytes = std::fs::read(path)?;
-    decode(&bytes).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
-#[cfg(test)]
-mod file_tests {
-    use super::*;
-    use crate::event::{AppEvent, IoRequest, ReqKind};
-    use sdpm_layout::DiskId;
-
-    #[test]
-    fn file_round_trip() {
-        let t = Trace {
-            name: "file-rt".into(),
-            pool_size: 4,
-            events: vec![
-                AppEvent::Compute {
-                    nest: 0,
-                    first_iter: 0,
-                    iters: 5,
-                    secs: 0.25,
-                },
-                AppEvent::Io(IoRequest {
-                    disk: DiskId(2),
-                    start_block: 77,
-                    size_bytes: 4096,
-                    kind: ReqKind::Read,
-                    sequential: false,
-                    nest: 0,
-                    iter: 4,
-                }),
-            ],
-        };
-        let dir = std::env::temp_dir().join("sdpm-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.sdpm");
-        write_file(&t, &path).unwrap();
-        let back = read_file(&path).unwrap();
-        assert_eq!(back, t);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn corrupt_file_reports_invalid_data() {
-        let dir = std::env::temp_dir().join("sdpm-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.sdpm");
-        std::fs::write(&path, b"not a trace").unwrap();
-        let err = read_file(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).ok();
     }
 }

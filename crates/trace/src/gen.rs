@@ -21,7 +21,6 @@
 //! independent per-iteration reference that generator is tested against.
 
 use crate::event::{AppEvent, IoRequest, ReqKind};
-use crate::stream::{collect, EventSource, EventStream, DEFAULT_CHUNK_EVENTS};
 use crate::trace::Trace;
 use sdpm_ir::conform::linearized_ref;
 use sdpm_ir::{Program, RefKind};
@@ -84,8 +83,8 @@ pub(crate) fn linrefs_of(program: &Program, ni: usize) -> Vec<LinRef> {
 
 /// Iterations walked per internal step: one segment, whose references'
 /// byte offsets are seeded from [`sdpm_ir::LoopNest::ivars_of`] at its
-/// first iteration. The walk is O(1) per iteration; this only bounds how
-/// often the stream checks whether the chunk target has been reached.
+/// first iteration. The walk is O(1) per iteration; this only bounds the
+/// stretch one call of the hot loop covers.
 const ITERS_PER_STEP: u64 = 65_536;
 
 /// Flushes the compute span accumulated in `[pending_start, flat)` and
@@ -145,13 +144,11 @@ pub(crate) fn emit_chunk_fetch(
     }
 }
 
-/// The generator as a lazy [`EventStream`]: events are produced by
-/// resuming the iteration-space walk chunk by chunk, so the trace is
-/// never fully resident. The event sequence is byte-identical to what
-/// [`generate`] materializes — compute runs are flushed on cache misses
-/// and nest boundaries, never on chunk boundaries, so chunking is
-/// invisible in the output.
-pub struct GenStream<'a> {
+/// The per-iteration walk: resumes the iteration space one step at a
+/// time, appending the events it produces to `events`. Compute runs are
+/// flushed on cache misses and nest boundaries, never on step boundaries,
+/// so stepping is invisible in the output.
+struct Walker<'a> {
     program: &'a Program,
     pool: DiskPool,
     config: TraceGenConfig,
@@ -166,19 +163,16 @@ pub struct GenStream<'a> {
     pos: u64,
     pending_start: u64,
     linrefs: Vec<LinRef>,
-    buf: Vec<AppEvent>,
-    target: usize,
+    events: Vec<AppEvent>,
 }
 
-impl<'a> GenStream<'a> {
-    /// Opens a lazy generator stream over `program`, emitting chunks of
-    /// roughly [`DEFAULT_CHUNK_EVENTS`] events.
+impl<'a> Walker<'a> {
+    /// A walker positioned at the first iteration of `program`.
     ///
     /// # Panics
     /// If the program fails [`Program::validate`] or the I/O chunk size
     /// is zero.
-    #[must_use]
-    pub fn new(program: &'a Program, pool: DiskPool, config: TraceGenConfig) -> Self {
+    fn new(program: &'a Program, pool: DiskPool, config: TraceGenConfig) -> Self {
         assert!(config.io_chunk_bytes > 0, "chunk size must be positive");
         if let Err(e) = program.validate(pool) {
             panic!("trace generation requires a valid program: {e}");
@@ -188,7 +182,7 @@ impl<'a> GenStream<'a> {
         } else {
             linrefs_of(program, 0)
         };
-        GenStream {
+        Walker {
             program,
             pool,
             config,
@@ -198,8 +192,7 @@ impl<'a> GenStream<'a> {
             pos: 0,
             pending_start: 0,
             linrefs,
-            buf: Vec::new(),
-            target: DEFAULT_CHUNK_EVENTS,
+            events: Vec::new(),
         }
     }
 
@@ -231,7 +224,13 @@ impl<'a> GenStream<'a> {
         if to >= total {
             // Flush the tail compute of the nest.
             let iter_secs = self.program.iter_secs(ni);
-            flush_compute(&mut self.buf, ni, &mut self.pending_start, total, iter_secs);
+            flush_compute(
+                &mut self.events,
+                ni,
+                &mut self.pending_start,
+                total,
+                iter_secs,
+            );
             self.ni += 1;
             self.pos = 0;
             self.pending_start = 0;
@@ -398,7 +397,7 @@ impl<'a> GenStream<'a> {
         self.cached_chunk[lr.array] = Some(chunk);
         let iter_secs = self.program.iter_secs(self.ni);
         flush_compute(
-            &mut self.buf,
+            &mut self.events,
             self.ni,
             &mut self.pending_start,
             flat,
@@ -409,7 +408,7 @@ impl<'a> GenStream<'a> {
             self.pool,
             &self.config,
             &mut self.next_block,
-            &mut self.buf,
+            &mut self.events,
             self.ni,
             flat,
             lr.kind,
@@ -473,73 +472,24 @@ fn chunk_range(chunk: Option<u64>, cb: u64) -> (u64, u64) {
     })
 }
 
-impl EventStream for GenStream<'_> {
-    fn name(&self) -> &str {
-        &self.program.name
-    }
-
-    fn pool_size(&self) -> u32 {
-        self.pool.count()
-    }
-
-    fn next_chunk(&mut self) -> Option<&[AppEvent]> {
-        self.buf.clear();
-        while self.buf.len() < self.target && self.ni < self.program.nests.len() {
-            self.step();
-        }
-        if self.buf.is_empty() {
-            None
-        } else {
-            crate::prof::add("gen.events", self.buf.len() as u64);
-            crate::prof::add("gen.chunks", 1);
-            Some(&self.buf)
-        }
-    }
-}
-
-/// A re-openable generator source for `(program, pool, config)`: each
-/// [`EventSource::open`] resumes the walk from iteration zero, which is
-/// what lets the simulator's oracle policies run the workload twice
-/// without ever materializing it.
-pub struct GenSource<'a> {
-    program: &'a Program,
-    pool: DiskPool,
-    config: TraceGenConfig,
-}
-
-impl<'a> GenSource<'a> {
-    /// # Panics
-    /// If the program fails [`Program::validate`] or the I/O chunk size
-    /// is zero.
-    #[must_use]
-    pub fn new(program: &'a Program, pool: DiskPool, config: TraceGenConfig) -> Self {
-        assert!(config.io_chunk_bytes > 0, "chunk size must be positive");
-        if let Err(e) = program.validate(pool) {
-            panic!("trace generation requires a valid program: {e}");
-        }
-        GenSource {
-            program,
-            pool,
-            config,
-        }
-    }
-}
-
-impl EventSource for GenSource<'_> {
-    fn open(&self) -> Box<dyn EventStream + '_> {
-        Box::new(GenStream::new(self.program, self.pool, self.config))
-    }
-}
-
-/// Generates the I/O trace of `program` against `pool` by draining a
-/// [`GenStream`] into a materialized [`Trace`].
+/// Generates the I/O trace of `program` against `pool` by walking every
+/// iteration of every nest.
 ///
 /// # Panics
 /// If the program fails [`Program::validate`] or the chunk size is zero.
 #[must_use]
 pub fn generate(program: &Program, pool: DiskPool, config: TraceGenConfig) -> Trace {
     let _sp = crate::prof::span("trace.gen.walk");
-    let trace = collect(&mut GenStream::new(program, pool, config));
+    let mut walker = Walker::new(program, pool, config);
+    while walker.ni < program.nests.len() {
+        walker.step();
+    }
+    crate::prof::add("gen.events", walker.events.len() as u64);
+    let trace = Trace {
+        name: program.name.clone(),
+        pool_size: pool.count(),
+        events: walker.events,
+    };
     debug_assert_eq!(trace.validate(), Ok(()));
     trace
 }
@@ -721,33 +671,5 @@ mod tests {
         let (p, pool) = scan_program();
         let t = generate(&p, pool, TraceGenConfig::default());
         assert_eq!(t.validate(), Ok(()));
-    }
-
-    #[test]
-    fn lazy_stream_matches_materialized_generation() {
-        let (mut p, pool) = scan_program();
-        // Two nests so the stream crosses a nest boundary mid-flight.
-        let nest2 = p.nests[0].clone();
-        p.nests.push(nest2);
-        let cfg = TraceGenConfig {
-            io_chunk_bytes: 8 * 1024,
-            detect_sequential: true,
-        };
-        let materialized = generate(&p, pool, cfg);
-        // Tiny chunk target to force many chunk boundaries.
-        let mut s = GenStream::new(&p, pool, cfg);
-        s.target = 3;
-        let streamed = collect(&mut s);
-        assert_eq!(streamed, materialized);
-    }
-
-    #[test]
-    fn gen_source_reopens_identically() {
-        let (p, pool) = scan_program();
-        let src = GenSource::new(&p, pool, TraceGenConfig::default());
-        let a = collect(&mut *src.open());
-        let b = collect(&mut *src.open());
-        assert_eq!(a, b);
-        assert_eq!(a, generate(&p, pool, TraceGenConfig::default()));
     }
 }

@@ -13,12 +13,17 @@
 //! * [`gen`] — the trace generator: walks an IR program, filters element
 //!   accesses through a one-chunk-per-array buffer cache, and emits
 //!   block-level striped requests,
-//! * [`codec`] — a compact binary encoding for storing/replaying traces,
-//!   with incremental [`StreamEncoder`]/[`DecodeStream`] endpoints,
-//! * [`stream`] — pull-based chunked [`EventStream`]s over all of the
-//!   above,
+//! * [`run`] / [`rungen`] — the run-compressed form ([`RunTrace`]), its
+//!   compressor and lowering, and the analytic generator that builds it
+//!   without walking every iteration,
+//! * [`codec`] — a compact binary encoding of whole traces, per-event
+//!   (v1) or run-compressed (v2),
 //! * [`mix`] — per-tenant timelines and their deterministic multi-way
 //!   merge onto one shared pool.
+//!
+//! Traces live in memory: the largest one the paper's suite builds holds
+//! under 100,000 events, so every consumer takes a [`Trace`] or a
+//! [`RunTrace`] whole.
 //!
 //! Traces are *closed-loop*: each request carries the compute time that
 //! precedes it rather than a fixed wall-clock arrival, so the simulator
@@ -49,17 +54,11 @@ pub mod mix;
 sdpm_obs::prof_hooks!();
 pub mod run;
 pub mod rungen;
-pub mod stream;
 pub mod trace;
 
-pub use codec::{DecodeRunStream, DecodeStream, RunStreamEncoder, StreamEncoder};
 pub use event::{AppEvent, IoRequest, PowerAction, ReqKind};
-pub use gen::{generate, GenSource, GenStream, TraceGenConfig};
+pub use gen::{generate, TraceGenConfig};
 pub use mix::{merge_tenants, tenant_timeline, TenantEvent, TenantStream, TimedEvent};
-pub use run::{
-    collect_runs, compress, compress_stream, CompressStream, IoTemplate, LowerStream, REvent, Run,
-    RunSource, RunStream, RunTrace, RunTraceStream, MAX_ROTATION,
-};
-pub use rungen::{generate_runs, RunGenStream};
-pub use stream::{collect, EventSource, EventStream, TraceStream, DEFAULT_CHUNK_EVENTS};
+pub use run::{compress, IoTemplate, REvent, Run, RunTrace, MAX_ROTATION};
+pub use rungen::generate_runs;
 pub use trace::{Trace, TraceStats};

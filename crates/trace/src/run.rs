@@ -1,4 +1,4 @@
-//! Run-length-compressed event streams.
+//! Run-length-compressed traces.
 //!
 //! Scientific I/O is regular: a striped scan produces long sequences of
 //! `(compute, fetch)` periods whose parameters repeat exactly, with only
@@ -8,25 +8,21 @@
 //! the *identical* per-event sequence it was compressed from — same
 //! fields, same float bits, same order. Compression is therefore a pure
 //! representation change: every consumer that accepts the per-event
-//! stream accepts a lowered run stream with bitwise-equal results.
+//! trace accepts a lowered run trace with bitwise-equal results.
 //!
 //! Three pieces:
 //!
-//! * [`Run`] / [`REvent`] — the compressed event kinds; a [`RunStream`] /
-//!   [`RunSource`] mirror the per-event [`EventStream`] / [`EventSource`]
-//!   traits,
-//! * [`Compressor`] (and the [`CompressStream`] adapter) — a streaming
-//!   one-pass fuser: consecutive periods with bitwise-identical
-//!   parameters and uniform strides fuse into a run; anything else —
-//!   `Power` events in particular — passes through untouched and breaks
-//!   the run,
-//! * [`LowerStream`] — the inverse adapter, expanding a run stream back
-//!   into a per-event stream for legacy consumers (the verifier's replay,
-//!   obs recorders, the v1 codec).
+//! * [`Run`] / [`REvent`] / [`RunTrace`] — the compressed event kinds and
+//!   the materialized compressed trace,
+//! * [`Compressor`] (and [`compress`] over a whole [`Trace`]) — a one-pass
+//!   fuser: consecutive periods with bitwise-identical parameters and
+//!   uniform strides fuse into a run; anything else — `Power` events in
+//!   particular — passes through untouched and breaks the run,
+//! * [`RunTrace::lower`] — the inverse, expanding a run trace back into
+//!   the per-event trace for consumers that need every event (the
+//!   verifier's replay, obs recorders, the v1 codec).
 
-use crate::codec::CodecError;
 use crate::event::{AppEvent, IoRequest};
-use crate::stream::{EventSource, EventStream, DEFAULT_CHUNK_EVENTS};
 use crate::trace::Trace;
 use sdpm_ir::NestId;
 
@@ -195,7 +191,7 @@ impl Run {
     }
 }
 
-/// One record of a run-compressed stream: a plain event or a run.
+/// One record of a run-compressed trace: a plain event or a run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum REvent {
     /// An event that is not part of any run.
@@ -215,53 +211,6 @@ impl REvent {
     }
 }
 
-/// A pull-based, chunked run-compressed stream; the compressed analogue
-/// of [`EventStream`], with the same lending-iterator contract.
-pub trait RunStream {
-    /// Application name the records came from.
-    fn name(&self) -> &str;
-
-    /// Disk pool size the records were generated against.
-    fn pool_size(&self) -> u32;
-
-    /// The next chunk of records, or `None` when exhausted. Chunks are
-    /// non-empty.
-    fn next_chunk(&mut self) -> Option<&[REvent]>;
-
-    /// Fallible variant of [`RunStream::next_chunk`]. Streams that
-    /// cannot fail inherit this default; streams over untrusted bytes
-    /// ([`crate::codec::DecodeRunStream`]) override it to surface
-    /// corruption as a [`CodecError`] instead of panicking.
-    fn try_next_chunk(&mut self) -> Result<Option<&[REvent]>, CodecError> {
-        Ok(self.next_chunk())
-    }
-}
-
-impl<S: RunStream + ?Sized> RunStream for Box<S> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn pool_size(&self) -> u32 {
-        (**self).pool_size()
-    }
-
-    fn next_chunk(&mut self) -> Option<&[REvent]> {
-        (**self).next_chunk()
-    }
-
-    fn try_next_chunk(&mut self) -> Result<Option<&[REvent]>, CodecError> {
-        (**self).try_next_chunk()
-    }
-}
-
-/// A re-openable run-compressed stream factory; the compressed analogue
-/// of [`EventSource`] (the oracle policies replay twice).
-pub trait RunSource {
-    /// Opens a fresh run stream positioned at the first record.
-    fn open_runs(&self) -> Box<dyn RunStream + '_>;
-}
-
 /// A materialized run-compressed trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
@@ -275,12 +224,6 @@ impl RunTrace {
     #[must_use]
     pub fn event_len(&self) -> u64 {
         self.events.iter().map(REvent::event_len).sum()
-    }
-
-    /// A chunked stream over this trace's records.
-    #[must_use]
-    pub fn stream(&self) -> RunTraceStream<'_> {
-        RunTraceStream::new(self)
     }
 
     /// The per-event trace this compresses; lowering is exact, so this is
@@ -301,86 +244,6 @@ impl RunTrace {
             pool_size: self.pool_size,
             events,
         }
-    }
-}
-
-impl RunSource for RunTrace {
-    fn open_runs(&self) -> Box<dyn RunStream + '_> {
-        Box::new(self.stream())
-    }
-}
-
-/// Legacy consumers see a run-compressed trace as a per-event source via
-/// the lowering adapter.
-impl EventSource for RunTrace {
-    fn open(&self) -> Box<dyn EventStream + '_> {
-        Box::new(LowerStream::new(self.stream()))
-    }
-}
-
-/// Chunked read-only windows over a materialized [`RunTrace`].
-pub struct RunTraceStream<'a> {
-    trace: &'a RunTrace,
-    pos: usize,
-    chunk: usize,
-}
-
-impl<'a> RunTraceStream<'a> {
-    /// Streams `trace` in [`DEFAULT_CHUNK_EVENTS`]-sized record chunks.
-    #[must_use]
-    pub fn new(trace: &'a RunTrace) -> Self {
-        Self::chunked(trace, DEFAULT_CHUNK_EVENTS)
-    }
-
-    /// Streams `trace` in `chunk`-sized record chunks.
-    ///
-    /// # Panics
-    /// If `chunk` is zero.
-    #[must_use]
-    pub fn chunked(trace: &'a RunTrace, chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk size must be positive");
-        RunTraceStream {
-            trace,
-            pos: 0,
-            chunk,
-        }
-    }
-}
-
-impl RunStream for RunTraceStream<'_> {
-    fn name(&self) -> &str {
-        &self.trace.name
-    }
-
-    fn pool_size(&self) -> u32 {
-        self.trace.pool_size
-    }
-
-    fn next_chunk(&mut self) -> Option<&[REvent]> {
-        if self.pos >= self.trace.events.len() {
-            return None;
-        }
-        let end = (self.pos + self.chunk).min(self.trace.events.len());
-        let out = &self.trace.events[self.pos..end];
-        self.pos = end;
-        Some(out)
-    }
-}
-
-/// Drains a run stream into a materialized [`RunTrace`].
-#[must_use]
-pub fn collect_runs(stream: &mut dyn RunStream) -> RunTrace {
-    let name = stream.name().to_string();
-    let pool_size = stream.pool_size();
-    let mut events = Vec::new();
-    while let Some(chunk) = stream.next_chunk() {
-        events.extend_from_slice(chunk);
-    }
-    crate::prof::add("run.records", events.len() as u64);
-    RunTrace {
-        name,
-        pool_size,
-        events,
     }
 }
 
@@ -405,7 +268,7 @@ pub const MAX_ROTATION: u64 = 16;
 const MAX_ROTATION_IDX: usize = 16;
 const _: () = assert!(MAX_ROTATION_IDX as u64 == MAX_ROTATION);
 
-/// Streaming one-pass run fuser.
+/// One-pass run fuser.
 ///
 /// Push events in order; compressed records come out in order. A period
 /// is a `Compute` span followed by the requests before the next span.
@@ -684,191 +547,22 @@ impl Compressor {
     }
 }
 
-/// Compresses a per-event stream into a materialized [`RunTrace`].
-#[must_use]
-pub fn compress_stream(stream: &mut dyn EventStream) -> RunTrace {
-    let _sp = crate::prof::span("trace.compress");
-    let name = stream.name().to_string();
-    let pool_size = stream.pool_size();
-    let mut comp = Compressor::new();
-    let mut events = Vec::new();
-    let mut seen: u64 = 0;
-    while let Some(chunk) = stream.next_chunk() {
-        seen += chunk.len() as u64;
-        for e in chunk {
-            comp.push(e, &mut events);
-        }
-    }
-    comp.finish(&mut events);
-    crate::prof::add("compress.events_in", seen);
-    crate::prof::add("compress.records_out", events.len() as u64);
-    RunTrace {
-        name,
-        pool_size,
-        events,
-    }
-}
-
 /// Compresses a materialized trace. `compress(t).lower() == *t` exactly.
 #[must_use]
 pub fn compress(trace: &Trace) -> RunTrace {
-    compress_stream(&mut trace.stream())
-}
-
-/// Adapter: run-compresses a per-event stream on the fly.
-pub struct CompressStream<S: EventStream> {
-    inner: S,
-    comp: Compressor,
-    buf: Vec<REvent>,
-    done: bool,
-}
-
-impl<S: EventStream> CompressStream<S> {
-    #[must_use]
-    pub fn new(inner: S) -> Self {
-        CompressStream {
-            inner,
-            comp: Compressor::new(),
-            buf: Vec::new(),
-            done: false,
-        }
+    let _sp = crate::prof::span("trace.compress");
+    let mut comp = Compressor::new();
+    let mut events = Vec::new();
+    for e in &trace.events {
+        comp.push(e, &mut events);
     }
-}
-
-impl<S: EventStream> RunStream for CompressStream<S> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn pool_size(&self) -> u32 {
-        self.inner.pool_size()
-    }
-
-    fn next_chunk(&mut self) -> Option<&[REvent]> {
-        self.buf.clear();
-        while self.buf.is_empty() && !self.done {
-            match self.inner.next_chunk() {
-                Some(chunk) => {
-                    for e in chunk {
-                        self.comp.push(e, &mut self.buf);
-                    }
-                }
-                None => {
-                    self.comp.finish(&mut self.buf);
-                    self.done = true;
-                }
-            }
-        }
-        if self.buf.is_empty() {
-            None
-        } else {
-            crate::prof::add("compress.records_out", self.buf.len() as u64);
-            Some(&self.buf)
-        }
-    }
-}
-
-/// Adapter: expands a run stream back into the per-event stream it was
-/// compressed from. Expansion is incremental — a long run is delivered
-/// across as many chunks as needed — so the working set stays bounded by
-/// the chunk size, not the run length.
-pub struct LowerStream<S: RunStream> {
-    inner: S,
-    pending: Vec<REvent>,
-    idx: usize,
-    rep: u64,
-    sub: u64,
-    buf: Vec<AppEvent>,
-    target: usize,
-}
-
-impl<S: RunStream> LowerStream<S> {
-    #[must_use]
-    pub fn new(inner: S) -> Self {
-        Self::chunked(inner, DEFAULT_CHUNK_EVENTS)
-    }
-
-    /// Like [`LowerStream::new`] with an explicit output chunk size.
-    ///
-    /// # Panics
-    /// If `target` is zero.
-    #[must_use]
-    pub fn chunked(inner: S, target: usize) -> Self {
-        assert!(target > 0, "chunk size must be positive");
-        LowerStream {
-            inner,
-            pending: Vec::new(),
-            idx: 0,
-            rep: 0,
-            sub: 0,
-            buf: Vec::new(),
-            target,
-        }
-    }
-}
-
-impl<S: RunStream> EventStream for LowerStream<S> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn pool_size(&self) -> u32 {
-        self.inner.pool_size()
-    }
-
-    fn next_chunk(&mut self) -> Option<&[AppEvent]> {
-        let LowerStream {
-            inner,
-            pending,
-            idx,
-            rep,
-            sub,
-            buf,
-            target,
-        } = self;
-        buf.clear();
-        while buf.len() < *target {
-            if *idx >= pending.len() {
-                match inner.next_chunk() {
-                    Some(chunk) => {
-                        pending.clear();
-                        pending.extend_from_slice(chunk);
-                        *idx = 0;
-                    }
-                    None => break,
-                }
-                continue;
-            }
-            match &pending[*idx] {
-                REvent::Event(e) => {
-                    buf.push(*e);
-                    *idx += 1;
-                }
-                REvent::Run(run) => {
-                    let per = run.events_per_rep();
-                    while *rep < run.count && buf.len() < *target {
-                        while *sub < per && buf.len() < *target {
-                            buf.push(run.event_at(*rep, *sub));
-                            *sub += 1;
-                        }
-                        if *sub == per {
-                            *sub = 0;
-                            *rep += 1;
-                        }
-                    }
-                    if *rep == run.count {
-                        *rep = 0;
-                        *idx += 1;
-                    }
-                }
-            }
-        }
-        if buf.is_empty() {
-            None
-        } else {
-            crate::prof::add("lower.events", buf.len() as u64);
-            Some(buf)
-        }
+    comp.finish(&mut events);
+    crate::prof::add("compress.events_in", trace.events.len() as u64);
+    crate::prof::add("compress.records_out", events.len() as u64);
+    RunTrace {
+        name: trace.name.clone(),
+        pool_size: trace.pool_size,
+        events,
     }
 }
 
@@ -876,7 +570,6 @@ impl<S: RunStream> EventStream for LowerStream<S> {
 mod tests {
     use super::*;
     use crate::event::{PowerAction, ReqKind};
-    use crate::stream::collect;
     use sdpm_layout::DiskId;
 
     fn compute(nest: NestId, first_iter: u64, iters: u64, secs: f64) -> AppEvent {
@@ -987,14 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn rotating_run_lowers_through_the_stream_adapter() {
-        let t = rotating_trace(35, 8);
-        let rt = compress(&t);
-        let mut s = LowerStream::chunked(rt.stream(), 5);
-        assert_eq!(collect(&mut s), t);
-    }
-
-    #[test]
     fn compress_then_lower_is_identity() {
         let t = periodic_trace(17);
         assert_eq!(compress(&t).lower(), t);
@@ -1093,30 +778,6 @@ mod tests {
         let rt = compress(&t);
         assert!(rt.events.iter().all(|e| matches!(e, REvent::Event(_))));
         assert_eq!(rt.lower(), t);
-    }
-
-    #[test]
-    fn lower_stream_resumes_runs_across_tiny_chunks() {
-        let t = periodic_trace(33);
-        let rt = compress(&t);
-        let mut s = LowerStream::chunked(rt.stream(), 3);
-        let lowered = collect(&mut s);
-        assert_eq!(lowered, t);
-    }
-
-    #[test]
-    fn compress_stream_adapter_matches_materialized_compression() {
-        let t = periodic_trace(50);
-        let via_adapter = collect_runs(&mut CompressStream::new(t.stream()));
-        assert_eq!(via_adapter, compress(&t));
-    }
-
-    #[test]
-    fn run_trace_is_an_event_source() {
-        let t = periodic_trace(12);
-        let rt = compress(&t);
-        let lowered = collect(&mut *EventSource::open(&rt));
-        assert_eq!(lowered, t);
     }
 
     #[test]

@@ -28,8 +28,7 @@
 
 use crate::event::{AppEvent, ReqKind};
 use crate::gen::{emit_chunk_fetch, flush_compute, linrefs_of, LinRef, TraceGenConfig};
-use crate::run::{collect_runs, CompressStream, RunTrace};
-use crate::stream::{EventStream, DEFAULT_CHUNK_EVENTS};
+use crate::run::{Compressor, RunTrace};
 use sdpm_ir::{LoopNest, Program};
 use sdpm_layout::DiskPool;
 
@@ -114,10 +113,11 @@ fn plan_nest(program: &Program, ni: usize) -> NestPlan {
         .unwrap_or_else(|| panic!("nest {ni}: element index arithmetic overflows i128"))
 }
 
-/// The analytic generator as a lazy [`EventStream`]: byte-identical
-/// output to [`crate::gen::GenStream`], produced in O(1) per cache miss
-/// and per segment.
-pub struct RunGenStream<'a> {
+/// The analytic walk: each [`AnalyticWalker::step`] jumps to the next
+/// miss (or segment, or nest) and appends the events it produces to
+/// `buf`, exactly the events the per-iteration walk in [`crate::gen`]
+/// produces over the same iterations.
+struct AnalyticWalker<'a> {
     program: &'a Program,
     pool: DiskPool,
     config: TraceGenConfig,
@@ -128,22 +128,20 @@ pub struct RunGenStream<'a> {
     pending_start: u64,
     plan: NestPlan,
     buf: Vec<AppEvent>,
-    target: usize,
 }
 
-impl<'a> RunGenStream<'a> {
-    /// Opens an analytic generator stream over `program`.
+impl<'a> AnalyticWalker<'a> {
+    /// A walker positioned at the first iteration of `program`.
     ///
     /// # Panics
     /// If the program fails [`Program::validate`] or the I/O chunk size
     /// is zero.
-    #[must_use]
-    pub fn new(program: &'a Program, pool: DiskPool, config: TraceGenConfig) -> Self {
+    fn new(program: &'a Program, pool: DiskPool, config: TraceGenConfig) -> Self {
         assert!(config.io_chunk_bytes > 0, "chunk size must be positive");
         if let Err(e) = program.validate(pool) {
             panic!("trace generation requires a valid program: {e}");
         }
-        RunGenStream {
+        AnalyticWalker {
             program,
             pool,
             config,
@@ -154,7 +152,6 @@ impl<'a> RunGenStream<'a> {
             pending_start: 0,
             plan: plan_nest(program, 0),
             buf: Vec::new(),
-            target: DEFAULT_CHUNK_EVENTS,
         }
     }
 
@@ -219,7 +216,7 @@ impl<'a> RunGenStream<'a> {
             return;
         }
         // Replay the walk's body at iteration m, ref by ref.
-        let RunGenStream {
+        let AnalyticWalker {
             program,
             pool,
             config,
@@ -280,49 +277,42 @@ impl<'a> RunGenStream<'a> {
     }
 }
 
-impl EventStream for RunGenStream<'_> {
-    fn name(&self) -> &str {
-        &self.program.name
-    }
-
-    fn pool_size(&self) -> u32 {
-        self.pool.count()
-    }
-
-    fn next_chunk(&mut self) -> Option<&[AppEvent]> {
-        self.buf.clear();
-        while self.buf.len() < self.target && self.ni < self.program.nests.len() {
-            self.step();
-        }
-        if self.buf.is_empty() {
-            None
-        } else {
-            crate::prof::add("gen.events", self.buf.len() as u64);
-            crate::prof::add("gen.chunks", 1);
-            Some(&self.buf)
-        }
-    }
-}
-
 /// Generates the run-compressed trace of `program` against `pool`
 /// analytically; lowering it reproduces [`crate::gen::generate`]'s trace
-/// byte for byte.
+/// byte for byte. Each step's events go straight into one [`Compressor`],
+/// so the per-event trace is never held whole.
 ///
 /// # Panics
 /// If the program fails [`Program::validate`] or the chunk size is zero.
 #[must_use]
 pub fn generate_runs(program: &Program, pool: DiskPool, config: TraceGenConfig) -> RunTrace {
     let _sp = crate::prof::span("trace.gen.analytic");
-    collect_runs(&mut CompressStream::new(RunGenStream::new(
-        program, pool, config,
-    )))
+    let mut walker = AnalyticWalker::new(program, pool, config);
+    let mut comp = Compressor::new();
+    let mut records = Vec::new();
+    let mut events = 0u64;
+    while walker.ni < program.nests.len() {
+        walker.step();
+        events += walker.buf.len() as u64;
+        for e in walker.buf.drain(..) {
+            comp.push(&e, &mut records);
+        }
+    }
+    comp.finish(&mut records);
+    crate::prof::add("gen.events", events);
+    crate::prof::add("compress.records_out", records.len() as u64);
+    crate::prof::add("run.records", records.len() as u64);
+    RunTrace {
+        name: program.name.clone(),
+        pool_size: pool.count(),
+        events: records,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::generate;
-    use crate::stream::collect;
     use sdpm_ir::{AffineExpr, ArrayRef, LoopDim, LoopNest, Statement};
     use sdpm_layout::{ArrayFile, DiskId, StorageOrder, Striping};
 
@@ -349,10 +339,10 @@ mod tests {
     }
 
     fn assert_analytic_matches_walk(p: &Program, pool: DiskPool, config: TraceGenConfig) {
-        let walked = generate(p, pool, config);
-        let analytic = collect(&mut RunGenStream::new(p, pool, config));
-        assert_eq!(analytic, walked);
-        assert_eq!(generate_runs(p, pool, config).lower(), walked);
+        assert_eq!(
+            generate_runs(p, pool, config).lower(),
+            generate(p, pool, config)
+        );
     }
 
     #[test]

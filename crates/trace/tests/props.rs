@@ -7,13 +7,10 @@ use sdpm_disk::RpmLevel;
 use sdpm_ir::conform::linearized_ref;
 use sdpm_ir::{walk_nest, AffineExpr, ArrayRef, LoopDim, LoopNest, Program, RefKind, Statement};
 use sdpm_layout::{ArrayFile, DiskId, DiskPool, StorageOrder, Striping, BLOCK_BYTES};
-use sdpm_trace::codec::{
-    decode, decode_runs, encode, encode_runs, CodecError, DecodeRunStream, DecodeStream,
-    StreamEncoder,
-};
+use sdpm_trace::codec::{decode, decode_runs, encode, encode_runs, CodecError};
 use sdpm_trace::{
-    collect, compress, generate, generate_runs, merge_tenants, AppEvent, IoRequest, PowerAction,
-    REvent, ReqKind, RunGenStream, TenantEvent, TenantStream, TimedEvent, Trace, TraceGenConfig,
+    compress, generate, generate_runs, merge_tenants, AppEvent, IoRequest, PowerAction, REvent,
+    ReqKind, TenantEvent, TenantStream, TimedEvent, Trace, TraceGenConfig,
 };
 
 fn event_strategy(pool: u32, nest: usize) -> impl Strategy<Value = AppEvent> {
@@ -87,15 +84,16 @@ proptest! {
         prop_assert_eq!(back, t);
     }
 
-    /// The streaming encoder (event-at-a-time, count backpatched) and the
-    /// chunked decoder round-trip arbitrary traces exactly, at any chunk
-    /// size — including chunks far smaller than the event count, so
-    /// events cross chunk boundaries.
+    /// The wire format can be written event at a time: a header ending
+    /// in the event count, then one record per event that depends on no
+    /// neighbour. So the records of a trace split anywhere, spliced
+    /// behind the whole trace's header, are byte-identical to the
+    /// one-shot encoding and decode back to the trace.
     #[test]
     fn streaming_codec_round_trips(
         pool in 1u32..16,
         name in "[a-z0-9.]{0,20}",
-        chunk in 1usize..9,
+        split_seed in 0usize..64,
         events in proptest::collection::vec((0usize..4, 0u32..1000), 0..60),
     ) {
         let mut evs = Vec::new();
@@ -110,27 +108,30 @@ proptest! {
             evs.push(e);
         }
         let t = Trace { name, pool_size: pool, events: evs };
+        let split = split_seed % (t.events.len() + 1);
 
-        let mut enc = StreamEncoder::new(&t.name, t.pool_size);
-        for e in &t.events {
-            enc.push(e);
-        }
-        let bytes = enc.finish();
-        // Byte-identical to the one-shot encoder.
-        prop_assert_eq!(&bytes, &encode(&t));
+        let part = |evs: &[AppEvent]| {
+            encode(&Trace { name: t.name.clone(), pool_size: pool, events: evs.to_vec() })
+        };
+        let header = part(&[]);
+        let (head, count) = header.split_at(header.len() - 8);
+        prop_assert_eq!(count, &0u64.to_le_bytes()[..]);
+        let records = |evs: &[AppEvent]| part(evs)[header.len()..].to_vec();
 
-        let mut dec = DecodeStream::chunked(&bytes, chunk).unwrap();
-        let back = collect(&mut dec);
-        prop_assert_eq!(back, t);
+        let mut spliced = head.to_vec();
+        spliced.extend_from_slice(&(t.events.len() as u64).to_le_bytes());
+        spliced.extend(records(&t.events[..split]));
+        spliced.extend(records(&t.events[split..]));
+        prop_assert_eq!(&spliced, &encode(&t));
+        prop_assert_eq!(decode(&spliced).unwrap(), t);
     }
 
     /// Cutting an encoded trace anywhere short of its full length makes
-    /// the chunked decoder report `Truncated` — never a partial success,
-    /// never a panic — even when the cut lands mid-chunk.
+    /// the decoder report `Truncated` — never a partial success, never a
+    /// panic.
     #[test]
-    fn streaming_codec_rejects_truncation_mid_chunk(
+    fn codec_rejects_truncation_anywhere(
         pool in 1u32..8,
-        chunk in 1usize..5,
         cut_seed in 0usize..10_000,
         events in proptest::collection::vec(0u32..1000, 1..40),
     ) {
@@ -146,21 +147,7 @@ proptest! {
         let t = Trace { name: "cut".into(), pool_size: pool, events: evs };
         let bytes = encode(&t);
         let cut = cut_seed % (bytes.len() - 1).max(1);
-
-        match DecodeStream::chunked(&bytes[..cut], chunk) {
-            // Header itself was cut.
-            Err(e) => prop_assert_eq!(e, CodecError::Truncated),
-            Ok(mut dec) => {
-                let err = loop {
-                    match dec.try_next_chunk() {
-                        Ok(Some(_)) => {}
-                        Ok(None) => panic!("truncated stream decoded to completion"),
-                        Err(e) => break e,
-                    }
-                };
-                prop_assert_eq!(err, CodecError::Truncated);
-            }
-        }
+        prop_assert_eq!(decode(&bytes[..cut]), Err(CodecError::Truncated));
     }
 
     /// Trace generation conserves compute time, covers each scanned byte
@@ -293,7 +280,6 @@ proptest! {
     #[test]
     fn run_codec_round_trips(
         pool in 1u32..16,
-        chunk in 1usize..9,
         events in proptest::collection::vec((0usize..4, 0u32..1000), 0..60),
     ) {
         let mut evs = Vec::new();
@@ -311,19 +297,17 @@ proptest! {
         let rt = compress(&t);
         let bytes = encode_runs(&rt).unwrap();
         prop_assert_eq!(decode_runs(&bytes).unwrap(), rt);
-        // The event-level decoder lowers v2 incrementally.
-        let mut dec = DecodeStream::chunked(&bytes, chunk).unwrap();
-        prop_assert_eq!(collect(&mut dec), t);
+        // The event-level decoder lowers v2 runs.
+        prop_assert_eq!(decode(&bytes).unwrap(), t);
     }
 
-    /// Cutting a v2 encoding anywhere short of its full length makes the
-    /// run decoder report `Truncated` — never a partial success, never a
+    /// Cutting a v2 encoding anywhere short of its full length makes both
+    /// decoders report `Truncated` — never a partial success, never a
     /// panic — even when the cut lands inside a run record.
     #[test]
-    fn run_codec_rejects_truncation_mid_chunk(
+    fn run_codec_rejects_truncation_anywhere(
         n in 4u64..24,
         m in 1u64..5,
-        chunk in 1usize..5,
         cut_seed in 0usize..10_000,
     ) {
         let pool = 8u32;
@@ -344,20 +328,8 @@ proptest! {
         let rt = compress(&t);
         let bytes = encode_runs(&rt).unwrap();
         let cut = cut_seed % (bytes.len() - 1).max(1);
-
-        match DecodeRunStream::chunked(&bytes[..cut], chunk) {
-            Err(e) => prop_assert_eq!(e, CodecError::Truncated),
-            Ok(mut dec) => {
-                let err = loop {
-                    match dec.try_next_chunk() {
-                        Ok(Some(_)) => {}
-                        Ok(None) => panic!("truncated v2 stream decoded to completion"),
-                        Err(e) => break e,
-                    }
-                };
-                prop_assert_eq!(err, CodecError::Truncated);
-            }
-        }
+        prop_assert_eq!(decode_runs(&bytes[..cut]), Err(CodecError::Truncated));
+        prop_assert_eq!(decode(&bytes[..cut]), Err(CodecError::Truncated));
     }
 
     /// Fuzz: arbitrary byte strings fed to every decoder entry point
@@ -366,16 +338,9 @@ proptest! {
     #[test]
     fn arbitrary_bytes_never_panic_the_decoders(
         bytes in proptest::collection::vec(any::<u8>(), 0..600),
-        chunk in 1usize..6,
     ) {
         let _ = decode(&bytes);
         let _ = decode_runs(&bytes);
-        if let Ok(mut dec) = DecodeStream::chunked(&bytes, chunk) {
-            while let Ok(Some(_)) = dec.try_next_chunk() {}
-        }
-        if let Ok(mut dec) = DecodeRunStream::chunked(&bytes, chunk) {
-            while let Ok(Some(_)) = dec.try_next_chunk() {}
-        }
     }
 
     /// Fuzz: a valid header followed by arbitrary garbage exercises the
@@ -386,7 +351,6 @@ proptest! {
         pool in 1u32..16,
         count in 0u64..10_000,
         tail in proptest::collection::vec(any::<u8>(), 0..400),
-        chunk in 1usize..6,
     ) {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(b"SDPM");
@@ -398,12 +362,6 @@ proptest! {
         bytes.extend_from_slice(&tail);
         let _ = decode(&bytes);
         let _ = decode_runs(&bytes);
-        if let Ok(mut dec) = DecodeStream::chunked(&bytes, chunk) {
-            while let Ok(Some(_)) = dec.try_next_chunk() {}
-        }
-        if let Ok(mut dec) = DecodeRunStream::chunked(&bytes, chunk) {
-            while let Ok(Some(_)) = dec.try_next_chunk() {}
-        }
     }
 
     /// Nominal arrivals are non-decreasing and one per request.
@@ -511,9 +469,7 @@ fn spec_merge(streams: &[TenantStream]) -> Vec<TenantEvent> {
 proptest! {
     /// Multi-tenant merge determinism (the scenario layer's contract):
     /// K interleaved tenant streams, merged in a random tenant ordering,
-    /// equal the concatenate-and-sort spec event for event. Extends the
-    /// seq-tiebreak tests in `trace::stream` to the `(time, tenant, seq)`
-    /// tiebreak.
+    /// equal the concatenate-and-sort spec event for event.
     #[test]
     fn tenant_merge_is_chunk_and_order_invariant(
         raw in proptest::collection::vec(proptest::collection::vec(0u32..40, 0..30), 1..5),
@@ -712,9 +668,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The per-iteration walk equals the spec walk, and the analytic
-    /// generator, streamed or run-compressed and lowered, reproduces the
-    /// walk event for event on random programs, including nests it must
-    /// step one outer segment at a time.
+    /// generator's run-compressed trace, lowered, reproduces the walk
+    /// event for event on random programs, including nests it must step
+    /// one outer segment at a time.
     #[test]
     fn analytic_generation_matches_the_walk(seed in any::<u64>()) {
         let (p, config) = random_program(seed);
@@ -722,7 +678,6 @@ proptest! {
         prop_assert_eq!(p.validate(pool), Ok(()));
         let walked = generate(&p, pool, config);
         prop_assert_eq!(&walked.events, &spec_walk(&p, pool, config));
-        prop_assert_eq!(&collect(&mut RunGenStream::new(&p, pool, config)), &walked);
         prop_assert_eq!(&generate_runs(&p, pool, config).lower(), &walked);
     }
 }

@@ -50,7 +50,7 @@ pub use diag::{
 pub use directive::{verify_directives, PlanRef, EPS_SECS};
 pub use legality::{check_fission, check_tiling};
 pub use mix::{verify_mix, verify_mix_session};
-pub use replay::{crosscheck_report, replay_directives, replay_stream, ReplayDisk, ReplayReport};
+pub use replay::{crosscheck_report, replay_directives, ReplayDisk, ReplayReport};
 pub use symbolic::{prove_all_schemes, prove_scheme, PlacementPolicy, ProverConfig, Verdict};
 
 use sdpm_disk::DiskParams;

@@ -20,7 +20,7 @@ use sdpm_disk::{
     ServiceRequest,
 };
 use sdpm_sim::{MisfireCauses, SimReport};
-use sdpm_trace::{AppEvent, EventStream, PowerAction, Trace};
+use sdpm_trace::{AppEvent, PowerAction, Trace};
 
 /// What one disk did during the replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,19 +54,7 @@ impl ReplayReport {
 /// transition, and `Compute` events advance wall-clock time.
 #[must_use]
 pub fn replay_directives(trace: &Trace, params: &DiskParams, overhead_secs: f64) -> ReplayReport {
-    replay_stream(&mut trace.stream(), params, overhead_secs)
-}
-
-/// Chunk-at-a-time form of [`replay_directives`]: consumes any
-/// [`EventStream`] without materializing it. The two produce identical
-/// reports on the same event sequence.
-#[must_use]
-pub fn replay_stream(
-    stream: &mut dyn EventStream,
-    params: &DiskParams,
-    overhead_secs: f64,
-) -> ReplayReport {
-    let pool_size = stream.pool_size();
+    let pool_size = trace.pool_size;
     let ladder = RpmLadder::new(params);
     let mut machines: Vec<PowerStateMachine> = (0..pool_size)
         .map(|_| PowerStateMachine::new(params.clone()))
@@ -75,89 +63,87 @@ pub fn replay_stream(
     let mut misfires = MisfireCauses::default();
     let mut t = 0.0f64;
 
-    while let Some(chunk) = stream.next_chunk() {
-        for event in chunk {
-            match event {
-                AppEvent::Compute { secs, .. } => t += secs,
-                AppEvent::Power { disk, action } => {
-                    let m = &mut machines[disk.0 as usize];
-                    match action {
-                        PowerAction::SpinDown => {
-                            if let DiskPowerState::Shifting { until, .. } = m.state() {
-                                m.advance(until).expect("finish shift");
+    for event in &trace.events {
+        match event {
+            AppEvent::Compute { secs, .. } => t += secs,
+            AppEvent::Power { disk, action } => {
+                let m = &mut machines[disk.0 as usize];
+                match action {
+                    PowerAction::SpinDown => {
+                        if let DiskPowerState::Shifting { until, .. } = m.state() {
+                            m.advance(until).expect("finish shift");
+                        }
+                        let at = t.max(m.now());
+                        if m.spin_down(at).is_err() {
+                            misfires.spin_down_rejected += 1;
+                        }
+                    }
+                    PowerAction::SpinUp => {
+                        if let DiskPowerState::SpinningDown { until } = m.state() {
+                            m.advance(until).expect("finish spin-down");
+                        }
+                        let at = t.max(m.now());
+                        if m.spin_up(at).is_err() {
+                            misfires.spin_up_rejected += 1;
+                        }
+                    }
+                    PowerAction::SetRpm(level) => {
+                        if !ladder.contains(*level) {
+                            misfires.off_ladder_level += 1;
+                        } else {
+                            match m.state() {
+                                DiskPowerState::Shifting { until, .. }
+                                | DiskPowerState::SpinningUp { until } => {
+                                    m.advance(until).expect("finish transition");
+                                }
+                                _ => {}
                             }
                             let at = t.max(m.now());
-                            if m.spin_down(at).is_err() {
-                                misfires.spin_down_rejected += 1;
-                            }
-                        }
-                        PowerAction::SpinUp => {
-                            if let DiskPowerState::SpinningDown { until } = m.state() {
-                                m.advance(until).expect("finish spin-down");
-                            }
-                            let at = t.max(m.now());
-                            if m.spin_up(at).is_err() {
-                                misfires.spin_up_rejected += 1;
-                            }
-                        }
-                        PowerAction::SetRpm(level) => {
-                            if !ladder.contains(*level) {
-                                misfires.off_ladder_level += 1;
-                            } else {
-                                match m.state() {
-                                    DiskPowerState::Shifting { until, .. }
-                                    | DiskPowerState::SpinningUp { until } => {
-                                        m.advance(until).expect("finish transition");
-                                    }
-                                    _ => {}
-                                }
-                                let at = t.max(m.now());
-                                if m.set_rpm(at, *level).is_err() {
-                                    misfires.rpm_shift_rejected += 1;
-                                }
+                            if m.set_rpm(at, *level).is_err() {
+                                misfires.rpm_shift_rejected += 1;
                             }
                         }
                     }
-                    t += overhead_secs;
                 }
-                AppEvent::Io(req) => {
-                    let d = req.disk.0 as usize;
-                    let m = &mut machines[d];
-                    m.advance(t.max(m.now())).expect("advance to arrival");
-                    let start = match m.state() {
-                        DiskPowerState::Idle { .. } => t.max(m.now()),
-                        DiskPowerState::Active { .. } => {
-                            unreachable!("closed-loop app cannot overlap requests on one disk")
-                        }
-                        DiskPowerState::Standby => {
-                            let at = t.max(m.now());
-                            m.spin_up(at).expect("spin up from standby");
-                            at + params.spin_up_secs
-                        }
-                        DiskPowerState::SpinningDown { until } => {
-                            m.advance(until).expect("finish spin-down");
-                            m.spin_up(until).expect("spin up after spin-down");
-                            until + params.spin_up_secs
-                        }
-                        DiskPowerState::SpinningUp { until }
-                        | DiskPowerState::Shifting { until, .. } => until.max(t),
-                    };
-                    let start = start.max(m.now());
-                    let level = m.begin_service(start).expect("serviceable at start");
-                    let st = service_time_secs(
-                        params,
-                        &ladder,
-                        level,
-                        ServiceRequest {
-                            size_bytes: req.size_bytes,
-                            sequential: req.sequential,
-                        },
-                    );
-                    let completion = start + st;
-                    m.end_service(completion).expect("end service");
-                    requests[d] += 1;
-                    t = completion;
-                }
+                t += overhead_secs;
+            }
+            AppEvent::Io(req) => {
+                let d = req.disk.0 as usize;
+                let m = &mut machines[d];
+                m.advance(t.max(m.now())).expect("advance to arrival");
+                let start = match m.state() {
+                    DiskPowerState::Idle { .. } => t.max(m.now()),
+                    DiskPowerState::Active { .. } => {
+                        unreachable!("closed-loop app cannot overlap requests on one disk")
+                    }
+                    DiskPowerState::Standby => {
+                        let at = t.max(m.now());
+                        m.spin_up(at).expect("spin up from standby");
+                        at + params.spin_up_secs
+                    }
+                    DiskPowerState::SpinningDown { until } => {
+                        m.advance(until).expect("finish spin-down");
+                        m.spin_up(until).expect("spin up after spin-down");
+                        until + params.spin_up_secs
+                    }
+                    DiskPowerState::SpinningUp { until }
+                    | DiskPowerState::Shifting { until, .. } => until.max(t),
+                };
+                let start = start.max(m.now());
+                let level = m.begin_service(start).expect("serviceable at start");
+                let st = service_time_secs(
+                    params,
+                    &ladder,
+                    level,
+                    ServiceRequest {
+                        size_bytes: req.size_bytes,
+                        sequential: req.sequential,
+                    },
+                );
+                let completion = start + st;
+                m.end_service(completion).expect("end service");
+                requests[d] += 1;
+                t = completion;
             }
         }
     }

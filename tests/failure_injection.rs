@@ -7,7 +7,9 @@ use sdpm_fault::{FaultConfig, FaultPlan};
 use sdpm_layout::{DiskId, DiskPool};
 use sdpm_sim::{simulate, DirectiveConfig, Engine, Policy, SimError};
 use sdpm_trace::codec::{decode, encode, CodecError};
-use sdpm_trace::{AppEvent, IoRequest, PowerAction, REvent, ReqKind, Run, RunTrace, Trace};
+use sdpm_trace::{
+    AppEvent, IoRequest, IoTemplate, PowerAction, REvent, ReqKind, Run, RunTrace, Trace,
+};
 
 fn io(disk: u32, size: u64) -> AppEvent {
     AppEvent::Io(IoRequest {
@@ -162,8 +164,8 @@ fn empty_trace_simulates_to_zero_time() {
 
 #[test]
 fn malformed_stream_surfaces_typed_error_not_panic() {
-    // A stream cannot be pre-validated without draining it, so an
-    // out-of-pool disk must surface from inside the engine as a typed
+    // The engine does not re-validate its input (callers validate once),
+    // so an out-of-pool disk must surface from inside the loop as a typed
     // error, not a panic or an index OOB.
     let t = Trace {
         name: "bad-stream".into(),
@@ -235,6 +237,51 @@ fn malformed_run_record_surfaces_typed_error_not_panic() {
         .runs(&rt)
         .expect_err("zero-rotation run must be rejected");
     assert!(matches!(err, SimError::InvalidRun(_)), "got: {err}");
+
+    // A run trace built for another pool size.
+    let mismatch = RunTrace {
+        name: "mismatch".into(),
+        pool_size: 4,
+        events: vec![REvent::Event(compute(1.0))],
+    };
+    let err = Engine::new(ultrastar36z15(), DiskPool::new(2), Policy::Base)
+        .runs(&mismatch)
+        .expect_err("pool mismatch must be typed");
+    assert!(
+        matches!(err, SimError::PoolMismatch { trace: 4, pool: 2 }),
+        "got: {err}"
+    );
+
+    // A valid one-template run whose template names a disk outside the
+    // pool, on the fast path (Base) and through the oracle's Base pass.
+    let AppEvent::Io(req) = io(5, 4096) else {
+        unreachable!("io() builds a request")
+    };
+    let out_of_pool = RunTrace {
+        name: "out-of-pool".into(),
+        pool_size: 2,
+        events: vec![REvent::Run(Run {
+            count: 3,
+            nest: 0,
+            first_iter: 0,
+            iters_per_rep: 1,
+            secs_per_rep: 1.0,
+            rotation: 1,
+            reqs: vec![IoTemplate {
+                io: req,
+                block_stride: 8,
+            }],
+        })],
+    };
+    for policy in [Policy::Base, Policy::IdealDrpm] {
+        let err = Engine::new(ultrastar36z15(), DiskPool::new(2), policy)
+            .runs(&out_of_pool)
+            .expect_err("out-of-pool template must be rejected");
+        assert!(
+            matches!(err, SimError::DiskOutOfRange { disk: 5, pool: 2 }),
+            "got: {err}"
+        );
+    }
 }
 
 #[test]
@@ -248,16 +295,16 @@ fn faults_disabled_is_bit_exact_across_data_paths() {
     for policy in [Policy::IdealDrpm, Policy::Base] {
         let clean = simulate(&trace, &params, pool, &policy);
         let engine = Engine::new(params.clone(), pool, policy).faults(None);
-        let streamed = engine
+        let per_event = engine
             .events(&trace)
-            .expect("fault-free streamed run succeeds");
+            .expect("fault-free per-event run succeeds");
         let compressed = engine
             .runs(&runs)
             .expect("fault-free run-compressed run succeeds");
-        assert_eq!(clean, streamed, "streamed path drifted with faults off");
+        assert_eq!(clean, per_event, "per-event path drifted with faults off");
         assert_eq!(
             clean.total_energy_j().to_bits(),
-            streamed.total_energy_j().to_bits()
+            per_event.total_energy_j().to_bits()
         );
         assert_eq!(
             clean.total_energy_j().to_bits(),

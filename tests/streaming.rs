@@ -1,24 +1,14 @@
-//! Streaming data-path equivalence: the streamed and materialized
-//! simulation paths must produce bit-exact `SimReport`s on every scheme
-//! of every Table 2 kernel, and the shared pipeline session must
-//! generate each benchmark's trace exactly once.
+//! Codec data-path equivalence: a trace that makes the round trip
+//! through the binary codec must simulate to a bit-exact `SimReport` on
+//! every scheme of every Table 2 kernel, and the shared pipeline session
+//! must generate each benchmark's trace exactly once.
 
 use sdpm_bench::{config_for, parallel_map, suite};
 use sdpm_core::{CmMode, Scheme, Session};
 use sdpm_layout::DiskPool;
-use sdpm_sim::{simulate, simulate_source, DirectiveConfig, Policy, SimReport};
-use sdpm_trace::codec::{encode, DecodeStream};
-use sdpm_trace::{EventSource, EventStream, GenSource, Trace};
-
-/// An owned encoded trace acting as a re-openable stream source, so the
-/// codec path can feed the simulator directly.
-struct BytesSource(Vec<u8>);
-
-impl EventSource for BytesSource {
-    fn open(&self) -> Box<dyn EventStream + '_> {
-        Box::new(DecodeStream::new(&self.0).expect("self-encoded trace"))
-    }
-}
+use sdpm_sim::{simulate, DirectiveConfig, Policy, SimReport};
+use sdpm_trace::codec::{decode, encode, encode_runs};
+use sdpm_trace::{compress, Trace};
 
 fn assert_identical(reference: &SimReport, candidate: &SimReport, what: &str) {
     assert_eq!(
@@ -67,39 +57,26 @@ fn all_paths_agree_bitwise_on_every_scheme_and_kernel() {
         let cfg = config_for(bench);
         let pool = DiskPool::new(cfg.disks);
         let mut session = Session::new(&bench.program, &cfg);
-        let gen_source = GenSource::new(&bench.program, pool, cfg.gen);
         for scheme in Scheme::all() {
             let (policy, trace) = policy_and_trace(&mut session, &cfg, scheme);
             let what = format!("{} {}", bench.name, scheme.label());
-            let materialized = simulate(&trace, &cfg.params, pool, &policy);
+            let reference = simulate(&trace, &cfg.params, pool, &policy);
 
-            // Chunked stream over the materialized trace.
-            let streamed = simulate_source(&trace, &cfg.params, pool, &policy);
-            assert_identical(&materialized, &streamed, &format!("{what} streamed"));
+            // Round trip through the binary codec (the CM schemes' traces
+            // cover Power directives).
+            let decoded = decode(&encode(&trace)).expect("self-encoded trace");
+            let from_codec = simulate(&decoded, &cfg.params, pool, &policy);
+            assert_identical(&reference, &from_codec, &format!("{what} codec"));
 
-            // Lazy generator stream: no materialized trace at all. Only
-            // meaningful for un-instrumented schemes — CM schemes *are*
-            // their instrumented trace.
-            if !matches!(scheme, Scheme::CmTpm | Scheme::CmDrpm) {
-                let lazy = simulate_source(&gen_source, &cfg.params, pool, &policy);
-                assert_identical(&materialized, &lazy, &format!("{what} lazy-generated"));
-            }
+            // A run-compressed (v2) buffer decodes to the same per-event
+            // trace.
+            let v2 = encode_runs(&compress(&trace)).expect("compressor-built runs encode");
+            assert_eq!(
+                decode(&v2).expect("self-encoded runs"),
+                trace,
+                "{what}: v2 decode"
+            );
         }
-
-        // Round trip through the streaming binary codec (covers Power
-        // directives via the instrumented CMDRPM trace).
-        let inst = session.instrumented(CmMode::Drpm).trace.clone();
-        let encoded = BytesSource(encode(&inst));
-        let policy = Policy::Directive(DirectiveConfig {
-            overhead_secs: cfg.overhead_secs,
-        });
-        let from_codec = simulate_source(&encoded, &cfg.params, pool, &policy);
-        let reference = simulate(&inst, &cfg.params, pool, &policy);
-        assert_identical(
-            &reference,
-            &from_codec,
-            &format!("{} codec-streamed", bench.name),
-        );
 
         assert_eq!(
             session.generations(),
