@@ -4,12 +4,12 @@
 //! full pipeline once over one kernel, in four labeled legs:
 //!
 //! 1. `profile.per_event` — the seven-scheme suite through
-//!    [`Session::run`] (walk generator, instrumentation, per-event
-//!    engine), plus one CMDRPM run with the Chrome recorder attached so
-//!    the exported timeline carries sim-time tracks next to the host
-//!    spans.
+//!    [`Session::run`] (generation lowered to events, instrumentation,
+//!    per-event engine), plus one CMDRPM run with the Chrome recorder
+//!    attached so the exported timeline carries sim-time tracks next to
+//!    the host spans.
 //! 2. `profile.run_compressed` — the same suite through
-//!    [`Session::run_compressed`] (analytic generator, O(#runs) engine).
+//!    [`Session::run_compressed`] (generation, O(#runs) engine).
 //! 3. `profile.codec` — run compression plus the binary codec round
 //!    trip (encode and decode of both trace forms) and a simulation of
 //!    the decoded trace, so `encode.bytes`/`decode.bytes` throughput is
@@ -17,8 +17,8 @@
 //! 4. `profile.verify` — the static verifier over the base trace.
 //!
 //! Every span below the legs comes from the instrumented crates
-//! themselves (`trace.gen.walk`, `sim.simulate`, `verify.run`, ...), so
-//! the tree is the ground truth of what the pipeline actually executed,
+//! themselves (`trace.gen.analytic`, `sim.simulate`, `verify.run`, ...),
+//! so the tree is the ground truth of what the pipeline actually executed,
 //! and the per-stage counters (`gen.events`, `encode.bytes`,
 //! `sim.records`, ...) give throughput once divided by the span times.
 //!

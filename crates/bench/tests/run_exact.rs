@@ -1,14 +1,22 @@
 //! The acceptance gate for the run-compressed fast path: every Table 2
 //! kernel × every scheme must produce a bitwise-identical `SimReport`
-//! through `Session::run_compressed` and `Session::run`, and the
-//! analytic generator must reproduce the walk's trace on every kernel
-//! program, original and transformed.
+//! through `Session::run_compressed` and `Session::run`, so must random
+//! programs, and the generator must reproduce the spec walk's trace on
+//! every kernel program, original and transformed, and on the synthetic
+//! programs in use.
 
+#[path = "../../trace/tests/support/mod.rs"]
+mod support;
+
+use proptest::prelude::*;
 use sdpm_bench::{config_for, parallel_map};
-use sdpm_core::{Scheme, Session};
+use sdpm_core::{PipelineConfig, Scheme, Session};
 use sdpm_layout::DiskPool;
-use sdpm_trace::{generate, generate_runs};
+use sdpm_sim::SimPath;
+use sdpm_trace::generate_runs;
+use sdpm_workloads::synth::{blocked_matmul, checkpoint_loop, out_of_core_stencil};
 use sdpm_xform::Transform;
+use support::{random_program, spec_walk};
 
 #[test]
 fn run_compressed_matches_per_event_for_every_kernel_and_scheme() {
@@ -22,7 +30,7 @@ fn run_compressed_matches_per_event_for_every_kernel_and_scheme() {
             let label = format!("{} / {}", bench.name, scheme.label());
             assert_eq!(
                 f.sim_path,
-                sdpm_sim::SimPath::RunCompressed,
+                SimPath::RunCompressed,
                 "{label}: fast path must actually take the run route"
             );
             assert_eq!(f, s, "{label}: reports must be identical");
@@ -41,7 +49,9 @@ fn run_compressed_matches_per_event_for_every_kernel_and_scheme() {
 }
 
 /// Equal reports do not prove equal traces: every kernel, original and
-/// under each transform, must generate the walk's trace event for event.
+/// under each transform, and every synthetic program at the parameters
+/// `repro` and the examples run it with, must generate the spec walk's
+/// trace event for event.
 #[test]
 fn analytic_trace_matches_the_walk_on_every_program() {
     let mut programs = Vec::new();
@@ -56,9 +66,60 @@ fn analytic_trace_matches_the_walk_on_every_program() {
         }
     }
     assert_eq!(programs.len(), 30, "6 kernels x (original + 4 transforms)");
+    let cfg = PipelineConfig::default();
+    let pool = DiskPool::new(cfg.disks);
+    for (label, program) in [
+        ("checkpoint 2/12/60", checkpoint_loop(2, 12, 60.0)),
+        ("checkpoint 16/6/6", checkpoint_loop(16, 6, 6.0)),
+        ("stencil 32/6/4", out_of_core_stencil(32, 6, 4.0)),
+        ("matmul 21/6", blocked_matmul(21, 6.0)),
+    ] {
+        programs.push((label.to_string(), program, pool, cfg.gen));
+    }
     parallel_map(&programs, |(label, program, pool, gen)| {
-        let walked = generate(program, *pool, *gen);
         let analytic = generate_runs(program, *pool, *gen).lower();
-        assert!(analytic.events == walked.events, "{label}: traces differ");
+        assert!(
+            analytic.events == spec_walk(program, *pool, *gen),
+            "{label}: traces differ"
+        );
     });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random programs simulate to bit-identical reports on the per-event
+    /// and run paths under all seven schemes. Each nest's iterations take
+    /// 1 µs, 0.1 s or 10 s, so gaps fall on both sides of the DRPM drift
+    /// step and the TPM break-even.
+    #[test]
+    fn per_event_and_run_paths_agree_on_random_programs(
+        seed in any::<u64>(),
+        speeds in proptest::collection::vec(0usize..3, 3),
+    ) {
+        let (mut program, gen) = random_program(seed);
+        for (nest, &speed) in program.nests.iter_mut().zip(&speeds) {
+            nest.cycles_per_iter = [750.0, 7.5e7, 7.5e9][speed];
+        }
+        let cfg = PipelineConfig {
+            disks: 4,
+            gen,
+            ..PipelineConfig::default()
+        };
+        let mut per_event = Session::new(&program, &cfg);
+        let mut runs = Session::new(&program, &cfg);
+        for scheme in Scheme::all() {
+            let slow = per_event.run(scheme);
+            let mut fast = runs.run_compressed(scheme);
+            prop_assert_eq!(fast.sim_path, SimPath::RunCompressed);
+            fast.sim_path = slow.sim_path;
+            prop_assert_eq!(
+                format!("{fast:?}"),
+                format!("{slow:?}"),
+                "{} {}",
+                program.name,
+                scheme.label()
+            );
+        }
+    }
 }

@@ -4,8 +4,10 @@
 //! walk nests iteration by iteration. [`walk_nest`] runs an odometer over
 //! the induction variables so each step is O(1) amortized (no div/mod per
 //! iteration), which keeps walking tens of millions of iterations well
-//! under a second in release builds. The trace generator runs its own
-//! strength-reduced odometer over byte offsets (`sdpm_trace::gen`).
+//! under a second in release builds. The trace generator does not walk:
+//! it jumps from cache miss to cache miss in closed form
+//! (`sdpm_trace::gen`), and its tests hold it to a spec walk built on
+//! [`walk_nest`].
 
 use crate::nest::LoopNest;
 

@@ -4,7 +4,7 @@
 //!
 //! Simulated time already has full coverage through [`crate::Event`];
 //! this module covers the *host* cost of producing it — how long the
-//! walk generator, the run compressor, the codec, and the engine loops
+//! trace generator, the run compressor, the codec, and the engine loops
 //! actually take, and at what throughput. The two clocks meet in the
 //! Chrome exporter: [`crate::ChromeTraceRecorder::attach_profile`]
 //! renders the host span tree as its own process next to the sim-time

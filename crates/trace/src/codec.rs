@@ -26,9 +26,11 @@
 //!                        | flags u8 | nest u32 | iter u64)
 //! ```
 //!
-//! [`decode`] accepts both versions and always returns the per-event
-//! trace (runs are lowered), so legacy consumers read v2 buffers
-//! unchanged; [`decode_runs`] preserves the run structure.
+//! [`decode`] reads v1 only and rejects a v2 header as
+//! [`CodecError::BadHeader`]: it never lowers a run, so a short buffer
+//! cannot announce an unbounded number of events. [`decode_runs`] reads
+//! both versions and keeps the run structure; a consumer that wants
+//! events lowers its result ([`RunTrace::lower`]).
 
 use crate::event::{AppEvent, IoRequest, PowerAction, ReqKind};
 use crate::run::{IoTemplate, REvent, Run, RunTrace};
@@ -383,8 +385,9 @@ fn reservation(count: u64, buf: &[u8]) -> usize {
         .min(buf.len() / 7 + 1)
 }
 
-/// Deserializes a trace previously produced by [`encode`], or the
-/// per-event lowering of one produced by [`encode_runs`].
+/// Deserializes a trace previously produced by [`encode`]. A v2 buffer
+/// (from [`encode_runs`]) is [`CodecError::BadHeader`]: read it with
+/// [`decode_runs`].
 ///
 /// # Errors
 /// A [`CodecError`] naming the first defect in `buf`.
@@ -392,12 +395,13 @@ pub fn decode(buf: &[u8]) -> Result<Trace, CodecError> {
     let _sp = crate::prof::span("trace.decode");
     crate::prof::add("decode.bytes", buf.len() as u64);
     let (mut r, version, pool_size, name, count) = read_header(buf)?;
+    if version != VERSION {
+        return Err(CodecError::BadHeader);
+    }
     let mut events = Vec::with_capacity(reservation(count, buf));
     for _ in 0..count {
-        match read_record(&mut r, version)? {
-            REvent::Event(e) => events.push(e),
-            REvent::Run(run) => run.lower_into(&mut events),
-        }
+        let tag = r.get_u8()?;
+        events.push(read_event_body(tag, &mut r)?);
     }
     crate::prof::add("decode.events", events.len() as u64);
     Ok(Trace {
@@ -579,11 +583,14 @@ mod tests {
         assert_eq!(decode_runs(&bytes).unwrap(), rt);
     }
 
+    /// Per-event consumers of a v2 buffer lower what `decode_runs`
+    /// returns; `decode` itself refuses the v2 header.
     #[test]
     fn v2_decodes_to_per_event_stream_for_legacy_consumers() {
         let rt = sample_runs();
         let bytes = encode_runs(&rt).unwrap();
-        assert_eq!(decode(&bytes).unwrap(), rt.lower());
+        assert_eq!(decode_runs(&bytes).unwrap().lower(), rt.lower());
+        assert_eq!(decode(&bytes), Err(CodecError::BadHeader));
     }
 
     #[test]

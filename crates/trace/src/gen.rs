@@ -9,21 +9,34 @@
 //! employed. Chunk-granular requests are split along stripe boundaries
 //! into per-disk requests.
 //!
-//! The walk visits every iteration and tests every reference, in
-//! statement order, against its array's cached chunk. It is
-//! strength-reduced: each reference's byte offset is seeded once per
-//! segment and then stepped with the loop odometer (one precomputed
-//! `coeff·step·element_bytes` per trip, one rewind per wrap), so a cache
-//! hit is one range check against the cached chunk's bytes. The
-//! division, the chunk fetch and the compute flush run only on a miss.
-//! It solves no closed forms and shares only the event-emitting helpers
-//! with the analytic generator ([`crate::rungen`]), so it stays the
-//! independent per-iteration reference that generator is tested against.
+//! Generation is analytic: it finds chunk-boundary crossings in closed
+//! form instead of testing every reference at every iteration. Each
+//! nest's loops split in two. Inside the inner loops every reference's
+//! linearized element index is affine in their flat iteration (the
+//! odometer-carry test, [`sdpm_ir::LoopNest::affine_in_flat`]), so the
+//! next cache miss is the solution of a one-variable linear inequality
+//! and the generator jumps from miss to miss. The outer loops step one
+//! *segment* (one full run of the inner loops) at a time, re-anchoring
+//! each reference with one addition. The split takes the fewest outer
+//! loops that pass the test; the innermost loop alone always does, so
+//! every nest is covered, at O(#misses + #segments) (DESIGN.md §11). A
+//! row-major scan is a single segment; a column walk of a row-major
+//! array, where `elem = cols·(flat mod rows) + flat div rows`, is one
+//! segment per column.
+//!
+//! Exactness: between two misses the buffer cache is static by
+//! construction (no reference misses, so nothing is fetched), and at a
+//! miss iteration the generator runs the whole per-iteration body — every
+//! reference in statement order against its array's cached chunk — so
+//! the events are those of a walk over every iteration. The tests hold
+//! it to such a walk, written apart from this module (the spec walk in
+//! `tests/support`).
 
 use crate::event::{AppEvent, IoRequest, ReqKind};
+use crate::run::{Compressor, RunTrace};
 use crate::trace::Trace;
 use sdpm_ir::conform::linearized_ref;
-use sdpm_ir::{Program, RefKind};
+use sdpm_ir::{AffineExpr, ArrayRef, LoopNest, Program, RefKind};
 use sdpm_layout::{DiskPool, BLOCK_BYTES};
 use serde::{Deserialize, Serialize};
 
@@ -54,100 +67,109 @@ impl Default for TraceGenConfig {
     }
 }
 
-/// A reference pre-linearized against its array's storage order: its
-/// element index is one affine form of the induction variables.
-pub(crate) struct LinRef {
-    pub(crate) array: usize,
-    pub(crate) lin: sdpm_ir::AffineExpr,
-    pub(crate) kind: ReqKind,
+/// A reference whose linearized element index is `base + slope·f` for
+/// every flat iteration `f` of the current segment.
+struct AffRef {
+    array: usize,
+    kind: ReqKind,
+    base: i128,
+    slope: i128,
+    /// `carry[d]`: the change of `base` when outer loop `d` advances one
+    /// trip and the outer loops inside it wrap to their first trip.
+    carry: Vec<i128>,
 }
 
-pub(crate) fn linrefs_of(program: &Program, ni: usize) -> Vec<LinRef> {
-    program.nests[ni]
+/// How one nest is generated: the outer loops `loops[..trips.len()]`
+/// step one segment of `seg_len` iterations at a time, and inside a
+/// segment every reference is affine in the flat iteration.
+#[derive(Default)]
+struct NestPlan {
+    refs: Vec<AffRef>,
+    /// The outer loops' trip indices in the current segment.
+    trips: Vec<u64>,
+    seg_len: u64,
+    /// First flat iteration past the current segment.
+    seg_end: u64,
+}
+
+/// `ceil(a / b)` for `b > 0` over `i128`.
+fn ceil_div(a: i128, b: i128) -> i128 {
+    debug_assert!(b > 0);
+    a.div_euclid(b) + i128::from(a.rem_euclid(b) != 0)
+}
+
+/// Reference `r`, whose element index is `lin`, as an [`AffRef`] when
+/// the loops `nest.loops[..split]` are stepped as segments, or `None`
+/// when it is not affine inside them.
+fn aff_ref(
+    nest: &LoopNest,
+    r: &ArrayRef,
+    lin: &AffineExpr,
+    split: usize,
+    seg_len: u64,
+) -> Option<AffRef> {
+    let (base, slope) = nest.affine_in_flat(lin, split)?;
+    // Re-anchoring to flat iterations moves `base` back by one segment's
+    // worth of slope per segment, on top of the outer loops' own steps.
+    let mut wrap = slope.checked_mul(i128::from(seg_len))?;
+    let mut carry = vec![0; split];
+    for d in (0..split).rev() {
+        let l = nest.loops[d];
+        let per_trip = i128::from(lin.coeff(d)) * i128::from(l.step);
+        carry[d] = per_trip.checked_sub(wrap)?;
+        wrap = wrap.checked_add(per_trip.checked_mul(i128::from(l.count.saturating_sub(1)))?)?;
+    }
+    Some(AffRef {
+        array: r.array,
+        kind: match r.kind {
+            RefKind::Read => ReqKind::Read,
+            RefKind::Write => ReqKind::Write,
+        },
+        base,
+        slope,
+        carry,
+    })
+}
+
+/// Plans nest `ni` of `program` (an empty plan past the last nest) with
+/// the fewest outer loops under which every reference is affine.
+fn plan_nest(program: &Program, ni: usize) -> NestPlan {
+    let Some(nest) = program.nests.get(ni) else {
+        return NestPlan::default();
+    };
+    // Each reference's element index, linearized against its array's
+    // storage order, in statement order.
+    let refs: Vec<(&ArrayRef, AffineExpr)> = nest
         .stmts
         .iter()
-        .flat_map(|s| s.refs.iter())
+        .flat_map(|s| &s.refs)
         .map(|r| {
             let file = &program.arrays[r.array];
-            LinRef {
-                array: r.array,
-                lin: linearized_ref(r, file, file.order),
-                kind: match r.kind {
-                    RefKind::Read => ReqKind::Read,
-                    RefKind::Write => ReqKind::Write,
-                },
-            }
+            (r, linearized_ref(r, file, file.order))
         })
-        .collect()
+        .collect();
+    (0..nest.depth().max(1))
+        .find_map(|split| {
+            let seg_len = nest.loops[split..].iter().map(|l| l.count).product();
+            let refs = refs
+                .iter()
+                .map(|(r, lin)| aff_ref(nest, r, lin, split, seg_len))
+                .collect::<Option<_>>()?;
+            Some(NestPlan {
+                refs,
+                trips: vec![0; split],
+                seg_len,
+                seg_end: seg_len,
+            })
+        })
+        // The innermost loop alone always passes unless `i128`
+        // arithmetic overflows, which takes coefficients and bounds near
+        // the `i64` limits.
+        .unwrap_or_else(|| panic!("nest {ni}: element index arithmetic overflows i128"))
 }
 
-/// Iterations walked per internal step: one segment, whose references'
-/// byte offsets are seeded from [`sdpm_ir::LoopNest::ivars_of`] at its
-/// first iteration. The walk is O(1) per iteration; this only bounds the
-/// stretch one call of the hot loop covers.
-const ITERS_PER_STEP: u64 = 65_536;
-
-/// Flushes the compute span accumulated in `[pending_start, flat)` and
-/// restarts accumulation at `flat`. Shared by the per-iteration walk and
-/// the analytic generator ([`crate::rungen`]) so both emit the identical
-/// event — same fields, same float expression.
-pub(crate) fn flush_compute(
-    buf: &mut Vec<AppEvent>,
-    ni: usize,
-    pending_start: &mut u64,
-    flat: u64,
-    iter_secs: f64,
-) {
-    if flat > *pending_start {
-        buf.push(AppEvent::Compute {
-            nest: ni,
-            first_iter: *pending_start,
-            iters: flat - *pending_start,
-            secs: (flat - *pending_start) as f64 * iter_secs,
-        });
-        *pending_start = flat;
-    }
-}
-
-/// Emits the block-level requests of one chunk fetch (clipped to the file
-/// end, split along stripe boundaries into per-disk extents). Shared by
-/// both generators; the caller has already updated the buffer cache and
-/// flushed the pending compute span.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn emit_chunk_fetch(
-    file: &sdpm_layout::ArrayFile,
-    pool: DiskPool,
-    config: &TraceGenConfig,
-    next_block: &mut [Option<u64>],
-    buf: &mut Vec<AppEvent>,
-    ni: usize,
-    flat: u64,
-    kind: ReqKind,
-    chunk: u64,
-) {
-    let chunk_start = chunk * config.io_chunk_bytes;
-    let chunk_len = config.io_chunk_bytes.min(file.total_bytes() - chunk_start);
-    for ext in file.map_bytes(pool, chunk_start, chunk_len) {
-        let d = ext.disk.0 as usize;
-        let sequential = config.detect_sequential && next_block[d] == Some(ext.start_block);
-        let end_block = ext.start_block + (ext.block_offset + ext.len).div_ceil(BLOCK_BYTES);
-        next_block[d] = Some(end_block);
-        buf.push(AppEvent::Io(IoRequest {
-            disk: ext.disk,
-            start_block: ext.start_block,
-            size_bytes: ext.len,
-            kind,
-            sequential,
-            nest: ni,
-            iter: flat,
-        }));
-    }
-}
-
-/// The per-iteration walk: resumes the iteration space one step at a
-/// time, appending the events it produces to `events`. Compute runs are
-/// flushed on cache misses and nest boundaries, never on step boundaries,
-/// so stepping is invisible in the output.
+/// The generator's state: each [`Walker::step`] jumps to the next miss
+/// (or segment, or nest) and appends the events it produces to `buf`.
 struct Walker<'a> {
     program: &'a Program,
     pool: DiskPool,
@@ -162,8 +184,8 @@ struct Walker<'a> {
     ni: usize,
     pos: u64,
     pending_start: u64,
-    linrefs: Vec<LinRef>,
-    events: Vec<AppEvent>,
+    plan: NestPlan,
+    buf: Vec<AppEvent>,
 }
 
 impl<'a> Walker<'a> {
@@ -177,11 +199,6 @@ impl<'a> Walker<'a> {
         if let Err(e) = program.validate(pool) {
             panic!("trace generation requires a valid program: {e}");
         }
-        let linrefs = if program.nests.is_empty() {
-            Vec::new()
-        } else {
-            linrefs_of(program, 0)
-        };
         Walker {
             program,
             pool,
@@ -191,313 +208,206 @@ impl<'a> Walker<'a> {
             ni: 0,
             pos: 0,
             pending_start: 0,
-            linrefs,
-            events: Vec::new(),
+            plan: plan_nest(program, 0),
+            buf: Vec::new(),
         }
     }
 
-    /// Walks up to [`ITERS_PER_STEP`] iterations of the current nest,
-    /// appending whatever events they produce, and advances to the next
-    /// nest when the current one completes.
+    /// First iteration in `[pos, end)` at which `r` misses the cache,
+    /// assuming the cache does not change before then (guaranteed: no ref
+    /// misses earlier, so nothing fetches). `end` means "never within this
+    /// segment".
+    fn next_miss(&self, r: &AffRef, pos: u64, end: u64) -> u64 {
+        let eb = i128::from(self.program.arrays[r.array].element_bytes);
+        let cb = i128::from(self.config.io_chunk_bytes);
+        let Some(c) = self.cached_chunk[r.array] else {
+            return pos;
+        };
+        let c = i128::from(c);
+        let elem_at = |f: u64| r.base + r.slope * i128::from(f);
+        let chunk_of = |f: u64| (elem_at(f) * eb).div_euclid(cb);
+        if chunk_of(pos) != c {
+            return pos;
+        }
+        if r.slope == 0 {
+            return end;
+        }
+        let f = if r.slope > 0 {
+            // First f with elem·eb ≥ (c+1)·cb.
+            let lo_elem = ceil_div((c + 1) * cb, eb);
+            ceil_div(lo_elem - r.base, r.slope)
+        } else {
+            // First f with elem·eb ≤ c·cb − 1; impossible when c == 0.
+            if c == 0 {
+                return end;
+            }
+            let hi_elem = (c * cb - 1).div_euclid(eb);
+            ceil_div(r.base - hi_elem, -r.slope)
+        };
+        debug_assert!(f > i128::from(pos));
+        u64::try_from(f).map_or(end, |f| f.min(end))
+    }
+
+    /// Processes the next miss iteration of the current segment; when no
+    /// reference misses again in it, moves to the next segment or, after
+    /// the last, finishes the nest. At the miss every reference is tested
+    /// in statement order, so cache effects between references sharing an
+    /// array are exact.
     fn step(&mut self) {
-        let ni = self.ni;
-        let from = self.pos;
-        let total = self.program.nests[ni].iter_count();
-        let to = from.saturating_add(ITERS_PER_STEP).min(total);
-        if from < to {
-            // One loop body, monomorphised on the nest's exact reference
-            // count so its lanes live in registers.
-            match self.linrefs.len() {
-                0 => self.walk::<[u64; 0]>(from, to),
-                1 => self.walk::<[u64; 1]>(from, to),
-                2 => self.walk::<[u64; 2]>(from, to),
-                3 => self.walk::<[u64; 3]>(from, to),
-                4 => self.walk::<[u64; 4]>(from, to),
-                5 => self.walk::<[u64; 5]>(from, to),
-                6 => self.walk::<[u64; 6]>(from, to),
-                7 => self.walk::<[u64; 7]>(from, to),
-                8 => self.walk::<[u64; 8]>(from, to),
-                _ => self.walk::<Vec<u64>>(from, to),
-            }
-        }
-        self.pos = to;
-        if to >= total {
-            // Flush the tail compute of the nest.
-            let iter_secs = self.program.iter_secs(ni);
-            flush_compute(
-                &mut self.events,
-                ni,
-                &mut self.pending_start,
-                total,
-                iter_secs,
-            );
-            self.ni += 1;
-            self.pos = 0;
-            self.pending_start = 0;
-            if self.ni < self.program.nests.len() {
-                self.linrefs = linrefs_of(self.program, self.ni);
-            }
-        }
-    }
-
-    /// Walks iterations `[from, to)` of the current nest with one lane per
-    /// reference (see [`LaneState`]): a hit is one comparison per
-    /// reference, and a step one addition per reference.
-    ///
-    /// Offsets are stepped modulo 2^64. The products and sums that form a
-    /// step may wrap — `Program::validate` accepts a one-trip loop with a
-    /// huge coefficient, whose step is never taken — yet every offset the
-    /// walk tests is exact: `validate` confines each visited offset to
-    /// `[0, total_bytes)`, and `total_bytes ≤ i64::MAX`, so an offset
-    /// known modulo 2^64 is known exactly.
-    fn walk<L: Lanes>(&mut self, from: u64, to: u64) {
-        let program = self.program;
-        let nest = &program.nests[self.ni];
-        let cb = self.config.io_chunk_bytes;
-        let refs = &self.linrefs;
-        let n = refs.len();
-        let elem_bytes = |k: usize| program.arrays[refs[k].array].element_bytes;
-        let arrays = L::collect(n, |k| refs[k].array as u64);
-        let cached = |k: usize| chunk_range(self.cached_chunk[refs[k].array], cb);
-        let ivars = nest.ivars_of(from);
-        let mut lo = L::collect(n, |k| cached(k).0);
-        let mut lanes = LaneState {
-            rel: L::collect(n, |k| {
-                let lin = &refs[k].lin;
-                let elem = lin
-                    .coeffs
-                    .iter()
-                    .zip(&ivars)
-                    .fold(wrap(lin.constant), |acc, (&c, &i)| {
-                        acc.wrapping_add(wrap(c.wrapping_mul(i)))
-                    });
-                elem.wrapping_mul(elem_bytes(k))
-                    .wrapping_sub(lo.as_ref()[k])
-            }),
-            len: L::collect(n, |k| cached(k).1),
+        let total = self.program.nests[self.ni].iter_count();
+        let end = self.plan.seg_end.min(total);
+        let m = if self.pos >= end {
+            end
+        } else {
+            let pos = self.pos;
+            let misses = self.plan.refs.iter().map(|r| self.next_miss(r, pos, end));
+            misses.min().unwrap_or(end)
         };
-        // Per loop, each lane's offset change on a trip, and on the wrap
-        // from its last trip back to its first.
-        let steps: Vec<L> = nest
-            .loops
-            .iter()
-            .enumerate()
-            .map(|(d, l)| {
-                L::collect(n, |k| {
-                    wrap(refs[k].lin.coeff(d))
-                        .wrapping_mul(wrap(l.step))
-                        .wrapping_mul(elem_bytes(k))
-                })
-            })
-            .collect();
-        let rewinds: Vec<L> = nest
-            .loops
-            .iter()
-            .zip(&steps)
-            .map(|(l, s)| {
-                L::collect(n, |k| {
-                    s.as_ref()[k].wrapping_mul(l.count - 1).wrapping_neg()
-                })
-            })
-            .collect();
-        // Trip counters of `from`, the innermost kept apart. A depth-0
-        // nest is one trip of a loop that moves nothing.
-        let mut trips = vec![0u64; nest.depth()];
-        let mut rem = from;
-        for (t, l) in trips.iter_mut().zip(&nest.loops).rev() {
-            *t = rem % l.count;
-            rem /= l.count;
+        if m >= end {
+            if end >= total {
+                self.finish_nest(total);
+            } else {
+                self.pos = end;
+                self.next_segment();
+            }
+            return;
         }
-        let (mut inner_trip, inner_count, inner_step, inner_rewind) = match trips.pop() {
-            Some(t) => {
-                let d = trips.len();
-                let lane = |v: &L| L::collect(n, |k| v.as_ref()[k]);
-                (t, nest.loops[d].count, lane(&steps[d]), lane(&rewinds[d]))
-            }
-            None => (0, 1, L::collect(n, |_| 0), L::collect(n, |_| 0)),
-        };
-        let mut flat = from;
-        loop {
-            let sweep_end = flat + (inner_count - inner_trip).min(to - flat);
-            loop {
-                let (rel, len) = (lanes.rel.as_ref(), lanes.len.as_ref());
-                if let Some(k) = (0..rel.len()).find(|&k| rel[k] >= len[k]) {
-                    lanes = self.misses(k, flat, &arrays, &mut lo, lanes);
-                }
-                flat += 1;
-                if flat == sweep_end {
-                    break;
-                }
-                add(lanes.rel.as_mut(), inner_step.as_ref());
-            }
-            if flat == to {
-                return;
-            }
-            // The innermost loop wrapped: rewind it and carry outward.
-            inner_trip = 0;
-            add(lanes.rel.as_mut(), inner_rewind.as_ref());
-            for d in (0..trips.len()).rev() {
-                trips[d] += 1;
-                if trips[d] < nest.loops[d].count {
-                    add(lanes.rel.as_mut(), steps[d].as_ref());
-                    break;
-                }
-                trips[d] = 0;
-                add(lanes.rel.as_mut(), rewinds[d].as_ref());
-            }
-        }
-    }
-
-    /// Finishes iteration `flat` from reference `first`, the first to miss
-    /// its array's cached chunk: tests the references from `first` on in
-    /// statement order, and fetches for each that misses. A fetch moves
-    /// every lane on its array (`arrays` names each lane's array) to the
-    /// new chunk, so a later reference of the iteration sees it.
-    #[cold]
-    #[inline(never)]
-    fn misses<L: Lanes>(
-        &mut self,
-        first: usize,
-        flat: u64,
-        arrays: &L,
-        lo: &mut L,
-        mut lanes: LaneState<L>,
-    ) -> LaneState<L> {
-        let (arrays, lo) = (arrays.as_ref(), lo.as_mut());
-        let (rel, len) = (lanes.rel.as_mut(), lanes.len.as_mut());
-        for k in first..rel.len() {
-            if rel[k] < len[k] {
+        for k in 0..self.plan.refs.len() {
+            let r = &self.plan.refs[k];
+            let (array, kind) = (r.array, r.kind);
+            let elem = r.base + r.slope * i128::from(m);
+            // Non-negative and in `u64` range by `Program::validate`; a
+            // violation is a caller contract breach, reported loudly.
+            let byte = u64::try_from(elem)
+                .unwrap_or_else(|_| panic!("out-of-range element index {elem}"))
+                * self.program.arrays[array].element_bytes;
+            let chunk = byte / self.config.io_chunk_bytes;
+            if self.cached_chunk[array] == Some(chunk) {
                 continue;
             }
-            let (new_lo, new_len) = self.fetch(k, rel[k].wrapping_add(lo[k]), flat);
-            for j in 0..rel.len() {
-                if arrays[j] == arrays[k] {
-                    rel[j] = rel[j].wrapping_add(lo[j]).wrapping_sub(new_lo);
-                    (lo[j], len[j]) = (new_lo, new_len);
-                }
+            self.cached_chunk[array] = Some(chunk);
+            self.flush_compute(m);
+            self.fetch(array, kind, chunk, m);
+        }
+        self.pos = m + 1;
+    }
+
+    /// Flushes the compute span accumulated in `[pending_start, flat)`
+    /// and restarts accumulation at `flat`.
+    fn flush_compute(&mut self, flat: u64) {
+        if flat > self.pending_start {
+            let iters = flat - self.pending_start;
+            self.buf.push(AppEvent::Compute {
+                nest: self.ni,
+                first_iter: self.pending_start,
+                iters,
+                secs: iters as f64 * self.program.iter_secs(self.ni),
+            });
+            self.pending_start = flat;
+        }
+    }
+
+    /// Emits the block-level requests of fetching `chunk` of `array` at
+    /// iteration `flat`: clipped to the file end, split along stripe
+    /// boundaries into per-disk extents.
+    fn fetch(&mut self, array: usize, kind: ReqKind, chunk: u64, flat: u64) {
+        let file = &self.program.arrays[array];
+        let cb = self.config.io_chunk_bytes;
+        let chunk_start = chunk * cb;
+        let chunk_len = cb.min(file.total_bytes() - chunk_start);
+        for ext in file.map_bytes(self.pool, chunk_start, chunk_len) {
+            let d = ext.disk.0 as usize;
+            let sequential =
+                self.config.detect_sequential && self.next_block[d] == Some(ext.start_block);
+            let end_block = ext.start_block + (ext.block_offset + ext.len).div_ceil(BLOCK_BYTES);
+            self.next_block[d] = Some(end_block);
+            self.buf.push(AppEvent::Io(IoRequest {
+                disk: ext.disk,
+                start_block: ext.start_block,
+                size_bytes: ext.len,
+                kind,
+                sequential,
+                nest: self.ni,
+                iter: flat,
+            }));
+        }
+    }
+
+    /// Advances the outer-loop odometer one segment and re-anchors every
+    /// reference: O(#refs), amortized, and no allocation.
+    fn next_segment(&mut self) {
+        let loops = &self.program.nests[self.ni].loops;
+        let plan = &mut self.plan;
+        let mut d = plan.trips.len();
+        loop {
+            d -= 1;
+            plan.trips[d] += 1;
+            if plan.trips[d] < loops[d].count {
+                break;
             }
+            plan.trips[d] = 0;
         }
-        lanes
-    }
-
-    /// Reference `k` missed at byte offset `offset` in iteration `flat`:
-    /// caches the enclosing chunk, flushes the compute span before the
-    /// miss and fetches the chunk. Returns the chunk's [`chunk_range`].
-    fn fetch(&mut self, k: usize, offset: u64, flat: u64) -> (u64, u64) {
-        let lr = &self.linrefs[k];
-        let file = &self.program.arrays[lr.array];
-        // Non-negative by `Program::validate`; a violation is a caller
-        // contract breach, reported loudly.
-        let signed = offset as i64;
-        if signed < 0 {
-            let elem_bytes = i64::try_from(file.element_bytes).unwrap_or(i64::MAX);
-            panic!("negative element index {}", signed / elem_bytes);
+        for r in &mut plan.refs {
+            r.base += r.carry[d];
         }
-        let chunk = offset / self.config.io_chunk_bytes;
-        self.cached_chunk[lr.array] = Some(chunk);
-        let iter_secs = self.program.iter_secs(self.ni);
-        flush_compute(
-            &mut self.events,
-            self.ni,
-            &mut self.pending_start,
-            flat,
-            iter_secs,
-        );
-        emit_chunk_fetch(
-            file,
-            self.pool,
-            &self.config,
-            &mut self.next_block,
-            &mut self.events,
-            self.ni,
-            flat,
-            lr.kind,
-            chunk,
-        );
-        chunk_range(Some(chunk), self.config.io_chunk_bytes)
+        plan.seg_end += plan.seg_len;
+    }
+
+    /// Flushes the nest's tail compute and advances to the next nest.
+    fn finish_nest(&mut self, total: u64) {
+        self.flush_compute(total);
+        self.ni += 1;
+        self.pos = 0;
+        self.pending_start = 0;
+        self.plan = plan_nest(self.program, self.ni);
     }
 }
 
-/// The walk's hot state, one lane per reference of the nest. With the
-/// lane's array's cached chunk as the byte range `[lo, lo + len)` (see
-/// [`chunk_range`]), a lane holds `len` and its byte offset relative to
-/// the chunk, `rel = offset − lo`, so a hit is `rel < len` and a step
-/// adds to `rel`. Only a miss reads `lo`, so it stays out of this state.
-struct LaneState<L> {
-    rel: L,
-    len: L,
-}
-
-/// One `u64` per reference of a nest: the walk's lane set. An array of
-/// the exact width keeps the lanes in registers; a `Vec` carries nests
-/// wider than the widest array instantiation through the same loop body.
-trait Lanes: AsRef<[u64]> + AsMut<[u64]> {
-    fn collect(n: usize, lane: impl FnMut(usize) -> u64) -> Self;
-}
-
-impl<const N: usize> Lanes for [u64; N] {
-    fn collect(n: usize, lane: impl FnMut(usize) -> u64) -> Self {
-        debug_assert_eq!(n, N, "lane width");
-        std::array::from_fn(lane)
+/// Generates the run-compressed I/O trace of `program` against `pool`.
+/// Each step's events go straight into one [`Compressor`], so the
+/// per-event trace is never held whole.
+///
+/// # Panics
+/// If the program fails [`Program::validate`] or the chunk size is zero.
+#[must_use]
+pub fn generate_runs(program: &Program, pool: DiskPool, config: TraceGenConfig) -> RunTrace {
+    let _sp = crate::prof::span("trace.gen.analytic");
+    let mut walker = Walker::new(program, pool, config);
+    let mut comp = Compressor::new();
+    let mut records = Vec::new();
+    let mut events = 0u64;
+    while walker.ni < program.nests.len() {
+        walker.step();
+        events += walker.buf.len() as u64;
+        for e in walker.buf.drain(..) {
+            comp.push(&e, &mut records);
+        }
+    }
+    comp.finish(&mut records);
+    crate::prof::add("gen.events", events);
+    crate::prof::add("compress.records_out", records.len() as u64);
+    crate::prof::add("run.records", records.len() as u64);
+    RunTrace {
+        name: program.name.clone(),
+        pool_size: pool.count(),
+        events: records,
     }
 }
 
-impl Lanes for Vec<u64> {
-    fn collect(n: usize, lane: impl FnMut(usize) -> u64) -> Self {
-        (0..n).map(lane).collect()
-    }
-}
-
-/// `v` modulo 2^64, the walk's offset arithmetic (two's complement).
-#[allow(clippy::cast_sign_loss)]
-fn wrap(v: i64) -> u64 {
-    v as u64
-}
-
-/// Adds `by` to `off` lane by lane, modulo 2^64.
-fn add(off: &mut [u64], by: &[u64]) {
-    for (o, b) in off.iter_mut().zip(by) {
-        *o = o.wrapping_add(*b);
-    }
-}
-
-/// Cached chunk `c`'s bytes `[c·cb, (c+1)·cb)` as `(lo, len)`, so that an
-/// offset hits iff `offset − lo < len` in wrapping `u64` arithmetic. The
-/// range is cut at 2^63, so no offset that is negative as an `i64` hits.
-/// With nothing cached it is `(0, 0)`, which no offset hits.
-fn chunk_range(chunk: Option<u64>, cb: u64) -> (u64, u64) {
-    chunk.map_or((0, 0), |c| {
-        let lo = c * cb;
-        (lo, lo.saturating_add(cb).min(1 << 63) - lo)
-    })
-}
-
-/// Generates the I/O trace of `program` against `pool` by walking every
-/// iteration of every nest.
+/// Generates the per-event I/O trace of `program` against `pool`: the
+/// lowering of [`generate_runs`].
 ///
 /// # Panics
 /// If the program fails [`Program::validate`] or the chunk size is zero.
 #[must_use]
 pub fn generate(program: &Program, pool: DiskPool, config: TraceGenConfig) -> Trace {
-    let _sp = crate::prof::span("trace.gen.walk");
-    let mut walker = Walker::new(program, pool, config);
-    while walker.ni < program.nests.len() {
-        walker.step();
-    }
-    crate::prof::add("gen.events", walker.events.len() as u64);
-    let trace = Trace {
-        name: program.name.clone(),
-        pool_size: pool.count(),
-        events: walker.events,
-    };
-    debug_assert_eq!(trace.validate(), Ok(()));
-    trace
+    generate_runs(program, pool, config).lower()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdpm_ir::{AffineExpr, ArrayRef, LoopDim, LoopNest, Statement};
+    use sdpm_ir::{LoopDim, Statement};
     use sdpm_layout::{ArrayFile, DiskId, StorageOrder, Striping};
 
     /// 1-D scan of a 64 KiB array striped 16 KiB over 4 disks.

@@ -10,12 +10,14 @@
 //!   (`spin_down` / `spin_up` / `set_RPM`) the compiler inserts,
 //! * [`trace`] — whole traces with provenance, statistics, and the paper's
 //!   nominal 4-tuple view,
-//! * [`gen`] — the trace generator: walks an IR program, filters element
-//!   accesses through a one-chunk-per-array buffer cache, and emits
-//!   block-level striped requests,
-//! * [`run`] / [`rungen`] — the run-compressed form ([`RunTrace`]), its
-//!   compressor and lowering, and the analytic generator that builds it
-//!   without walking every iteration,
+//! * [`gen`] — the trace generator: executes an IR program, filters
+//!   element accesses through a one-chunk-per-array buffer cache, and
+//!   emits block-level striped requests; it solves for chunk-boundary
+//!   crossings in closed form instead of visiting every iteration, emits
+//!   the run-compressed form ([`generate_runs`]) and lowers it for
+//!   per-event consumers ([`generate`]),
+//! * [`run`] — the run-compressed form ([`RunTrace`]), its compressor and
+//!   lowering,
 //! * [`codec`] — a compact binary encoding of whole traces, per-event
 //!   (v1) or run-compressed (v2),
 //! * [`mix`] — per-tenant timelines and their deterministic multi-way
@@ -53,12 +55,10 @@ pub mod gen;
 pub mod mix;
 sdpm_obs::prof_hooks!();
 pub mod run;
-pub mod rungen;
 pub mod trace;
 
 pub use event::{AppEvent, IoRequest, PowerAction, ReqKind};
-pub use gen::{generate, TraceGenConfig};
+pub use gen::{generate, generate_runs, TraceGenConfig};
 pub use mix::{merge_tenants, tenant_timeline, TenantEvent, TenantStream, TimedEvent};
 pub use run::{compress, IoTemplate, REvent, Run, RunTrace, MAX_ROTATION};
-pub use rungen::generate_runs;
 pub use trace::{Trace, TraceStats};

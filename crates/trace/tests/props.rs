@@ -1,17 +1,20 @@
 //! Property tests for traces: codec round-trips, generator
-//! conservation laws, and the walk against a spec walk.
+//! conservation laws, and the generator against a spec walk.
+
+mod support;
 
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 use sdpm_disk::RpmLevel;
 use sdpm_ir::conform::linearized_ref;
-use sdpm_ir::{walk_nest, AffineExpr, ArrayRef, LoopDim, LoopNest, Program, RefKind, Statement};
-use sdpm_layout::{ArrayFile, DiskId, DiskPool, StorageOrder, Striping, BLOCK_BYTES};
+use sdpm_ir::{AffineExpr, ArrayRef, LoopDim, LoopNest, Program, Statement};
+use sdpm_layout::{ArrayFile, DiskId, DiskPool, StorageOrder, Striping};
 use sdpm_trace::codec::{decode, decode_runs, encode, encode_runs, CodecError};
 use sdpm_trace::{
-    compress, generate, generate_runs, merge_tenants, AppEvent, IoRequest, PowerAction, REvent,
-    ReqKind, TenantEvent, TenantStream, TimedEvent, Trace, TraceGenConfig,
+    compress, generate, generate_runs, merge_tenants, AppEvent, IoRequest, IoTemplate, PowerAction,
+    REvent, ReqKind, Run, RunTrace, TenantEvent, TenantStream, TimedEvent, Trace, TraceGenConfig,
 };
+use support::{random_program, spec_walk};
 
 fn event_strategy(pool: u32, nest: usize) -> impl Strategy<Value = AppEvent> {
     prop_oneof![
@@ -274,9 +277,9 @@ proptest! {
         }
     }
 
-    /// The v2 codec round-trips run-compressed traces exactly, and the
-    /// per-event decoder lowers the same bytes back to the original
-    /// per-event sequence (legacy consumers read v2 unchanged).
+    /// The v2 codec round-trips run-compressed traces exactly, and
+    /// lowering what it decodes gives back the original per-event
+    /// sequence; the per-event decoder refuses v2.
     #[test]
     fn run_codec_round_trips(
         pool in 1u32..16,
@@ -297,13 +300,14 @@ proptest! {
         let rt = compress(&t);
         let bytes = encode_runs(&rt).unwrap();
         prop_assert_eq!(decode_runs(&bytes).unwrap(), rt);
-        // The event-level decoder lowers v2 runs.
-        prop_assert_eq!(decode(&bytes).unwrap(), t);
+        prop_assert_eq!(decode_runs(&bytes).unwrap().lower(), t);
+        prop_assert_eq!(decode(&bytes), Err(CodecError::BadHeader));
     }
 
-    /// Cutting a v2 encoding anywhere short of its full length makes both
-    /// decoders report `Truncated` — never a partial success, never a
-    /// panic — even when the cut lands inside a run record.
+    /// Cutting a v2 encoding anywhere short of its full length makes the
+    /// run decoder report `Truncated` — never a partial success, never a
+    /// panic — even when the cut lands inside a run record. The per-event
+    /// decoder rejects every prefix too, at the header.
     #[test]
     fn run_codec_rejects_truncation_anywhere(
         n in 4u64..24,
@@ -328,8 +332,11 @@ proptest! {
         let rt = compress(&t);
         let bytes = encode_runs(&rt).unwrap();
         let cut = cut_seed % (bytes.len() - 1).max(1);
-        prop_assert_eq!(decode_runs(&bytes[..cut]), Err(CodecError::Truncated));
-        prop_assert_eq!(decode(&bytes[..cut]), Err(CodecError::Truncated));
+        prop_assert_eq!(
+            decode_runs(&bytes[..cut]).map(|rt| rt.lower()),
+            Err(CodecError::Truncated)
+        );
+        prop_assert!(decode(&bytes[..cut]).is_err());
     }
 
     /// Fuzz: arbitrary byte strings fed to every decoder entry point
@@ -443,6 +450,46 @@ fn hostile_length_prefix_does_not_preallocate() {
     assert_eq!(decode_runs(&v2).unwrap_err(), CodecError::Truncated);
 }
 
+/// A ~100-byte v2 buffer can hold one valid run whose `count` is near
+/// 2^40. `decode` never lowers a run, so it refuses the v2 header rather
+/// than grow a vector until the allocator aborts; `decode_runs` returns
+/// the one record.
+#[test]
+fn hostile_run_count_is_not_lowered_by_decode() {
+    let count = 1u64 << 40;
+    let rt = RunTrace {
+        name: "hostile".into(),
+        pool_size: 4,
+        events: vec![REvent::Run(Run {
+            count,
+            nest: 0,
+            first_iter: 0,
+            iters_per_rep: 1,
+            secs_per_rep: 1.0,
+            rotation: 1,
+            reqs: vec![IoTemplate {
+                io: IoRequest {
+                    disk: DiskId(0),
+                    start_block: 0,
+                    size_bytes: 4096,
+                    kind: ReqKind::Read,
+                    sequential: false,
+                    nest: 0,
+                    iter: 1,
+                },
+                block_stride: 8,
+            }],
+        })],
+    };
+    let bytes = encode_runs(&rt).unwrap();
+    assert!(bytes.len() < 128, "{} bytes", bytes.len());
+    assert_eq!(decode(&bytes), Err(CodecError::BadHeader));
+    let back = decode_runs(&bytes).unwrap();
+    assert_eq!(back.events.len(), 1);
+    assert_eq!(back.event_len(), 2 * count);
+    assert_eq!(back, rt);
+}
+
 /// The merge's specification: concatenate every tenant's events and
 /// stable-sort them by `(time, tenant, seq)`.
 fn spec_merge(streams: &[TenantStream]) -> Vec<TenantEvent> {
@@ -529,156 +576,20 @@ proptest! {
     }
 }
 
-/// A splitmix64 stream over one drawn seed. Random programs are built
-/// procedurally: their subscripts and extents depend on the loops drawn
-/// before them.
-struct Draw(u64);
-
-impl Draw {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) % n
-    }
-
-    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
-        xs[self.below(xs.len() as u64) as usize]
-    }
-}
-
-/// A random valid program with its generator configuration: 1–3 nests
-/// of depth 0–3 (trip counts include 0 and 1, lower bounds are nonzero,
-/// steps negative) with 1–4 references over 1–2 arrays of rank 1–2 in
-/// either storage order. Subscript coefficients are drawn first, on
-/// inner and outer loops alike, so transposed walks and outer-loop terms
-/// occur. Then each subscript's constant is set to −min over the
-/// iteration box, plus an offset that keeps it inside the extent, and
-/// each extent to the widest max − min + 1 among the array's references.
-fn random_program(seed: u64) -> (Program, TraceGenConfig) {
-    let mut g = Draw(seed);
-    let ranks: Vec<usize> = (0..1 + g.below(2))
-        .map(|_| 1 + g.below(2) as usize)
-        .collect();
-    let mut nests = Vec::new();
-    for _ in 0..1 + g.below(3) {
-        let loops: Vec<LoopDim> = (0..g.below(4))
-            .map(|_| LoopDim {
-                lower: g.pick(&[0, 0, -3, 2, 5]),
-                count: g.pick(&[0, 1, 2, 3, 5, 8, 13, 24]),
-                step: g.pick(&[1, 1, 2, 3, -1, -2]),
-            })
-            .collect();
-        let refs: Vec<ArrayRef> = (0..1 + g.below(4))
-            .map(|_| {
-                let array = g.below(ranks.len() as u64) as usize;
-                let subscripts = (0..ranks[array])
-                    .map(|_| AffineExpr {
-                        coeffs: loops
-                            .iter()
-                            .map(|_| g.pick(&[0, 0, 1, 1, 2, 3, -1]))
-                            .collect(),
-                        constant: 0,
-                    })
-                    .collect();
-                let read = g.below(2) == 0;
-                if read {
-                    ArrayRef::read(array, subscripts)
-                } else {
-                    ArrayRef::write(array, subscripts)
-                }
-            })
-            .collect();
-        nests.push((loops, refs));
-    }
-    // Each subscript's range over the box; zero-trip loops sit at `lower`,
-    // as `Program::validate` checks them.
-    let range = |e: &AffineExpr, loops: &[LoopDim]| {
-        e.coeffs
-            .iter()
-            .zip(loops)
-            .fold((0i64, 0i64), |(lo, hi), (&c, l)| {
-                let first = c * l.lower;
-                let last = c * l.value(l.count.saturating_sub(1));
-                (lo + first.min(last), hi + first.max(last))
-            })
-    };
-    let mut dims: Vec<Vec<u64>> = ranks.iter().map(|&r| vec![1; r]).collect();
-    for (loops, refs) in &nests {
-        for r in refs {
-            for (k, e) in r.subscripts.iter().enumerate() {
-                let (lo, hi) = range(e, loops);
-                dims[r.array][k] = dims[r.array][k].max((hi - lo + 1) as u64);
-            }
-        }
-    }
-    for (loops, refs) in &mut nests {
-        for r in refs.iter_mut() {
-            for (k, e) in r.subscripts.iter_mut().enumerate() {
-                let (lo, hi) = range(e, loops);
-                let spare = dims[r.array][k] - (hi - lo + 1) as u64;
-                e.constant = -lo + g.below(spare + 1) as i64;
-            }
-        }
-    }
-    let arrays = dims
-        .into_iter()
-        .enumerate()
-        .map(|(i, dims)| ArrayFile {
-            name: format!("A{i}"),
-            dims,
-            element_bytes: g.pick(&[4, 8]),
-            order: g.pick(&[StorageOrder::RowMajor, StorageOrder::ColMajor]),
-            striping: Striping {
-                start_disk: DiskId(g.below(4) as u32),
-                stripe_factor: 1 + g.below(4) as u32,
-                stripe_bytes: g.pick(&[128, 512]),
-            },
-            base_block: 1_000_000 * i as u64,
-        })
-        .collect();
-    let nests = nests
-        .into_iter()
-        .enumerate()
-        .map(|(i, (loops, refs))| LoopNest {
-            label: format!("n{i}"),
-            loops,
-            stmts: vec![Statement {
-                label: "S".into(),
-                refs,
-            }],
-            cycles_per_iter: g.pick(&[1.0, 750.0, 1234.5]),
-        })
-        .collect();
-    let program = Program {
-        name: format!("random{seed}"),
-        arrays,
-        nests,
-        clock_hz: Program::PAPER_CLOCK_HZ,
-    };
-    let config = TraceGenConfig {
-        io_chunk_bytes: g.pick(&[32, 64, 256, 1024, 4096]),
-        detect_sequential: g.below(2) == 0,
-    };
-    (program, config)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The per-iteration walk equals the spec walk, and the analytic
-    /// generator's run-compressed trace, lowered, reproduces the walk
-    /// event for event on random programs, including nests it must step
-    /// one outer segment at a time.
+    /// The generator's run-compressed trace, lowered, reproduces the
+    /// spec walk event for event on random programs, including nests it
+    /// must step one outer segment at a time.
     #[test]
     fn analytic_generation_matches_the_walk(seed in any::<u64>()) {
         let (p, config) = random_program(seed);
         let pool = DiskPool::new(4);
         prop_assert_eq!(p.validate(pool), Ok(()));
-        let walked = generate(&p, pool, config);
-        prop_assert_eq!(&walked.events, &spec_walk(&p, pool, config));
-        prop_assert_eq!(&generate_runs(&p, pool, config).lower(), &walked);
+        let lowered = generate_runs(&p, pool, config).lower();
+        prop_assert_eq!((lowered.name.as_str(), lowered.pool_size), (p.name.as_str(), 4));
+        prop_assert_eq!(&lowered.events, &spec_walk(&p, pool, config));
     }
 }
 
@@ -705,72 +616,8 @@ fn random_programs_include_nests_that_need_outer_segments() {
     );
 }
 
-/// The walk as specified, written apart from `sdpm_trace::gen`: every
-/// iteration in odometer order ([`walk_nest`]), each reference's element
-/// from its subscripts evaluated at the induction variables, its chunk
-/// by division of the byte offset, and one `Option` cached chunk per
-/// array, tested in statement order.
-fn spec_walk(p: &Program, pool: DiskPool, config: TraceGenConfig) -> Vec<AppEvent> {
-    let cb = config.io_chunk_bytes;
-    let mut events = Vec::new();
-    let mut cached: Vec<Option<u64>> = vec![None; p.arrays.len()];
-    let mut next_block: Vec<Option<u64>> = vec![None; pool.count() as usize];
-    for (ni, nest) in p.nests.iter().enumerate() {
-        let iter_secs = p.iter_secs(ni);
-        let mut pending = 0u64;
-        let flush = |events: &mut Vec<AppEvent>, pending: &mut u64, flat: u64| {
-            if flat > *pending {
-                events.push(AppEvent::Compute {
-                    nest: ni,
-                    first_iter: *pending,
-                    iters: flat - *pending,
-                    secs: (flat - *pending) as f64 * iter_secs,
-                });
-                *pending = flat;
-            }
-        };
-        walk_nest(nest, |flat, ivars| {
-            for r in nest.stmts.iter().flat_map(|s| &s.refs) {
-                let file = &p.arrays[r.array];
-                let idx: Vec<u64> = r
-                    .subscripts
-                    .iter()
-                    .map(|e| u64::try_from(e.eval(ivars)).expect("validated subscript"))
-                    .collect();
-                let chunk = file.byte_offset_of(&idx) / cb;
-                if cached[r.array] == Some(chunk) {
-                    continue;
-                }
-                cached[r.array] = Some(chunk);
-                flush(&mut events, &mut pending, flat);
-                let start = chunk * cb;
-                for ext in file.map_bytes(pool, start, cb.min(file.total_bytes() - start)) {
-                    let d = ext.disk.0 as usize;
-                    let sequential =
-                        config.detect_sequential && next_block[d] == Some(ext.start_block);
-                    next_block[d] =
-                        Some(ext.start_block + (ext.block_offset + ext.len).div_ceil(BLOCK_BYTES));
-                    events.push(AppEvent::Io(IoRequest {
-                        disk: ext.disk,
-                        start_block: ext.start_block,
-                        size_bytes: ext.len,
-                        kind: match r.kind {
-                            RefKind::Read => ReqKind::Read,
-                            RefKind::Write => ReqKind::Write,
-                        },
-                        sequential,
-                        nest: ni,
-                        iter: flat,
-                    }));
-                }
-            }
-        });
-        flush(&mut events, &mut pending, nest.iter_count());
-    }
-    events
-}
-
-/// `generate` equals the spec walk under both `detect_sequential` values.
+/// `generate` (the generator's lowered run trace) equals the spec walk
+/// under both `detect_sequential` values.
 fn assert_walk_matches_spec(p: &Program, pool: DiskPool, io_chunk_bytes: u64) {
     assert_eq!(p.validate(pool), Ok(()), "{}", p.name);
     for detect_sequential in [false, true] {
@@ -809,12 +656,35 @@ fn affine(coeffs: &[i64], constant: i64) -> AffineExpr {
     }
 }
 
-/// A program that reaches every corner of the walk: a depth-0 nest, a
-/// zero-trip loop, and two 70,000-iteration nests whose inner loop of
-/// 1,000 trips does not divide the 65,536-iteration segment (so a
-/// segment resumes mid-sweep), with negative steps and coefficients,
-/// arrays read through several strides in one iteration, and 6 and 11
-/// references (the exact-width and the slice-backed lane sets).
+/// A one-statement nest at 1 µs per iteration.
+fn one_stmt_nest(label: &str, loops: Vec<LoopDim>, refs: Vec<ArrayRef>) -> LoopNest {
+    LoopNest {
+        label: label.into(),
+        loops,
+        stmts: vec![Statement {
+            label: "S".into(),
+            refs,
+        }],
+        cycles_per_iter: 750.0,
+    }
+}
+
+fn program(name: &str, arrays: Vec<ArrayFile>, nests: Vec<LoopNest>) -> Program {
+    Program {
+        name: name.into(),
+        arrays,
+        nests,
+        clock_hz: Program::PAPER_CLOCK_HZ,
+    }
+}
+
+/// A program that reaches the generator's corners: a depth-0 nest, a
+/// zero-trip loop, and two 70,000-iteration nests whose transposed
+/// references are affine only inside the 1,000-trip inner loop (so the
+/// generator steps 70 outer segments), with negative steps and
+/// coefficients, arrays read through several strides in one iteration
+/// (one reference's fetch moves the chunk another one tests), and 6 and
+/// 11 references.
 fn corner_program() -> Program {
     let arrays = vec![
         file("A", vec![140_000], 8, StorageOrder::RowMajor),
@@ -844,20 +714,11 @@ fn corner_program() -> Program {
         ArrayRef::read(3, vec![affine(&[0, -2], 1999)]),
         ArrayRef::read(0, vec![affine(&[1000, 1], 0)]),
     ];
-    let nest = |label: &str, loops: Vec<LoopDim>, refs: Vec<ArrayRef>| LoopNest {
-        label: label.into(),
-        loops,
-        stmts: vec![Statement {
-            label: "S".into(),
-            refs,
-        }],
-        cycles_per_iter: 750.0,
-    };
-    Program {
-        name: "corners".into(),
+    program(
+        "corners",
         arrays,
-        nests: vec![
-            nest(
+        vec![
+            one_stmt_nest(
                 "depth0",
                 vec![],
                 vec![
@@ -865,7 +726,7 @@ fn corner_program() -> Program {
                     ArrayRef::write(1, vec![affine(&[], 3), affine(&[], 7)]),
                 ],
             ),
-            nest(
+            one_stmt_nest(
                 "zero-trip",
                 vec![
                     LoopDim::simple(5),
@@ -877,23 +738,22 @@ fn corner_program() -> Program {
                 ],
                 vec![ArrayRef::read(0, vec![affine(&[1, 1], 0)])],
             ),
-            nest("wide", loops.clone(), wide.clone()),
-            nest("narrow", loops, wide[..6].to_vec()),
+            one_stmt_nest("wide", loops.clone(), wide.clone()),
+            one_stmt_nest("narrow", loops, wide[..6].to_vec()),
         ],
-        clock_hz: Program::PAPER_CLOCK_HZ,
-    }
+    )
 }
 
 /// A one-trip loop may carry a coefficient whose byte step overflows
 /// `i64` (`2^61·8`): `validate` accepts it, since that step is never
-/// taken, and the walk must still be exact.
+/// taken, and generation must still be exact.
 fn huge_coefficient_program() -> Program {
-    Program {
-        name: "huge-coefficient".into(),
-        arrays: vec![file("H", vec![4096], 8, StorageOrder::RowMajor)],
-        nests: vec![LoopNest {
-            label: "n".into(),
-            loops: vec![
+    program(
+        "huge-coefficient",
+        vec![file("H", vec![4096], 8, StorageOrder::RowMajor)],
+        vec![one_stmt_nest(
+            "n",
+            vec![
                 LoopDim {
                     lower: 0,
                     count: 1,
@@ -901,14 +761,9 @@ fn huge_coefficient_program() -> Program {
                 },
                 LoopDim::simple(4096),
             ],
-            stmts: vec![Statement {
-                label: "S".into(),
-                refs: vec![ArrayRef::read(0, vec![affine(&[1 << 61, 1], 0)])],
-            }],
-            cycles_per_iter: 750.0,
-        }],
-        clock_hz: Program::PAPER_CLOCK_HZ,
-    }
+            vec![ArrayRef::read(0, vec![affine(&[1 << 61, 1], 0)])],
+        )],
+    )
 }
 
 #[test]
@@ -918,4 +773,164 @@ fn walk_matches_the_spec_walk_at_every_corner() {
         assert_walk_matches_spec(&corner_program(), pool, chunk);
         assert_walk_matches_spec(&huge_coefficient_program(), pool, chunk);
     }
+}
+
+/// A row-major array of 8-byte elements striped in 16 KiB units over 4
+/// disks, its blocks starting at `base_block`.
+fn striped(name: &str, dims: Vec<u64>, base_block: u64) -> ArrayFile {
+    ArrayFile {
+        name: name.into(),
+        dims,
+        element_bytes: 8,
+        order: StorageOrder::RowMajor,
+        striping: Striping {
+            start_disk: DiskId(0),
+            stripe_factor: 4,
+            stripe_bytes: 16 * 1024,
+        },
+        base_block,
+    }
+}
+
+#[test]
+fn forward_scan_matches_walk() {
+    let p = program(
+        "scan",
+        vec![striped("A", vec![8192], 0)],
+        vec![one_stmt_nest(
+            "n",
+            vec![LoopDim::simple(8192)],
+            vec![ArrayRef::read(0, vec![AffineExpr::var(1, 0)])],
+        )],
+    );
+    let pool = DiskPool::new(4);
+    assert_walk_matches_spec(&p, pool, 8 * 1024);
+    assert_walk_matches_spec(&p, pool, 32 * 1024);
+}
+
+#[test]
+fn two_d_row_major_scan_matches_walk() {
+    // elem = 128·i + j over a 64×128 array: affine in flat with slope 1.
+    let p = program(
+        "scan2d",
+        vec![striped("A", vec![64, 128], 0)],
+        vec![one_stmt_nest(
+            "n",
+            vec![LoopDim::simple(64), LoopDim::simple(128)],
+            vec![ArrayRef::read(
+                0,
+                vec![AffineExpr::var(2, 0), AffineExpr::var(2, 1)],
+            )],
+        )],
+    );
+    assert_walk_matches_spec(&p, DiskPool::new(4), 4 * 1024);
+}
+
+#[test]
+fn strided_and_offset_refs_match_walk() {
+    // A[2i + 5]: slope 2 with a base offset.
+    let p = program(
+        "stride2",
+        vec![striped("A", vec![8192], 0)],
+        vec![one_stmt_nest(
+            "n",
+            vec![LoopDim::simple(4000)],
+            vec![ArrayRef::read(0, vec![AffineExpr::scaled_var(1, 0, 2, 5)])],
+        )],
+    );
+    assert_walk_matches_spec(&p, DiskPool::new(4), 4 * 1024);
+}
+
+#[test]
+fn negative_step_scan_matches_walk() {
+    // for i = 8191 downto 0: A[i] — negative slope in flat.
+    let p = program(
+        "revscan",
+        vec![striped("A", vec![8192], 0)],
+        vec![one_stmt_nest(
+            "n",
+            vec![LoopDim {
+                lower: 8191,
+                count: 8192,
+                step: -1,
+            }],
+            vec![ArrayRef::read(0, vec![AffineExpr::var(1, 0)])],
+        )],
+    );
+    assert_walk_matches_spec(&p, DiskPool::new(4), 8 * 1024);
+}
+
+#[test]
+fn multiple_arrays_and_shared_arrays_match_walk() {
+    // Two arrays plus a second ref to the first (cache interaction
+    // between refs sharing an array).
+    let p = program(
+        "multi",
+        vec![
+            striped("A", vec![8192], 0),
+            striped("B", vec![8192], 1 << 20),
+        ],
+        vec![one_stmt_nest(
+            "n",
+            vec![LoopDim::simple(8192)],
+            vec![
+                ArrayRef::read(0, vec![AffineExpr::var(1, 0)]),
+                ArrayRef::read(1, vec![AffineExpr::var(1, 0)]),
+                ArrayRef::write(0, vec![AffineExpr::var(1, 0)]),
+            ],
+        )],
+    );
+    assert_walk_matches_spec(&p, DiskPool::new(4), 8 * 1024);
+}
+
+#[test]
+fn column_scan_steps_the_outer_loop_and_matches() {
+    // A[j][i] with i outer, j inner over a row-major array: elem =
+    // 64·j + i is not affine in flat, only inside the inner loop.
+    let p = program(
+        "colscan",
+        vec![striped("A", vec![128, 64], 0)],
+        vec![one_stmt_nest(
+            "n",
+            vec![LoopDim::simple(64), LoopDim::simple(128)],
+            vec![ArrayRef::read(
+                0,
+                vec![AffineExpr::var(2, 1), AffineExpr::var(2, 0)],
+            )],
+        )],
+    );
+    let nest = &p.nests[0];
+    let lin = linearized_ref(&nest.stmts[0].refs[0], &p.arrays[0], StorageOrder::RowMajor);
+    assert!(nest.affine_in_flat(&lin, 0).is_none());
+    assert!(nest.affine_in_flat(&lin, 1).is_some());
+    assert_walk_matches_spec(&p, DiskPool::new(4), 4 * 1024);
+}
+
+#[test]
+fn multi_nest_programs_match_walk_across_boundaries() {
+    let scan_nest = one_stmt_nest(
+        "n",
+        vec![LoopDim::simple(8192)],
+        vec![ArrayRef::read(0, vec![AffineExpr::var(1, 0)])],
+    );
+    let col_nest = LoopNest {
+        cycles_per_iter: 500.0,
+        ..one_stmt_nest(
+            "c",
+            vec![LoopDim::simple(64), LoopDim::simple(128)],
+            vec![ArrayRef::read(
+                1,
+                vec![AffineExpr::var(2, 1), AffineExpr::var(2, 0)],
+            )],
+        )
+    };
+    let p = program(
+        "mixed",
+        vec![
+            striped("A", vec![8192], 0),
+            striped("B", vec![128, 64], 1 << 20),
+        ],
+        vec![scan_nest.clone(), col_nest, scan_nest],
+    );
+    assert_walk_matches_spec(&p, DiskPool::new(4), 8 * 1024);
 }

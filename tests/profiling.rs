@@ -51,7 +51,8 @@ fn profile_covers_every_pipeline_stage() {
 
     // gen -> compress -> encode/decode -> simulate, each under its leg.
     for path in [
-        "profile.per_event/session.generate/trace.gen.walk",
+        "profile.per_event/session.generate/session.generate_runs/trace.gen.analytic",
+        "profile.per_event/session.generate/trace.lower",
         "profile.per_event/session.simulate/sim.simulate",
         "profile.run_compressed/session.simulate_runs/session.generate_runs/trace.gen.analytic",
         "profile.run_compressed/session.simulate_runs/sim.simulate_runs",
@@ -65,10 +66,10 @@ fn profile_covers_every_pipeline_stage() {
     }
 
     // Throughput counters carry real totals.
-    let walk = p
-        .node("profile.per_event/session.generate/trace.gen.walk")
-        .expect("walk node");
-    assert!(counter(walk, "gen.events") > 0);
+    let gen = p
+        .node("profile.per_event/session.generate/session.generate_runs/trace.gen.analytic")
+        .expect("generation node");
+    assert!(counter(gen, "gen.events") > 0);
     let enc = p.node("profile.codec/trace.encode").expect("encode node");
     assert!(counter(enc, "encode.bytes") > 0);
 

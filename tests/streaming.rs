@@ -7,7 +7,7 @@ use sdpm_bench::{config_for, parallel_map, suite};
 use sdpm_core::{CmMode, Scheme, Session};
 use sdpm_layout::DiskPool;
 use sdpm_sim::{simulate, DirectiveConfig, Policy, SimReport};
-use sdpm_trace::codec::{decode, encode, encode_runs};
+use sdpm_trace::codec::{decode, decode_runs, encode, encode_runs};
 use sdpm_trace::{compress, Trace};
 
 fn assert_identical(reference: &SimReport, candidate: &SimReport, what: &str) {
@@ -68,11 +68,11 @@ fn all_paths_agree_bitwise_on_every_scheme_and_kernel() {
             let from_codec = simulate(&decoded, &cfg.params, pool, &policy);
             assert_identical(&reference, &from_codec, &format!("{what} codec"));
 
-            // A run-compressed (v2) buffer decodes to the same per-event
-            // trace.
+            // A run-compressed (v2) buffer decodes and lowers to the
+            // same per-event trace.
             let v2 = encode_runs(&compress(&trace)).expect("compressor-built runs encode");
             assert_eq!(
-                decode(&v2).expect("self-encoded runs"),
+                decode_runs(&v2).expect("self-encoded runs").lower(),
                 trace,
                 "{what}: v2 decode"
             );
