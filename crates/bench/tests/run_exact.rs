@@ -3,7 +3,8 @@
 //! through `Session::run_compressed` and `Session::run`, so must random
 //! programs, and the generator must reproduce the spec walk's trace on
 //! every kernel program, original and transformed, and on the synthetic
-//! programs in use.
+//! programs in use. The session's one-pass oracles must match the
+//! engine's own two-pass oracles on every kernel.
 
 #[path = "../../trace/tests/support/mod.rs"]
 mod support;
@@ -11,8 +12,9 @@ mod support;
 use proptest::prelude::*;
 use sdpm_bench::{config_for, parallel_map};
 use sdpm_core::{PipelineConfig, Scheme, Session};
+use sdpm_fault::{FaultConfig, FaultPlan};
 use sdpm_layout::DiskPool;
-use sdpm_sim::SimPath;
+use sdpm_sim::{Engine, Policy, SimPath, SimReport};
 use sdpm_trace::generate_runs;
 use sdpm_workloads::synth::{blocked_matmul, checkpoint_loop, out_of_core_stencil};
 use sdpm_xform::Transform;
@@ -43,6 +45,81 @@ fn run_compressed_matches_per_event_for_every_kernel_and_scheme() {
                 f.total_energy_j().to_bits(),
                 s.total_energy_j().to_bits(),
                 "{label}: energy must match bitwise"
+            );
+        }
+    }
+}
+
+/// The session replays ITPM/IDRPM schedules built from the report of its
+/// first clean Base pass; a standalone oracle engine plays its own clean
+/// Base pass first. On every kernel the two must agree bit for bit,
+/// whichever run fills the session's Base report: `run(Base)`, the
+/// oracle itself on a fresh session, or the oracle after a faulted Base
+/// run, which must not fill it. A faulted oracle run must match the
+/// standalone engine with the same plan: the schedule comes from the
+/// clean gaps, the faults hit the replay.
+#[test]
+fn session_oracles_match_the_standalone_two_pass_engine() {
+    let plan = FaultPlan::new(FaultConfig::uniform(11, 0.05));
+    let oracles = [
+        (Scheme::ITpm, Policy::IdealTpm),
+        (Scheme::IDrpm, Policy::IdealDrpm),
+    ];
+    for bench in sdpm_workloads::all_benchmarks() {
+        let cfg = config_for(&bench);
+        let mut reference = Session::new(&bench.program, &cfg);
+        let clean_base = reference.run(Scheme::Base);
+        let pool = reference.pool();
+        let trace = reference.base_trace();
+        let standalone = |policy: &Policy, faults: Option<&FaultPlan>| {
+            Engine::new(cfg.params.clone(), pool, policy.clone())
+                .faults(faults)
+                .events(trace)
+                .expect("standalone oracle run")
+        };
+        let same = |got: &SimReport, want: &SimReport, order: &str| {
+            let label = format!("{} / {} {order}", bench.name, want.policy);
+            // `assert!`, not `assert_eq!`: a kernel report's `Debug`
+            // text runs to megabytes.
+            assert!(got == want, "{label}: reports differ");
+            assert_eq!(
+                got.exec_secs.to_bits(),
+                want.exec_secs.to_bits(),
+                "{label}: exec time differs"
+            );
+            assert_eq!(
+                got.total_energy_j().to_bits(),
+                want.total_energy_j().to_bits(),
+                "{label}: energy differs"
+            );
+        };
+        for (scheme, policy) in &oracles {
+            let want = standalone(policy, None);
+
+            let mut after_base = Session::new(&bench.program, &cfg);
+            let _ = after_base.run(Scheme::Base);
+            same(&after_base.run(*scheme), &want, "after run(Base)");
+
+            let mut fresh = Session::new(&bench.program, &cfg);
+            same(&fresh.run(*scheme), &want, "first on a fresh session");
+
+            let mut faulted = Session::new(&bench.program, &cfg);
+            let faulted_base = faulted
+                .run_with_faults(Scheme::Base, Some(&plan))
+                .expect("faulted Base run degrades gracefully");
+            assert!(
+                faulted_base != clean_base,
+                "{}: the plan must perturb Base",
+                bench.name
+            );
+            same(&faulted.run(*scheme), &want, "after a faulted Base run");
+            let faulted_oracle = faulted
+                .run_with_faults(*scheme, Some(&plan))
+                .expect("faulted oracle run degrades gracefully");
+            same(
+                &faulted_oracle,
+                &standalone(policy, Some(&plan)),
+                "with faults",
             );
         }
     }

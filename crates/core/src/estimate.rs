@@ -107,7 +107,6 @@ impl CycleEstimator {
         let mut service = vec![0.0f64; program.nests.len()];
         for r in trace.requests() {
             service[r.nest] += sdpm_disk::service_time_secs(
-                params,
                 &ladder,
                 max,
                 sdpm_disk::ServiceRequest {

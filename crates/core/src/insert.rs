@@ -193,7 +193,6 @@ fn plan_directives(
             AppEvent::Io(r) => {
                 factors[r.nest]
                     * service_time_secs(
-                        params,
                         &ladder,
                         max,
                         ServiceRequest {
@@ -273,7 +272,7 @@ fn plan_directives(
                     }
                 }
                 CmMode::Drpm => {
-                    let choice = best_rpm_for_gap(&ladder, max, est);
+                    let choice = best_rpm_for_gap(&ladder, est);
                     if choice.level < max && choice.saved_j() > min_saved_j {
                         Some((
                             PowerAction::SetRpm(choice.level),
@@ -691,7 +690,7 @@ mod tests {
         let out = insert_directives(&t, &params, &NoiseModel::exact(), CmMode::Drpm, TM);
         for d in &out.decisions {
             if let Some(level) = d.level {
-                let ideal = best_rpm_for_gap(&ladder, ladder.max_level(), d.estimated_secs);
+                let ideal = best_rpm_for_gap(&ladder, d.estimated_secs);
                 assert_eq!(level, ideal.level);
             }
         }

@@ -13,6 +13,15 @@
 //! [`sdpm_sim::Engine::runs`] by reference, so no scheme run regenerates
 //! or re-validates a trace.
 //!
+//! The oracle schemes (ITPM, IDRPM) need the Base run's idle gaps. The
+//! session keeps the report of its first clean Base pass (no faults, no
+//! recorder), whether `run(Base)` or the first oracle run made it, and
+//! replays the oracle schedules built from it. A seven-scheme suite on
+//! the per-event path therefore plays the trace seven times, not nine.
+//! Every run still plays its own measured pass; the kept report only
+//! feeds the schedules. [`Session::run_compressed`] leaves the oracles to
+//! [`sdpm_sim::Engine::runs`], which runs its own Base pass.
+//!
 //! Phase spans (`dap-construction`, the compiler phases) are emitted to a
 //! recorder only when the corresponding work actually runs, i.e. on the
 //! first scheme that needs it; cache hits are silent.
@@ -22,7 +31,7 @@ use crate::pipeline::{PipelineConfig, Scheme, SchemeArtifacts};
 use sdpm_fault::FaultPlan;
 use sdpm_ir::Program;
 use sdpm_layout::DiskPool;
-use sdpm_sim::{DirectiveConfig, Engine, Policy, SimError, SimReport};
+use sdpm_sim::{oracle, DirectiveConfig, Engine, Policy, SimError, SimReport};
 use sdpm_trace::{compress, generate_runs, RunTrace, Trace};
 
 #[cfg(feature = "obs")]
@@ -61,6 +70,9 @@ pub struct Session<'a> {
     cm: [Option<InsertOutcome>; 2],
     /// Run-compressed instrumented traces, indexed like `cm`.
     cm_runs: [Option<RunTrace>; 2],
+    /// The report of the first clean Base pass on the per-event trace:
+    /// the idle gaps the oracle schedules are built from.
+    clean_base: Option<SimReport>,
     generations: usize,
 }
 
@@ -75,6 +87,7 @@ impl<'a> Session<'a> {
             base: None,
             cm: [None, None],
             cm_runs: [None, None],
+            clean_base: None,
             generations: 0,
         }
     }
@@ -140,10 +153,7 @@ impl<'a> Session<'a> {
     /// compressed from the cached per-event instrumentation outcome on
     /// first use (directive insertion itself is a per-event pass).
     pub fn instrumented_runs(&mut self, mode: CmMode) -> &RunTrace {
-        let idx = match mode {
-            CmMode::Tpm => 0,
-            CmMode::Drpm => 1,
-        };
+        let idx = slot(mode);
         if self.cm_runs[idx].is_none() {
             let rt = compress(&self.instrumented(mode).trace);
             self.cm_runs[idx] = Some(rt);
@@ -158,10 +168,7 @@ impl<'a> Session<'a> {
     }
 
     fn instrumented_obs(&mut self, mode: CmMode, rec: Obs<'_>) -> &InsertOutcome {
-        let idx = match mode {
-            CmMode::Tpm => 0,
-            CmMode::Drpm => 1,
-        };
+        let idx = slot(mode);
         if self.cm[idx].is_none() {
             self.base_trace_obs(rec);
             let _sp = crate::prof::span("session.instrument");
@@ -247,7 +254,9 @@ impl<'a> Session<'a> {
     /// cached trace `scheme` needs, played under a `simulation` phase span
     /// with the given options. The trace was validated when the session
     /// cached it, so the engine takes it by reference without a second
-    /// validation pass.
+    /// validation pass. An oracle scheme replays its schedule, built from
+    /// the session's clean Base report; a clean Base run fills that
+    /// report if it is still empty.
     fn simulate(
         &mut self,
         scheme: Scheme,
@@ -255,6 +264,29 @@ impl<'a> Session<'a> {
         rec: Obs<'_>,
     ) -> Result<SimReport, SimError> {
         let (mode, policy) = scheme_plan(scheme, self.cfg);
+        match mode {
+            None => {
+                self.base_trace_obs(rec);
+            }
+            Some(mode) => {
+                self.instrumented_obs(mode, rec);
+            }
+        }
+        let _sp = crate::prof::span("session.simulate");
+        let params = &self.cfg.params;
+        let policy = match policy {
+            Policy::IdealTpm => {
+                Policy::Schedule(oracle::ideal_tpm_schedule(self.clean_base()?, params))
+            }
+            Policy::IdealDrpm => {
+                Policy::Schedule(oracle::ideal_drpm_schedule(self.clean_base()?, params))
+            }
+            policy => policy,
+        };
+        let keep = scheme == Scheme::Base
+            && faults.is_none()
+            && rec.is_none()
+            && self.clean_base.is_none();
         let engine = Engine::new(self.cfg.params.clone(), self.pool, policy).faults(faults);
         #[cfg(feature = "obs")]
         let engine = match rec {
@@ -262,13 +294,35 @@ impl<'a> Session<'a> {
             None => engine,
         };
         let trace = match mode {
-            None => self.base_trace_obs(rec),
-            Some(mode) => &self.instrumented_obs(mode, rec).trace,
-        };
-        let _sp = crate::prof::span("session.simulate");
+            None => self.base.as_ref(),
+            Some(mode) => self.cm[slot(mode)].as_ref().map(|out| &out.trace),
+        }
+        .expect("cached above");
         let mut report = phase(rec, "simulation", || engine.events(trace))?;
+        if keep {
+            self.clean_base = Some(report.clone());
+        }
         report.policy = scheme.label().to_string();
         Ok(report)
+    }
+
+    /// The report of the session's first clean Base pass over the cached
+    /// per-event trace, played now if no clean `run(Base)` made it yet.
+    fn clean_base(&mut self) -> Result<&SimReport, SimError> {
+        if self.clean_base.is_none() {
+            let engine = Engine::new(self.cfg.params.clone(), self.pool, Policy::Base);
+            let report = engine.events(self.base_trace())?;
+            self.clean_base = Some(report);
+        }
+        Ok(self.clean_base.as_ref().expect("just cached"))
+    }
+}
+
+/// The index of `mode`'s slot in the per-mode caches.
+fn slot(mode: CmMode) -> usize {
+    match mode {
+        CmMode::Tpm => 0,
+        CmMode::Drpm => 1,
     }
 }
 

@@ -79,45 +79,44 @@ impl RpmChoice {
 }
 
 /// Chooses the energy-optimal RPM level to dwell at during an idle gap of
-/// `gap_secs`, starting from `from` and required to be back at *full
-/// speed* when the gap ends.
+/// `gap_secs` that starts at *full speed* and must end there.
 ///
-/// A level is feasible only if both transitions (`from -> level` and
+/// A level is feasible only if both transitions (`max -> level` and
 /// `level -> max`) fit within the gap. Full speed (dwell at max) is always
 /// feasible, so the function always returns a choice; when the gap is too
 /// short to profit from any shift, the returned level is the ladder
 /// maximum. Ties break toward the *faster* level (less performance risk
 /// for equal energy).
+///
+/// Both transitions of a level cost its cached shift time and energy to
+/// full speed, which are the same floats as `transition_secs(max, level)`
+/// and `transition_energy_j(max, level)`.
 #[must_use]
-pub fn best_rpm_for_gap(ladder: &RpmLadder, from: RpmLevel, gap_secs: f64) -> RpmChoice {
+pub fn best_rpm_for_gap(ladder: &RpmLadder, gap_secs: f64) -> RpmChoice {
     let max = ladder.max_level();
-    debug_assert!(ladder.contains(from));
-    let stay_energy_j = {
-        // "Stay" baseline: shift home to max immediately (if not already
-        // there) and idle at full speed for the rest of the gap.
-        let home_secs = ladder.transition_secs(from, max);
-        let dwell = (gap_secs - home_secs).max(0.0);
-        ladder.transition_energy_j(from, max) + ladder.idle_power_w(max) * dwell
-    };
+    // "Stay" baseline: idle at full speed through the gap. The zero-length
+    // shift home keeps the float operations of a decision that starts
+    // below full speed.
+    let home = ladder.consts(max);
+    let stay_dwell = (gap_secs - home.shift_to_max_secs).max(0.0);
+    let stay_energy_j = home.shift_to_max_j + ladder.idle_power_w(max) * stay_dwell;
     let mut best = RpmChoice {
         level: max,
         predicted_energy_j: stay_energy_j,
         stay_energy_j,
-        dwell_secs: (gap_secs - ladder.transition_secs(from, max)).max(0.0),
+        dwell_secs: stay_dwell,
     };
     for level in ladder.levels() {
         if level == max {
             continue;
         }
-        let t_in = ladder.transition_secs(from, level);
-        let t_out = ladder.transition_secs(level, max);
-        if t_in + t_out > gap_secs {
+        let c = ladder.consts(level);
+        let shift = c.shift_to_max_secs;
+        if shift + shift > gap_secs {
             continue;
         }
-        let dwell = gap_secs - t_in - t_out;
-        let energy = ladder.transition_energy_j(from, level)
-            + ladder.idle_power_w(level) * dwell
-            + ladder.transition_energy_j(level, max);
+        let dwell = gap_secs - shift - shift;
+        let energy = c.shift_to_max_j + ladder.idle_power_w(level) * dwell + c.shift_to_max_j;
         // Strict `<` keeps the faster level on ties.
         if energy < best.predicted_energy_j {
             best = RpmChoice {
@@ -175,7 +174,7 @@ mod tests {
         let (p, l) = setup();
         // A gap shorter than one down+up step pair cannot fit any shift.
         let gap = 1.9 * p.rpm_transition_secs_per_step;
-        let c = best_rpm_for_gap(&l, l.max_level(), gap);
+        let c = best_rpm_for_gap(&l, gap);
         assert_eq!(c.level, l.max_level());
         assert_eq!(c.saved_j(), 0.0);
     }
@@ -183,7 +182,7 @@ mod tests {
     #[test]
     fn long_gap_drops_to_ladder_bottom() {
         let (_, l) = setup();
-        let c = best_rpm_for_gap(&l, l.max_level(), 600.0);
+        let c = best_rpm_for_gap(&l, 600.0);
         assert_eq!(c.level, RpmLevel::MIN);
         assert!(c.saved_j() > 0.0);
         // Hand check: two full-swing transitions at 10.2 W, the remaining
@@ -201,7 +200,7 @@ mod tests {
         // feasible but barely dwells; some interior level may win. Verify
         // the chosen level is optimal by exhaustive comparison.
         for gap in [3.5, 4.0, 6.0, 10.0, 20.0] {
-            let c = best_rpm_for_gap(&l, l.max_level(), gap);
+            let c = best_rpm_for_gap(&l, gap);
             for level in l.levels() {
                 let t_in = l.transition_secs(l.max_level(), level);
                 let t_out = l.transition_secs(level, l.max_level());
@@ -226,26 +225,17 @@ mod tests {
         let (_, l) = setup();
         let mut prev = -1.0;
         for gap in [1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 1000.0] {
-            let s = best_rpm_for_gap(&l, l.max_level(), gap).saved_j();
+            let s = best_rpm_for_gap(&l, gap).saved_j();
             assert!(s >= prev, "savings must not shrink as gaps grow");
             prev = s;
         }
     }
 
     #[test]
-    fn gap_from_lower_level_accounts_for_homing_cost() {
-        let (_, l) = setup();
-        let c = best_rpm_for_gap(&l, RpmLevel::MIN, 600.0);
-        assert_eq!(c.level, RpmLevel::MIN, "already at bottom, stay");
-        // Staying at the bottom costs only the final up-shift extra.
-        assert!(c.predicted_energy_j < c.stay_energy_j);
-    }
-
-    #[test]
     fn choice_is_always_feasible() {
         let (_, l) = setup();
         for gap in [0.0, 0.01, 0.3, 1.0, 2.9, 3.0, 3.1, 50.0] {
-            let c = best_rpm_for_gap(&l, l.max_level(), gap);
+            let c = best_rpm_for_gap(&l, gap);
             let t_total = l.transition_secs(l.max_level(), c.level)
                 + l.transition_secs(c.level, l.max_level());
             assert!(

@@ -35,6 +35,26 @@ pub struct RpmLadder {
     active_extra_w: f64,
     /// Seconds to move between two *adjacent* levels.
     secs_per_step: f64,
+    /// Per-level constants of the service model and the gap decision.
+    consts: Vec<LevelConsts>,
+}
+
+/// Constants of one ladder level that the service model and the DRPM gap
+/// decision would otherwise re-derive on every call. Each is computed
+/// once, with the same expression the uncached model evaluates, so the
+/// cached value is bit-identical to the recomputed one.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub(crate) struct LevelConsts {
+    /// `rpm(level) / rpm(max)`.
+    pub(crate) speed_ratio: f64,
+    /// Average seek plus rotational latency at this speed, seconds.
+    pub(crate) positioning_secs: f64,
+    /// Media transfer rate at this speed, bytes/second.
+    pub(crate) transfer_bps: f64,
+    /// `transition_secs(level, max)`.
+    pub(crate) shift_to_max_secs: f64,
+    /// `transition_energy_j(level, max)`.
+    pub(crate) shift_to_max_j: f64,
 }
 
 impl RpmLadder {
@@ -56,12 +76,36 @@ impl RpmLadder {
                 * ratio.powf(params.spindle_power_exponent);
             idle_power_w.push(params.standby_power_w + dyn_w);
         }
-        RpmLadder {
+        let mut ladder = RpmLadder {
             rpms,
             idle_power_w,
             active_extra_w: params.active_extra_power_w(),
             secs_per_step: params.rpm_transition_secs_per_step,
-        }
+            consts: Vec::new(),
+        };
+        let max = ladder.max_level();
+        ladder.consts = ladder
+            .levels()
+            .map(|level| {
+                let ratio = f64::from(ladder.rpm(level)) / f64::from(ladder.rpm(max));
+                LevelConsts {
+                    speed_ratio: ratio,
+                    positioning_secs: params.avg_seek_secs + params.avg_rotation_secs / ratio,
+                    transfer_bps: params.transfer_rate_bps * ratio,
+                    shift_to_max_secs: ladder.transition_secs(level, max),
+                    shift_to_max_j: ladder.transition_energy_j(level, max),
+                }
+            })
+            .collect();
+        ladder
+    }
+
+    /// The cached constants of `level`.
+    ///
+    /// # Panics
+    /// If `level` is off the ladder.
+    pub(crate) fn consts(&self, level: RpmLevel) -> &LevelConsts {
+        &self.consts[level.0 as usize]
     }
 
     /// Number of levels on the ladder.
@@ -149,7 +193,7 @@ impl RpmLadder {
     /// Ratio `rpm(level) / rpm_max`, used by the service-time model.
     #[must_use]
     pub fn speed_ratio(&self, level: RpmLevel) -> f64 {
-        f64::from(self.rpm(level)) / f64::from(self.rpm(self.max_level()))
+        self.consts(level).speed_ratio
     }
 
     /// Iterates all levels from slowest to fastest.

@@ -17,7 +17,6 @@
 //! trace generator marks requests that continue the previous request's
 //! block range, mirroring how a striped sequential scan behaves.
 
-use crate::params::DiskParams;
 use crate::rpm::{RpmLadder, RpmLevel};
 use serde::{Deserialize, Serialize};
 
@@ -31,32 +30,28 @@ pub struct ServiceRequest {
     pub sequential: bool,
 }
 
-/// Service time of `req` at spindle speed `level`, in seconds.
+/// Service time of `req` at spindle speed `level`, in seconds, on the
+/// disk model `ladder` was built from.
 ///
 /// Zero-byte requests are legal (a pure metadata touch) and cost only the
-/// positioning components.
+/// positioning components. The level's positioning time and transfer
+/// rate come from the ladder's cache, so a call does one division.
 #[must_use]
-pub fn service_time_secs(
-    params: &DiskParams,
-    ladder: &RpmLadder,
-    level: RpmLevel,
-    req: ServiceRequest,
-) -> f64 {
-    let ratio = ladder.speed_ratio(level);
-    debug_assert!(ratio > 0.0, "speed ratio must be positive");
+pub fn service_time_secs(ladder: &RpmLadder, level: RpmLevel, req: ServiceRequest) -> f64 {
+    let c = ladder.consts(level);
     let positioning = if req.sequential {
         0.0
     } else {
-        params.avg_seek_secs + params.avg_rotation_secs / ratio
+        c.positioning_secs
     };
-    let transfer = req.size_bytes as f64 / (params.transfer_rate_bps * ratio);
+    let transfer = req.size_bytes as f64 / c.transfer_bps;
     positioning + transfer
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::ultrastar36z15;
+    use crate::params::{ultrastar36z15, DiskParams};
 
     fn setup() -> (DiskParams, RpmLadder) {
         let p = ultrastar36z15();
@@ -66,18 +61,18 @@ mod tests {
 
     #[test]
     fn full_speed_random_request_matches_datasheet_components() {
-        let (p, l) = setup();
+        let (_, l) = setup();
         let req = ServiceRequest {
             size_bytes: 55 * 1024 * 1024, // exactly one second of media time
             sequential: false,
         };
-        let t = service_time_secs(&p, &l, l.max_level(), req);
+        let t = service_time_secs(&l, l.max_level(), req);
         assert!((t - (0.0034 + 0.002 + 1.0)).abs() < 1e-9);
     }
 
     #[test]
     fn sequential_requests_skip_positioning() {
-        let (p, l) = setup();
+        let (_, l) = setup();
         let seq = ServiceRequest {
             size_bytes: 64 * 1024,
             sequential: true,
@@ -86,8 +81,8 @@ mod tests {
             size_bytes: 64 * 1024,
             sequential: false,
         };
-        let ts = service_time_secs(&p, &l, l.max_level(), seq);
-        let tr = service_time_secs(&p, &l, l.max_level(), rnd);
+        let ts = service_time_secs(&l, l.max_level(), seq);
+        let tr = service_time_secs(&l, l.max_level(), rnd);
         assert!((tr - ts - (0.0034 + 0.002)).abs() < 1e-9);
     }
 
@@ -101,8 +96,8 @@ mod tests {
             size_bytes: 1024 * 1024,
             sequential: false,
         };
-        let t_full = service_time_secs(&p, &l, l.max_level(), req);
-        let t_slow = service_time_secs(&p, &l, half_ish, req);
+        let t_full = service_time_secs(&l, l.max_level(), req);
+        let t_slow = service_time_secs(&l, half_ish, req);
         let ratio = 15_000.0 / 7_800.0;
         let expected = p.avg_seek_secs
             + p.avg_rotation_secs * ratio
@@ -117,25 +112,25 @@ mod tests {
             size_bytes: 0,
             sequential: false,
         };
-        let t = service_time_secs(&p, &l, l.max_level(), req);
+        let t = service_time_secs(&l, l.max_level(), req);
         assert!((t - (p.avg_seek_secs + p.avg_rotation_secs)).abs() < 1e-12);
         let seq = ServiceRequest {
             size_bytes: 0,
             sequential: true,
         };
-        assert_eq!(service_time_secs(&p, &l, l.max_level(), seq), 0.0);
+        assert_eq!(service_time_secs(&l, l.max_level(), seq), 0.0);
     }
 
     #[test]
     fn service_time_monotonically_decreases_with_speed() {
-        let (p, l) = setup();
+        let (_, l) = setup();
         let req = ServiceRequest {
             size_bytes: 256 * 1024,
             sequential: false,
         };
         let mut prev = f64::INFINITY;
         for level in l.levels() {
-            let t = service_time_secs(&p, &l, level, req);
+            let t = service_time_secs(&l, level, req);
             assert!(t < prev, "faster spindle must not serve slower");
             prev = t;
         }

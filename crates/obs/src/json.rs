@@ -23,12 +23,15 @@ pub enum Value {
 impl Value {
     /// Parses one complete JSON document (trailing whitespace allowed).
     pub fn parse(s: &str) -> Result<Value, String> {
-        let b = s.as_bytes();
-        let mut p = Parser { b, i: 0 };
+        let mut p = Parser {
+            s,
+            b: s.as_bytes(),
+            i: 0,
+        };
         p.ws();
         let v = p.value()?;
         p.ws();
-        if p.i != b.len() {
+        if p.i != s.len() {
             return Err(format!("trailing bytes at offset {}", p.i));
         }
         Ok(v)
@@ -86,7 +89,10 @@ impl Value {
     }
 }
 
+/// A cursor over the input. `i` only ever advances past ASCII bytes or
+/// whole chars, so it always sits on a char boundary of `s`.
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
 }
@@ -223,10 +229,12 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one char, decoded at the cursor alone.
+                    let c = self
+                        .s
+                        .get(self.i..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("string cursor off a char boundary")?;
                     out.push(c);
                     self.i += c.len_utf8();
                 }
@@ -302,6 +310,23 @@ mod tests {
         assert!(Value::parse("{} x").is_err());
         assert!(Value::parse(r#"{"a": "#).is_err());
         assert!(Value::parse(r#"["a" "b"]"#).is_err());
+    }
+
+    /// Multi-byte chars (2-, 3- and 4-byte UTF-8) next to escapes, in
+    /// keys and values, decode to the same chars.
+    #[test]
+    fn multi_byte_and_escaped_chars_decode() {
+        let v = Value::parse(r#"{"é\t→": ["ü\"𝄞\u00e9", "\n日本"]}"#).unwrap();
+        let items = v.get("é\t→").unwrap().as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some("ü\"𝄞é"));
+        assert_eq!(items[1].as_str(), Some("\n日本"));
+        let mut out = String::new();
+        push_escaped(&mut out, "a→\"b\\𝄞\u{7}");
+        assert_eq!(Value::parse(&out).unwrap().as_str(), Some("a→\"b\\𝄞\u{7}"));
+        assert!(
+            Value::parse("\"é").is_err(),
+            "unterminated after a multi-byte char"
+        );
     }
 
     #[test]

@@ -116,7 +116,7 @@ fn action_level(a: PowerAction) -> Option<RpmLevel> {
 }
 
 /// Per-disk runtime state beyond the power-state machine.
-struct DiskRt {
+struct DiskRt<'a> {
     /// Only read by emission sites, which vanish without the feature.
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     id: DiskId,
@@ -136,8 +136,9 @@ struct DiskRt {
     /// Reactive DRPM response window accumulator.
     window_sum: f64,
     window_n: usize,
-    /// Oracle schedule for this disk (empty unless `Policy::Schedule`).
-    sched: Vec<ScheduledAction>,
+    /// Oracle schedule for this disk, borrowed from the policy (empty
+    /// unless `Policy::Schedule`).
+    sched: &'a [ScheduledAction],
     sched_idx: usize,
     gaps: Vec<GapRecord>,
     requests: u64,
@@ -156,8 +157,8 @@ struct DiskRt {
 /// report accumulators. One instance lives for one simulated run; the
 /// per-event and run-compressed loops mutate it through the same
 /// handlers, which is what keeps the two paths bit-identical.
-struct ExecState {
-    disks: Vec<DiskRt>,
+struct ExecState<'a> {
+    disks: Vec<DiskRt<'a>>,
     /// Application clock, seconds.
     t: f64,
     /// Seconds stalled beyond full-speed service.
@@ -182,10 +183,12 @@ struct ExecState {
 /// ([`Engine::runs`]). The two inputs give bit-identical reports; only
 /// [`SimReport::sim_path`] differs.
 ///
-/// The oracle policies (`IdealTpm`/`IdealDrpm`) play the trace twice: a
-/// clean Base pass — no faults, no recorder — recovers the true gap
-/// structure, from which [`oracle`] derives a [`Policy::Schedule`] that
-/// the measured pass replays.
+/// An engine built with an oracle policy (`IdealTpm`/`IdealDrpm`) plays
+/// the trace twice: a clean Base pass — no faults, no recorder — recovers
+/// the true gap structure, from which [`oracle`] derives a
+/// [`Policy::Schedule`] that the measured pass replays. A caller that
+/// already holds that Base report (`sdpm_core::Session` keeps one) builds
+/// the schedule itself and plays it in one pass.
 pub struct Engine<'r> {
     params: DiskParams,
     pool: DiskPool,
@@ -280,10 +283,14 @@ impl<'r> Engine<'r> {
     }
 
     /// The measured pass: `lowered` (an oracle's schedule) if given, the
-    /// engine's own policy otherwise, with the options attached.
+    /// engine's own policy otherwise, with the options attached. Its
+    /// report carries the engine's own policy label.
     fn replay<'a>(&'a self, lowered: Option<&'a Policy>) -> Replay<'a> {
         let policy = lowered.unwrap_or(&self.policy);
-        Replay::new(&self.params, self.pool, policy, self.faults, self.rec)
+        Replay {
+            label: self.policy.label(),
+            ..Replay::new(&self.params, self.pool, policy, self.faults, self.rec)
+        }
     }
 }
 
@@ -294,6 +301,9 @@ struct Replay<'a> {
     ladder: RpmLadder,
     pool: DiskPool,
     policy: &'a Policy,
+    /// The label the report carries: `policy`'s own, unless the engine
+    /// lowered an oracle policy to this schedule.
+    label: &'static str,
     tpm_threshold: f64,
     faults: Option<&'a FaultPlan>,
     rec: Obs<'a>,
@@ -318,6 +328,7 @@ impl<'a> Replay<'a> {
             ladder: RpmLadder::new(params),
             pool,
             policy,
+            label: policy.label(),
             tpm_threshold,
             faults,
             rec,
@@ -369,7 +380,7 @@ impl<'a> Replay<'a> {
 
     /// Per-disk runtimes and global accumulators, positioned at run
     /// start.
-    fn init_state(&self) -> ExecState {
+    fn init_state(&self) -> ExecState<'a> {
         let max = self.ladder.max_level();
         let disks: Vec<DiskRt> = (0..self.pool.count())
             .map(|d| DiskRt {
@@ -385,9 +396,9 @@ impl<'a> Replay<'a> {
                 window_n: 0,
                 sched: match self.policy {
                     Policy::Schedule(per_disk) => {
-                        per_disk.get(d as usize).cloned().unwrap_or_default()
+                        per_disk.get(d as usize).map_or(&[], Vec::as_slice)
                     }
-                    _ => Vec::new(),
+                    _ => &[],
                 },
                 sched_idx: 0,
                 gaps: Vec::new(),
@@ -504,17 +515,16 @@ impl<'a> Replay<'a> {
                         standby: rt.hit_standby,
                     });
                 }
-                let completion = self.service(rt, *t, req, faults)?;
+                let (completion, svc) = self.service(rt, *t, req, faults)?;
                 rt.requests += 1;
-                let full = service_time_secs(
-                    self.params,
-                    &self.ladder,
-                    max,
-                    ServiceRequest {
-                        size_bytes: req.size_bytes,
-                        sequential: req.sequential,
-                    },
-                );
+                // `service` leaves `cur_level` at the level that served the
+                // request: at full speed its service time is the full-speed
+                // time.
+                let full = if rt.cur_level == max {
+                    svc
+                } else {
+                    service_time_secs(&self.ladder, max, service_request(req))
+                };
                 let response = completion - *t;
                 let slowdown = if full > 0.0 { response / full } else { 1.0 };
                 *stall += response - full;
@@ -605,17 +615,7 @@ impl<'a> Replay<'a> {
         let fulls: Vec<f64> = run
             .reqs
             .iter()
-            .map(|tpl| {
-                service_time_secs(
-                    self.params,
-                    &self.ladder,
-                    max,
-                    ServiceRequest {
-                        size_bytes: tpl.io.size_bytes,
-                        sequential: tpl.io.sequential,
-                    },
-                )
-            })
+            .map(|tpl| service_time_secs(&self.ladder, max, service_request(&tpl.io)))
             .collect();
         let q = usize::try_from(run.reqs_per_rep()).unwrap_or(usize::MAX);
         let pool = u32::try_from(st.disks.len()).unwrap_or(u32::MAX);
@@ -664,15 +664,7 @@ impl<'a> Replay<'a> {
                     .begin_service(start)
                     .map_err(|e| SimError::power("begin_service", rt.id, start, e))?;
                 rt.cur_level = level;
-                let svc = service_time_secs(
-                    self.params,
-                    &self.ladder,
-                    level,
-                    ServiceRequest {
-                        size_bytes: tpl.io.size_bytes,
-                        sequential: tpl.io.sequential,
-                    },
-                );
+                let svc = service_time_secs(&self.ladder, level, service_request(&tpl.io));
                 let completion = start + svc;
                 rt.machine
                     .end_service(completion)
@@ -775,7 +767,7 @@ impl<'a> Replay<'a> {
             .iter()
             .fold(EnergyBreakdown::default(), |acc, d| acc.merged(&d.energy));
         Ok(SimReport {
-            policy: self.policy.label().to_string(),
+            policy: self.label.to_string(),
             exec_secs,
             energy,
             per_disk,
@@ -913,14 +905,14 @@ impl<'a> Replay<'a> {
     }
 
     /// Makes the disk serviceable at or after `t`, begins and completes
-    /// service, and returns the completion time.
+    /// service, and returns the completion time and the service time.
     fn service(
         &self,
         rt: &mut DiskRt,
         t: f64,
         req: &IoRequest,
         fc: &mut FaultCounts,
-    ) -> Result<f64, SimError> {
+    ) -> Result<(f64, f64), SimError> {
         // Injected fault: transient service failures. Each failed
         // attempt costs an exponentially growing backoff before the
         // retry; a request whose budget runs out is serviced anyway
@@ -1020,16 +1012,8 @@ impl<'a> Replay<'a> {
                 level,
             }
         );
-        let st = service_time_secs(
-            self.params,
-            &self.ladder,
-            level,
-            ServiceRequest {
-                size_bytes: req.size_bytes,
-                sequential: req.sequential,
-            },
-        );
-        let completion = start + st;
+        let svc = service_time_secs(&self.ladder, level, service_request(req));
+        let completion = start + svc;
         rt.machine
             .end_service(completion)
             .map_err(|e| SimError::power("end_service", rt.id, completion, e))?;
@@ -1040,7 +1024,7 @@ impl<'a> Replay<'a> {
                 disk: rt.id,
             }
         );
-        Ok(completion)
+        Ok((completion, svc))
     }
 
     /// Injected fault: a demand spin-up that comes up slower than the
@@ -1237,6 +1221,14 @@ impl<'a> Replay<'a> {
                 }
             }
         }
+    }
+}
+
+/// The slice of `req` the service model reads.
+fn service_request(req: &IoRequest) -> ServiceRequest {
+    ServiceRequest {
+        size_bytes: req.size_bytes,
+        sequential: req.sequential,
     }
 }
 
@@ -1526,6 +1518,25 @@ mod tests {
             r.stall_secs
         );
         assert_eq!(r.per_disk[0].gaps[0].level, low);
+    }
+
+    /// An oracle engine lowers its policy to a schedule, but its report
+    /// carries the oracle's label, as `SimReport::policy` promises.
+    #[test]
+    fn standalone_oracle_reports_carry_the_scheme_label() {
+        let tr = trace(vec![io(0, 4096, 0, 0), compute(0, 30.0), io(0, 4096, 0, 1)]);
+        for (policy, label) in [(Policy::IdealTpm, "ITPM"), (Policy::IdealDrpm, "IDRPM")] {
+            let r = crate::simulate(&tr, &ultrastar36z15(), pool(), &policy);
+            assert_eq!(r.policy, label);
+            let r = Engine::new(ultrastar36z15(), pool(), policy)
+                .runs(&sdpm_trace::compress(&tr))
+                .unwrap();
+            assert_eq!(r.policy, label, "run-compressed path");
+        }
+        let r = Engine::new(ultrastar36z15(), pool(), Policy::Schedule(vec![]))
+            .events(&tr)
+            .unwrap();
+        assert_eq!(r.policy, "Schedule", "a given schedule keeps its own label");
     }
 
     #[test]

@@ -27,14 +27,17 @@
 //! |---|---|
 //! | Base          | [`Policy::Base`] |
 //! | TPM           | [`Policy::Tpm`] (fixed idleness threshold) |
-//! | ITPM          | [`Policy::IdealTpm`] (oracle two-pass) |
+//! | ITPM          | [`Policy::IdealTpm`] (oracle schedule over the Base gaps) |
 //! | DRPM          | [`Policy::Drpm`] (reactive window heuristic of [10]) |
-//! | IDRPM         | [`Policy::IdealDrpm`] (oracle two-pass) |
+//! | IDRPM         | [`Policy::IdealDrpm`] (oracle schedule over the Base gaps) |
 //! | CMTPM, CMDRPM | [`Policy::Directive`] (executes compiler-inserted calls carried by the trace) |
 //!
-//! The oracle policies run the trace twice: a Base pass recovers the true
-//! per-disk idle gaps, from which a provably-feasible action schedule is
-//! built ([`oracle`]) and replayed.
+//! The oracle policies replay a provably-feasible action schedule
+//! ([`oracle`]) built from the true per-disk idle gaps of a clean Base
+//! run. An [`Engine`] built with an oracle policy runs that Base pass
+//! itself before the replay; `sdpm_core::Session` keeps the Base report
+//! of its first clean Base pass and replays the schedules built from it,
+//! so a seven-scheme suite plays the trace seven times.
 //!
 //! # Example
 //!

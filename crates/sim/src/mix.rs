@@ -300,7 +300,6 @@ pub fn simulate_mix(
                     .begin_service(start)
                     .map_err(|e| SimError::power("mix begin_service", dk, start, e))?;
                 let st = service_time_secs(
-                    params,
                     &ladder,
                     lvl,
                     ServiceRequest {
@@ -905,7 +904,6 @@ mod tests {
     fn service_64k(p: &DiskParams) -> f64 {
         let ladder = RpmLadder::new(p);
         service_time_secs(
-            p,
             &ladder,
             ladder.max_level(),
             ServiceRequest {

@@ -61,7 +61,7 @@ pub fn ideal_drpm_schedule(base: &SimReport, params: &DiskParams) -> Vec<Vec<Sch
             let mut actions = Vec::new();
             for g in &d.gaps {
                 let trailing = g.end >= base.exec_secs - 1e-9;
-                let choice = best_rpm_for_gap(&ladder, max, g.len_secs());
+                let choice = best_rpm_for_gap(&ladder, g.len_secs());
                 if choice.level == max {
                     continue;
                 }

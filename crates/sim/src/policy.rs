@@ -131,8 +131,9 @@ pub enum Policy {
     /// Execute the `Power` events embedded in the trace by the compiler
     /// (CMTPM / CMDRPM, depending on which calls the compiler inserted).
     Directive(DirectiveConfig),
-    /// Internal: replay a precomputed per-disk action schedule (used by
-    /// the oracle policies' second pass).
+    /// Replay a precomputed per-disk action schedule: what the oracle
+    /// policies lower to, once [`crate::oracle`] has built the schedule
+    /// from a clean Base run's gaps.
     Schedule(Vec<Vec<ScheduledAction>>),
 }
 

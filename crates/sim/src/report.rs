@@ -236,7 +236,7 @@ impl SimReport {
         let mut wrong = 0u64;
         for d in &self.per_disk {
             for g in &d.gaps {
-                let ideal = best_rpm_for_gap(ladder, max, g.len_secs()).level;
+                let ideal = best_rpm_for_gap(ladder, g.len_secs()).level;
                 if ideal == max && g.level == max {
                     continue;
                 }

@@ -226,9 +226,7 @@ proptest! {
             let d = req.disk.0 as usize;
             let a = e.at_secs;
             let start = completions[d].last().map_or(a, |&c| a.max(c));
-            let st = service_time_secs(
-                &p,
-                &ladder,
+            let st = service_time_secs(&ladder,
                 ladder.max_level(),
                 ServiceRequest {
                     size_bytes: req.size_bytes,

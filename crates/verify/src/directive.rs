@@ -131,7 +131,6 @@ pub fn verify_directives(
             AppEvent::Io(r) => {
                 factor(r.nest)
                     * service_time_secs(
-                        params,
                         &ladder,
                         max,
                         ServiceRequest {
@@ -596,7 +595,7 @@ fn check_down_gap(
                 // Re-derive the planner's choice for its estimated gap:
                 // the same decision procedure must pick the same level and
                 // clear the profit floor.
-                let choice = best_rpm_for_gap(c.ladder, max, dec.estimated_secs);
+                let choice = best_rpm_for_gap(c.ladder, dec.estimated_secs);
                 if choice.level == max || choice.saved_j() <= c.min_saved_j {
                     diags.push(
                         Diagnostic::new(

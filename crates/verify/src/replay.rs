@@ -132,7 +132,6 @@ pub fn replay_directives(trace: &Trace, params: &DiskParams, overhead_secs: f64)
                 let start = start.max(m.now());
                 let level = m.begin_service(start).expect("serviceable at start");
                 let st = service_time_secs(
-                    params,
                     &ladder,
                     level,
                     ServiceRequest {

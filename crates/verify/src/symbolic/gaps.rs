@@ -81,7 +81,6 @@ pub fn symbolic_gaps(
     // split against; bound its service time by that size, non-sequential.
     let svc_hi = |size: u64| {
         service_time_secs(
-            params,
             &ladder,
             max,
             ServiceRequest {

@@ -100,7 +100,7 @@ pub fn discharge(mode: CmMode, cfg: &ProverConfig, gaps: &[GapBound]) -> (Vec<Ob
         let mut lo = 0.0f64;
         let mut hi = 3600.0f64;
         let exploits = |g: f64| {
-            let c = best_rpm_for_gap(&ladder, max, g);
+            let c = best_rpm_for_gap(&ladder, g);
             c.level < max && c.saved_j() > min_saved_j
         };
         if exploits(hi) {
