@@ -144,7 +144,7 @@ fn main() {
     }
 }
 
-/// `repro profile`: runs the four-leg profiling driver (see
+/// `repro profile`: runs the three-leg profiling driver (see
 /// `sdpm_bench::profile`) and exports the span tree as a terminal
 /// summary, a JSON profile (`--json`), and/or a Chrome trace with the
 /// host-profiling tracks merged next to the sim-time tracks

@@ -526,6 +526,7 @@ pub fn smoke(seed: u64) -> MixSmoke {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdpm_sim::SimError;
 
     #[test]
     fn frontier_covers_the_grid_and_serializes() {
@@ -596,6 +597,35 @@ mod tests {
             })
             .sum();
         assert!(veto > 0, "no load factor triggered a cross-tenant veto");
+    }
+
+    /// `repro mix --mix pair --loads 1e-12`: the timeline stretches past
+    /// 3e13 s, and the adaptive policy closes the epochs of each long
+    /// silence in one step, so every policy finishes.
+    #[test]
+    fn pair_mix_at_a_tiny_load_finishes() {
+        let def = pair_mix();
+        for policy in default_policies() {
+            let r = def.session(1e-12).contended(&policy);
+            let r = r.unwrap_or_else(|e| panic!("{}: {e}", policy.label()));
+            assert!(r.requests > 0, "{}", policy.label());
+        }
+    }
+
+    /// At load 1e-20 the events fall past 1e17 s, where even a 1.5 s
+    /// spin-down rounds away: every policy rejects the input instead of
+    /// failing inside the power-state machine.
+    #[test]
+    fn pair_mix_past_the_clock_resolution_is_an_invalid_trace() {
+        let def = pair_mix();
+        for policy in default_policies() {
+            let err = def.session(1e-20).contended(&policy).unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidTrace(m) if m.contains("shortest power transition")),
+                "{}: {err}",
+                policy.label()
+            );
+        }
     }
 
     #[test]

@@ -1,25 +1,21 @@
 //! `repro profile`: the host-side profiling driver.
 //!
 //! Turns on the profiling spine ([`sdpm_obs::prof`]) and drives the
-//! full pipeline once over one kernel, in four labeled legs:
+//! full pipeline once over one kernel, in three labeled legs:
 //!
 //! 1. `profile.per_event` — the seven-scheme suite through
-//!    [`Session::run`] (generation lowered to events, instrumentation,
-//!    per-event engine), plus one CMDRPM run with the Chrome recorder
-//!    attached so the exported timeline carries sim-time tracks next to
-//!    the host spans.
+//!    [`Session::run`] (generation, instrumentation, per-event engine),
+//!    plus one CMDRPM run with the Chrome recorder attached so the
+//!    exported timeline carries sim-time tracks next to the host spans.
 //! 2. `profile.run_compressed` — the same suite through
-//!    [`Session::run_compressed`] (generation, O(#runs) engine).
-//! 3. `profile.codec` — run compression plus the binary codec round
-//!    trip (encode and decode of both trace forms) and a simulation of
-//!    the decoded trace, so `encode.bytes`/`decode.bytes` throughput is
-//!    measured on real data.
-//! 4. `profile.verify` — the static verifier over the base trace.
+//!    [`Session::run_compressed`] (generation, compression of the base
+//!    and instrumented traces, O(#runs) engine).
+//! 3. `profile.verify` — the static verifier over the base trace.
 //!
 //! Every span below the legs comes from the instrumented crates
 //! themselves (`trace.gen.analytic`, `sim.simulate`, `verify.run`, ...),
 //! so the tree is the ground truth of what the pipeline actually executed,
-//! and the per-stage counters (`gen.events`, `encode.bytes`,
+//! and the per-stage counters (`gen.events`, `compress.records_out`,
 //! `sim.records`, ...) give throughput once divided by the span times.
 //!
 //! The collected [`Profile`] exports three ways (see the CLI): a
@@ -28,15 +24,11 @@
 
 use crate::config_for;
 use sdpm_core::{Scheme, Session};
-use sdpm_layout::DiskPool;
 use sdpm_obs::prof;
 use sdpm_obs::{ChromeTraceRecorder, Profile};
-use sdpm_sim::{simulate, Policy};
-use sdpm_trace::codec;
-use sdpm_trace::compress;
 use sdpm_workloads::Benchmark;
 
-/// Runs the four profiling legs over `bench` and returns the collected
+/// Runs the three profiling legs over `bench` and returns the collected
 /// profile plus the Chrome recorder that watched the CMDRPM run (attach
 /// the profile to it and write it out for the merged timeline).
 ///
@@ -46,7 +38,6 @@ use sdpm_workloads::Benchmark;
 #[must_use]
 pub fn run_profile(bench: &Benchmark) -> (Profile, ChromeTraceRecorder) {
     let cfg = config_for(bench);
-    let pool = DiskPool::new(cfg.disks);
 
     prof::disable();
     let _stale = prof::take();
@@ -70,18 +61,6 @@ pub fn run_profile(bench: &Benchmark) -> (Profile, ChromeTraceRecorder) {
         for &scheme in &Scheme::all() {
             let _ = s.run_compressed(scheme);
         }
-    }
-
-    {
-        let _leg = prof::span("profile.codec");
-        let runs = compress(&base);
-        let buf = codec::encode(&base);
-        let decoded = codec::decode(&buf).unwrap_or_else(|e| panic!("decode own encoding: {e}"));
-        if let Ok(rbuf) = codec::encode_runs(&runs) {
-            let _ = codec::decode_runs(&rbuf)
-                .unwrap_or_else(|e| panic!("decode own run encoding: {e}"));
-        }
-        let _ = simulate(&decoded, &cfg.params, pool, &Policy::Base);
     }
 
     {

@@ -15,7 +15,7 @@ use sdpm_core::{PipelineConfig, Scheme, Session};
 use sdpm_fault::{FaultConfig, FaultPlan};
 use sdpm_layout::DiskPool;
 use sdpm_sim::{Engine, Policy, SimPath, SimReport};
-use sdpm_trace::generate_runs;
+use sdpm_trace::generate;
 use sdpm_workloads::synth::{blocked_matmul, checkpoint_loop, out_of_core_stencil};
 use sdpm_xform::Transform;
 use support::{random_program, spec_walk};
@@ -154,7 +154,7 @@ fn analytic_trace_matches_the_walk_on_every_program() {
         programs.push((label.to_string(), program, pool, cfg.gen));
     }
     parallel_map(&programs, |(label, program, pool, gen)| {
-        let analytic = generate_runs(program, *pool, *gen).lower();
+        let analytic = generate(program, *pool, *gen);
         assert!(
             analytic.events == spec_walk(program, *pool, *gen),
             "{label}: traces differ"

@@ -3,15 +3,14 @@
 //! Evaluating the paper's seven schemes over a program replays the *same*
 //! generated trace seven times; before this type existed every
 //! [`run_scheme`](crate::run_scheme) call regenerated it from scratch. A
-//! [`Session`] generates the base trace once, keeps it in the form each
-//! path asks for (run-compressed, or lowered per event and validated
-//! once, at cache time), and caches the per-mode instrumentation
-//! outcomes, so repeated scheme runs — including the artifact- and
-//! recorder-carrying variants — pay for generation and instrumentation
-//! at most once. Schemes hand the cached
-//! [`Trace`]s and [`RunTrace`]s to [`sdpm_sim::Engine::events`] and
-//! [`sdpm_sim::Engine::runs`] by reference, so no scheme run regenerates
-//! or re-validates a trace.
+//! [`Session`] generates the per-event base trace once and validates it
+//! at cache time, compresses it to the run form only when a run-path
+//! caller asks, and caches the per-mode instrumentation outcomes, so
+//! repeated scheme runs — including the artifact- and recorder-carrying
+//! variants — pay for generation and instrumentation at most once.
+//! Schemes hand the cached [`Trace`]s and [`RunTrace`]s to
+//! [`sdpm_sim::Engine::events`] and [`sdpm_sim::Engine::runs`] by
+//! reference, so no scheme run regenerates or re-validates a trace.
 //!
 //! The oracle schemes (ITPM, IDRPM) need the Base run's idle gaps. The
 //! session keeps the report of its first clean Base pass (no faults, no
@@ -32,7 +31,7 @@ use sdpm_fault::FaultPlan;
 use sdpm_ir::Program;
 use sdpm_layout::DiskPool;
 use sdpm_sim::{oracle, DirectiveConfig, Engine, Policy, SimError, SimReport};
-use sdpm_trace::{compress, generate_runs, RunTrace, Trace};
+use sdpm_trace::{compress, generate, RunTrace, Trace};
 
 #[cfg(feature = "obs")]
 pub(crate) type Obs<'a> = Option<&'a dyn sdpm_obs::Recorder>;
@@ -61,11 +60,10 @@ pub struct Session<'a> {
     program: &'a Program,
     cfg: &'a PipelineConfig,
     pool: DiskPool,
-    /// The base trace in the forms asked for so far: run-compressed and
-    /// per-event. One generation fills the first; the other is its
-    /// lowering or its compression.
-    base_runs: Option<RunTrace>,
+    /// The generated base trace, validated when cached.
     base: Option<Trace>,
+    /// Its run-compressed form, compressed from `base` on first use.
+    base_runs: Option<RunTrace>,
     /// Cached instrumentation, indexed by [`CmMode`] (`Tpm` = 0).
     cm: [Option<InsertOutcome>; 2],
     /// Run-compressed instrumented traces, indexed like `cm`.
@@ -83,8 +81,8 @@ impl<'a> Session<'a> {
             program,
             cfg,
             pool: DiskPool::new(cfg.disks),
-            base_runs: None,
             base: None,
+            base_runs: None,
             cm: [None, None],
             cm_runs: [None, None],
             clean_base: None,
@@ -105,8 +103,8 @@ impl<'a> Session<'a> {
         self.pool
     }
 
-    /// The generated (un-instrumented) trace per event: the lowering of
-    /// the session's one generation, produced and validated on first use.
+    /// The base (un-instrumented) trace, generated and validated on
+    /// first use.
     pub fn base_trace(&mut self) -> &Trace {
         self.base_trace_obs(None)
     }
@@ -114,39 +112,24 @@ impl<'a> Session<'a> {
     fn base_trace_obs(&mut self, rec: Obs<'_>) -> &Trace {
         if self.base.is_none() {
             let _sp = crate::prof::span("session.generate");
-            let trace = match &self.base_runs {
-                Some(runs) => runs.lower(),
-                // Generated for the per-event path alone: the run form is
-                // not kept (`base_runs` recompresses this trace if asked).
-                None => phase(rec, "dap-construction", || self.generate().lower()),
-            };
+            self.generations += 1;
+            let trace = phase(rec, "dap-construction", || {
+                generate(self.program, self.pool, self.cfg.gen)
+            });
             trace.validate().expect("generated trace must be valid");
             self.base = Some(trace);
         }
         self.base.as_ref().expect("just cached")
     }
 
-    /// The run-compressed base trace, on first use: generated by
-    /// [`sdpm_trace::generate_runs`], or, when the per-event trace was
-    /// generated first, compressed from it (the same records, since the
-    /// generator feeds the same events to the same [`compress`]or). It
-    /// is validated through its lowering, [`Session::base_trace`].
+    /// The run-compressed base trace: [`compress`] of
+    /// [`Session::base_trace`], on first use.
     pub fn base_runs(&mut self) -> &RunTrace {
         if self.base_runs.is_none() {
-            let runs = match &self.base {
-                Some(trace) => compress(trace),
-                None => self.generate(),
-            };
+            let runs = compress(self.base_trace());
             self.base_runs = Some(runs);
         }
         self.base_runs.as_ref().expect("just cached")
-    }
-
-    /// The session's one generation.
-    fn generate(&mut self) -> RunTrace {
-        let _sp = crate::prof::span("session.generate_runs");
-        self.generations += 1;
-        generate_runs(self.program, self.pool, self.cfg.gen)
     }
 
     /// The run-compressed form of the instrumented trace for `mode`,
@@ -448,17 +431,24 @@ mod tests {
         assert_eq!(base.events, lowered.events);
     }
 
-    /// A session that generated for the per-event path first recovers
-    /// the run form by compression, without a second generation.
+    /// The run form, asked for before or after the per-event trace, is
+    /// the compression of a fresh generation, and neither order
+    /// generates twice.
     #[test]
     fn base_runs_after_base_trace_match_a_generation() {
         let p = checkpoint_loop(2, 2, 8.0);
         let cfg = PipelineConfig::default();
-        let mut session = Session::new(&p, &cfg);
-        let _ = session.base_trace();
-        let fresh = generate_runs(&p, session.pool(), cfg.gen);
-        assert_eq!(session.base_runs(), &fresh);
-        assert_eq!(session.generations(), 1);
+        let fresh = compress(&generate(&p, DiskPool::new(cfg.disks), cfg.gen));
+        let mut trace_first = Session::new(&p, &cfg);
+        let _ = trace_first.base_trace();
+        assert_eq!(trace_first.base_runs(), &fresh);
+        let mut runs_first = Session::new(&p, &cfg);
+        assert_eq!(runs_first.base_runs(), &fresh);
+        let _ = runs_first.base_trace();
+        assert_eq!(
+            (trace_first.generations(), runs_first.generations()),
+            (1, 1)
+        );
     }
 
     #[test]

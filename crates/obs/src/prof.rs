@@ -4,8 +4,8 @@
 //!
 //! Simulated time already has full coverage through [`crate::Event`];
 //! this module covers the *host* cost of producing it — how long the
-//! trace generator, the run compressor, the codec, and the engine loops
-//! actually take, and at what throughput. The two clocks meet in the
+//! trace generator, the run compressor, the verifier, and the engine
+//! loops actually take, and at what throughput. The two clocks meet in the
 //! Chrome exporter: [`crate::ChromeTraceRecorder::attach_profile`]
 //! renders the host span tree as its own process next to the sim-time
 //! disk tracks.
@@ -15,8 +15,8 @@
 //! * A **span** is an RAII guard ([`span`] → [`SpanGuard`]) around a
 //!   region of host work. Spans nest per thread; the innermost open
 //!   span on the current thread is the parent of a newly opened one.
-//! * A **counter** ([`add`]) attributes a unit count (events, records,
-//!   bytes, chunks) to the innermost open span of the current thread —
+//! * A **counter** ([`add`]) attributes a unit count (events, records)
+//!   to the innermost open span of the current thread —
 //!   throughput falls out as `counter / span wall time` at render time.
 //! * Worker threads record into
 //!   thread-local buffers that flush into the global collector when the

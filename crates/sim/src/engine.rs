@@ -593,9 +593,9 @@ impl<'a> Replay<'a> {
     /// With a recorder attached every position expands, so observers see
     /// the full per-event stream.
     fn handle_run(&self, st: &mut ExecState, run: &Run) -> Result<(), SimError> {
-        // A decoded run was validated by the codec, but a hand-built
-        // RunTrace reaches here unchecked — and a zero rotation would
-        // divide by zero below.
+        // `compress` builds only valid runs, but a hand-built RunTrace
+        // reaches here unchecked — and a zero rotation would divide by
+        // zero below.
         run.validate().map_err(SimError::InvalidRun)?;
         #[cfg(feature = "obs")]
         if self.rec.is_some() {

@@ -184,15 +184,58 @@ struct MixDisk {
     /// EWMA idle-gap prediction (adaptive policy); `None` until the
     /// first gap closes.
     ewma_gap: Option<f64>,
-    /// Current adaptive spin-down margin.
+    feedback: Feedback,
+    /// Cursor into the per-disk arrival table (cross-tenant lookahead).
+    next_arrival: usize,
+}
+
+/// The adaptive policy's per-disk feedback: the spin-down margin and the
+/// current epoch's tallies of closed gaps.
+#[derive(Clone, Copy)]
+struct Feedback {
+    /// Current spin-down margin.
     margin: f64,
     /// End of the current feedback epoch.
     next_epoch_end: f64,
-    ep_exploited: u64,
-    ep_misfired: u64,
-    ep_missed: u64,
-    /// Cursor into the per-disk arrival table (cross-tenant lookahead).
-    next_arrival: usize,
+    /// Gaps a reactive spin-down fired in that lasted the break-even.
+    exploited: u64,
+    /// Gaps a reactive spin-down fired in that ended sooner.
+    misfired: u64,
+    /// Gaps past the break-even that no spin-down caught.
+    missed: u64,
+}
+
+impl Feedback {
+    /// Closes the epochs that ended by `completion` (an epoch ending
+    /// exactly then closes too). The first one's tallies move the
+    /// margin; the later ones saw no gap close, so they leave it as is.
+    /// However long the silence, this is one step: the epoch end moves
+    /// straight to the first boundary past `completion`, the one that
+    /// stepping one `epoch_secs` at a time reaches.
+    fn close_epochs(&mut self, completion: f64, c: &AdaptiveConfig) {
+        let (first, len) = (self.next_epoch_end, c.epoch_secs);
+        if completion < first {
+            return;
+        }
+        if self.misfired > self.exploited {
+            self.margin = (self.margin * c.margin_grow).min(AdaptiveConfig::MARGIN_RANGE.1);
+        } else if self.missed > self.exploited {
+            self.margin = (self.margin * c.margin_shrink).max(AdaptiveConfig::MARGIN_RANGE.0);
+        }
+        self.exploited = 0;
+        self.misfired = 0;
+        self.missed = 0;
+        // The boundaries are `first + k·len`: take the least one past
+        // `completion`. The quotient is rounded, so the estimate may be
+        // one boundary off either way.
+        let mut k = ((completion - first) / len).floor() + 1.0;
+        if first + (k - 1.0) * len > completion {
+            k -= 1.0;
+        } else if first + k * len <= completion {
+            k += 1.0;
+        }
+        self.next_epoch_end = first + k * len;
+    }
 }
 
 /// Simulates the merged multi-tenant stream `events` against a shared
@@ -203,10 +246,14 @@ struct MixDisk {
 ///
 /// # Errors
 /// [`SimError::InvalidParams`] / [`SimError::InvalidTrace`] on malformed
-/// input, [`SimError::DiskOutOfRange`] when an event names a disk
-/// outside the pool, [`SimError::Power`] if the power-state machine
-/// rejects a call the engine's sequencing says is legal (unreachable
-/// from sorted input).
+/// input, including an event time so large that adding the shortest
+/// transition it can start no longer advances it (the lesser of
+/// `spin_up_secs` and `spin_down_secs`, and for a `SetRpm` directive
+/// under [`MixPolicy::Directive`] also `rpm_transition_secs_per_step`);
+/// [`SimError::DiskOutOfRange`] when an event names a disk outside the
+/// pool; [`SimError::Power`] if the power-state machine rejects a call
+/// the engine's sequencing says is legal (unreachable from input that
+/// passes these checks).
 pub fn simulate_mix(
     events: &[TenantEvent],
     tenants: &[&str],
@@ -214,7 +261,7 @@ pub fn simulate_mix(
     pool: DiskPool,
     policy: &MixPolicy,
 ) -> Result<MixReport, SimError> {
-    validate(events, tenants, params, pool)?;
+    validate(events, tenants, params, pool, policy)?;
     let ladder = RpmLadder::new(params);
     let max_level = ladder.max_level();
     let break_even = tpm_break_even_secs(params);
@@ -248,11 +295,13 @@ pub fn simulate_mix(
                 gap_deepest: max_level,
                 gap_standby: false,
                 ewma_gap: None,
-                margin: margin0,
-                next_epoch_end: epoch0,
-                ep_exploited: 0,
-                ep_misfired: 0,
-                ep_missed: 0,
+                feedback: Feedback {
+                    margin: margin0,
+                    next_epoch_end: epoch0,
+                    exploited: 0,
+                    misfired: 0,
+                    missed: 0,
+                },
                 next_arrival: 0,
             };
             // The leading idle stretch is a gap like any other: TPM arms
@@ -473,12 +522,12 @@ fn close_gap(
     if gap_len > 0.0 {
         if fired {
             if gap_len >= break_even {
-                d.ep_exploited += 1;
+                d.feedback.exploited += 1;
             } else {
-                d.ep_misfired += 1;
+                d.feedback.misfired += 1;
             }
         } else if gap_len > break_even {
-            d.ep_missed += 1;
+            d.feedback.missed += 1;
         }
         if let Some(c) = adaptive {
             let prev = d.ewma_gap.unwrap_or(gap_len);
@@ -524,21 +573,11 @@ fn arm_reactive(d: &mut MixDisk, completion: f64, break_even: f64, policy: &MixP
         MixPolicy::Tpm(c) => Some(completion + c.threshold_secs.unwrap_or(break_even)),
         MixPolicy::Adaptive(c) => {
             // Feedback closes on epoch boundaries of this disk's clock.
-            while completion >= d.next_epoch_end {
-                if d.ep_misfired > d.ep_exploited {
-                    d.margin = (d.margin * c.margin_grow).min(AdaptiveConfig::MARGIN_RANGE.1);
-                } else if d.ep_missed > d.ep_exploited {
-                    d.margin = (d.margin * c.margin_shrink).max(AdaptiveConfig::MARGIN_RANGE.0);
-                }
-                d.ep_exploited = 0;
-                d.ep_misfired = 0;
-                d.ep_missed = 0;
-                d.next_epoch_end += c.epoch_secs;
-            }
+            d.feedback.close_epochs(completion, c);
             match d.ewma_gap {
                 // Predicted-long idle: sleep immediately, skipping the
                 // 2-competitive break-even wait TPM pays.
-                Some(p) if p >= d.margin * break_even => Some(completion),
+                Some(p) if p >= d.feedback.margin * break_even => Some(completion),
                 _ => None,
             }
         }
@@ -637,6 +676,7 @@ fn validate(
     tenants: &[&str],
     params: &DiskParams,
     pool: DiskPool,
+    policy: &MixPolicy,
 ) -> Result<(), SimError> {
     if let Err(e) = params.validate() {
         return Err(SimError::InvalidParams(e.to_string()));
@@ -644,11 +684,33 @@ fn validate(
     if tenants.is_empty() {
         return Err(SimError::InvalidTrace("mix has no tenants".into()));
     }
+    // A transition whose length rounds away when added to its start
+    // time ends when it began, and the power-state machine, which
+    // completes transitions only while the clock advances, never ends
+    // it. Spin-downs and spin-ups start at arrivals and directives; RPM
+    // steps start only at the `SetRpm` directives the Directive policy
+    // applies.
+    let spin = params.spin_up_secs.min(params.spin_down_secs);
+    let shifts = matches!(policy, MixPolicy::Directive(_));
     let mut prev: Option<(u64, u32, u64)> = None;
     for e in events {
         if !e.at_secs.is_finite() || e.at_secs < 0.0 {
             return Err(SimError::InvalidTrace(format!(
                 "non-finite or negative event time {}",
+                e.at_secs
+            )));
+        }
+        let shortest = match e.event {
+            AppEvent::Power {
+                action: PowerAction::SetRpm(_),
+                ..
+            } if shifts => spin.min(params.rpm_transition_secs_per_step),
+            _ => spin,
+        };
+        if e.at_secs + shortest == e.at_secs {
+            return Err(SimError::InvalidTrace(format!(
+                "event time {} s is too late for the shortest power transition \
+                 ({shortest} s) to advance the clock",
                 e.at_secs
             )));
         }
@@ -688,6 +750,7 @@ fn validate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sdpm_disk::ultrastar36z15;
     use sdpm_trace::{merge_tenants, tenant_timeline, IoRequest, ReqKind, Trace};
 
@@ -1038,5 +1101,92 @@ mod tests {
         assert_eq!(r.makespan_secs, 0.0);
         assert_eq!(r.total_energy_j(), 0.0);
         assert_eq!(r.p99_response_secs, 0.0);
+    }
+
+    /// Each event is checked against the shortest transition it can
+    /// start. Near 2^54 s the clock's resolution is 4 s, so a 1.5 s
+    /// spin-down rounds away; at 2^53 s it is 2 s. Near 2^45 s it is
+    /// 2^-7 s, so only a 2 ms RPM step rounds away, and only a `SetRpm`
+    /// directive the Directive policy applies starts one.
+    #[test]
+    fn events_too_late_for_a_transition_are_rejected() {
+        let sim = |events: &[TenantEvent], policy: &MixPolicy| {
+            simulate_mix(events, &["a"], &ultrastar36z15(), DiskPool::new(2), policy)
+        };
+        let late = |r: Result<MixReport, SimError>| matches!(r, Err(SimError::InvalidTrace(m)) if m.contains("shortest power transition"));
+        let tpm = MixPolicy::Tpm(TpmConfig::default());
+        let directive = MixPolicy::Directive(DirectiveConfig::default());
+        assert!(late(sim(&[ev(2f64.powi(54), 0, 0, 0)], &MixPolicy::Base)));
+        assert!(sim(&[ev(2f64.powi(53), 0, 0, 0)], &tpm).is_ok());
+        let shift = |at: f64| [pw(at, 0, 0, 0, PowerAction::SetRpm(RpmLevel(3)))];
+        assert!(late(sim(&shift(2f64.powi(45)), &directive)));
+        assert!(sim(&shift(2f64.powi(44)), &directive).is_ok());
+        assert!(sim(&shift(2f64.powi(45)), &tpm).is_ok());
+    }
+
+    /// The epoch closing [`Feedback::close_epochs`] replaces: one
+    /// `epoch_secs` step per iteration.
+    fn close_epochs_stepwise(f: &mut Feedback, completion: f64, c: &AdaptiveConfig) {
+        while completion >= f.next_epoch_end {
+            if f.misfired > f.exploited {
+                f.margin = (f.margin * c.margin_grow).min(AdaptiveConfig::MARGIN_RANGE.1);
+            } else if f.missed > f.exploited {
+                f.margin = (f.margin * c.margin_shrink).max(AdaptiveConfig::MARGIN_RANGE.0);
+            }
+            f.exploited = 0;
+            f.misfired = 0;
+            f.missed = 0;
+            f.next_epoch_end += c.epoch_secs;
+        }
+    }
+
+    proptest! {
+        /// Closing epochs in one step lands where the stepwise loop
+        /// does, margin and boundary bit for bit, on epochs whose
+        /// boundaries are exact (whole seconds and binary fractions of
+        /// them, as the default 30 s is). Some completions land exactly
+        /// on a boundary, which closes the epoch ending there.
+        #[test]
+        fn one_step_epoch_closing_matches_the_loop(
+            units in 1u32..600,
+            halvings in 0i32..4,
+            steps in proptest::collection::vec(
+                (0.0f64..3000.0, 0u8..4, 0u64..3, 0u64..3, 0u64..3),
+                1..40,
+            ),
+        ) {
+            let c = AdaptiveConfig {
+                epoch_secs: f64::from(units) * 2f64.powi(-halvings),
+                ..AdaptiveConfig::default()
+            };
+            let start = Feedback {
+                margin: c.margin,
+                next_epoch_end: c.epoch_secs,
+                exploited: 0,
+                misfired: 0,
+                missed: 0,
+            };
+            let (mut fast, mut spec) = (start, start);
+            let mut t = 0.0;
+            for (dt, snap, exploited, misfired, missed) in steps {
+                t = if snap == 0 { spec.next_epoch_end } else { t + dt };
+                for f in [&mut fast, &mut spec] {
+                    f.exploited += exploited;
+                    f.misfired += misfired;
+                    f.missed += missed;
+                }
+                fast.close_epochs(t, &c);
+                close_epochs_stepwise(&mut spec, t, &c);
+                prop_assert_eq!(fast.margin.to_bits(), spec.margin.to_bits());
+                prop_assert_eq!(
+                    fast.next_epoch_end.to_bits(),
+                    spec.next_epoch_end.to_bits()
+                );
+                prop_assert_eq!(
+                    (fast.exploited, fast.misfired, fast.missed),
+                    (spec.exploited, spec.misfired, spec.missed)
+                );
+            }
+        }
     }
 }

@@ -33,7 +33,6 @@
 //! `tests/support`).
 
 use crate::event::{AppEvent, IoRequest, ReqKind};
-use crate::run::{Compressor, RunTrace};
 use crate::trace::Trace;
 use sdpm_ir::conform::linearized_ref;
 use sdpm_ir::{AffineExpr, ArrayRef, LoopNest, Program, RefKind};
@@ -169,7 +168,7 @@ fn plan_nest(program: &Program, ni: usize) -> NestPlan {
 }
 
 /// The generator's state: each [`Walker::step`] jumps to the next miss
-/// (or segment, or nest) and appends the events it produces to `buf`.
+/// (or segment, or nest) and appends the events it produces to `events`.
 struct Walker<'a> {
     program: &'a Program,
     pool: DiskPool,
@@ -185,7 +184,7 @@ struct Walker<'a> {
     pos: u64,
     pending_start: u64,
     plan: NestPlan,
-    buf: Vec<AppEvent>,
+    events: Vec<AppEvent>,
 }
 
 impl<'a> Walker<'a> {
@@ -209,7 +208,7 @@ impl<'a> Walker<'a> {
             pos: 0,
             pending_start: 0,
             plan: plan_nest(program, 0),
-            buf: Vec::new(),
+            events: Vec::new(),
         }
     }
 
@@ -297,7 +296,7 @@ impl<'a> Walker<'a> {
     fn flush_compute(&mut self, flat: u64) {
         if flat > self.pending_start {
             let iters = flat - self.pending_start;
-            self.buf.push(AppEvent::Compute {
+            self.events.push(AppEvent::Compute {
                 nest: self.ni,
                 first_iter: self.pending_start,
                 iters,
@@ -321,7 +320,7 @@ impl<'a> Walker<'a> {
                 self.config.detect_sequential && self.next_block[d] == Some(ext.start_block);
             let end_block = ext.start_block + (ext.block_offset + ext.len).div_ceil(BLOCK_BYTES);
             self.next_block[d] = Some(end_block);
-            self.buf.push(AppEvent::Io(IoRequest {
+            self.events.push(AppEvent::Io(IoRequest {
                 disk: ext.disk,
                 start_block: ext.start_block,
                 size_bytes: ext.len,
@@ -363,45 +362,24 @@ impl<'a> Walker<'a> {
     }
 }
 
-/// Generates the run-compressed I/O trace of `program` against `pool`.
-/// Each step's events go straight into one [`Compressor`], so the
-/// per-event trace is never held whole.
-///
-/// # Panics
-/// If the program fails [`Program::validate`] or the chunk size is zero.
-#[must_use]
-pub fn generate_runs(program: &Program, pool: DiskPool, config: TraceGenConfig) -> RunTrace {
-    let _sp = crate::prof::span("trace.gen.analytic");
-    let mut walker = Walker::new(program, pool, config);
-    let mut comp = Compressor::new();
-    let mut records = Vec::new();
-    let mut events = 0u64;
-    while walker.ni < program.nests.len() {
-        walker.step();
-        events += walker.buf.len() as u64;
-        for e in walker.buf.drain(..) {
-            comp.push(&e, &mut records);
-        }
-    }
-    comp.finish(&mut records);
-    crate::prof::add("gen.events", events);
-    crate::prof::add("compress.records_out", records.len() as u64);
-    crate::prof::add("run.records", records.len() as u64);
-    RunTrace {
-        name: program.name.clone(),
-        pool_size: pool.count(),
-        events: records,
-    }
-}
-
 /// Generates the per-event I/O trace of `program` against `pool`: the
-/// lowering of [`generate_runs`].
+/// walker's steps append straight into the trace's events.
 ///
 /// # Panics
 /// If the program fails [`Program::validate`] or the chunk size is zero.
 #[must_use]
 pub fn generate(program: &Program, pool: DiskPool, config: TraceGenConfig) -> Trace {
-    generate_runs(program, pool, config).lower()
+    let _sp = crate::prof::span("trace.gen.analytic");
+    let mut walker = Walker::new(program, pool, config);
+    while walker.ni < program.nests.len() {
+        walker.step();
+    }
+    crate::prof::add("gen.events", walker.events.len() as u64);
+    Trace {
+        name: program.name.clone(),
+        pool_size: pool.count(),
+        events: walker.events,
+    }
 }
 
 #[cfg(test)]

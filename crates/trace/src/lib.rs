@@ -13,13 +13,10 @@
 //! * [`gen`] — the trace generator: executes an IR program, filters
 //!   element accesses through a one-chunk-per-array buffer cache, and
 //!   emits block-level striped requests; it solves for chunk-boundary
-//!   crossings in closed form instead of visiting every iteration, emits
-//!   the run-compressed form ([`generate_runs`]) and lowers it for
-//!   per-event consumers ([`generate`]),
-//! * [`run`] — the run-compressed form ([`RunTrace`]), its compressor and
-//!   lowering,
-//! * [`codec`] — a compact binary encoding of whole traces, per-event
-//!   (v1) or run-compressed (v2),
+//!   crossings in closed form instead of visiting every iteration and
+//!   appends each event straight to the [`Trace`] ([`generate`]),
+//! * [`run`] — the run-compressed form ([`RunTrace`]), built only by
+//!   [`compress`] from a [`Trace`], and its lowering,
 //! * [`mix`] — per-tenant timelines and their deterministic multi-way
 //!   merge onto one shared pool.
 //!
@@ -32,12 +29,12 @@
 //! can propagate device stalls into application execution time — exactly
 //! the effect behind the paper's Fig. 4 performance comparison.
 
-// This crate parses untrusted bytes; a stray `unwrap()` is a
-// denial-of-service. Failures must flow through `CodecError` (or, for
-// caller contract violations, an explicit `panic!` with context).
-// Narrowing and sign-discarding casts silently corrupt decoded values,
-// so each one must be spelled as an audited conversion or carry an
-// allow with its range argument.
+// A stray `unwrap()` turns a caller's bad input into an unexplained
+// panic: failures must be returned (`Trace::validate`, `Run::validate`)
+// or, for caller contract violations, raised by an explicit `panic!`
+// with context. Narrowing and sign-discarding casts silently corrupt
+// block and iteration numbers, so each one must be spelled as an
+// audited conversion or carry an allow with its range argument.
 #![cfg_attr(
     not(test),
     deny(
@@ -49,7 +46,6 @@
 )]
 #![forbid(unsafe_code)]
 
-pub mod codec;
 pub mod event;
 pub mod gen;
 pub mod mix;
@@ -58,7 +54,7 @@ pub mod run;
 pub mod trace;
 
 pub use event::{AppEvent, IoRequest, PowerAction, ReqKind};
-pub use gen::{generate, generate_runs, TraceGenConfig};
+pub use gen::{generate, TraceGenConfig};
 pub use mix::{merge_tenants, tenant_timeline, TenantEvent, TenantStream, TimedEvent};
 pub use run::{compress, IoTemplate, REvent, Run, RunTrace, MAX_ROTATION};
 pub use trace::{Trace, TraceStats};

@@ -14,13 +14,13 @@
 //!
 //! * [`Run`] / [`REvent`] / [`RunTrace`] — the compressed event kinds and
 //!   the materialized compressed trace,
-//! * [`Compressor`] (and [`compress`] over a whole [`Trace`]) — a one-pass
-//!   fuser: consecutive periods with bitwise-identical parameters and
-//!   uniform strides fuse into a run; anything else — `Power` events in
-//!   particular — passes through untouched and breaks the run,
+//! * [`compress`] — the one way to build a [`RunTrace`]: a one-pass fuser
+//!   over a whole [`Trace`]. Consecutive periods with bitwise-identical
+//!   parameters and uniform strides fuse into a run; anything else —
+//!   `Power` events in particular — passes through untouched and breaks
+//!   the run,
 //! * [`RunTrace::lower`] — the inverse, expanding a run trace back into
-//!   the per-event trace for consumers that need every event (the
-//!   verifier's replay, obs recorders, the v1 codec).
+//!   the per-event trace it was compressed from.
 
 use crate::event::{AppEvent, IoRequest};
 use crate::trace::Trace;
@@ -138,7 +138,7 @@ impl Run {
 
     /// Structural validation: the invariants lowering relies on, plus
     /// overflow-freedom of the last repetition's address arithmetic (so a
-    /// decoded run cannot wrap in [`Run::event_at`]).
+    /// hand-built run cannot wrap in [`Run::event_at`]).
     ///
     /// # Errors
     /// A human-readable description of the violated invariant.
@@ -231,7 +231,6 @@ impl RunTrace {
     /// bit.
     #[must_use]
     pub fn lower(&self) -> Trace {
-        let _sp = crate::prof::span("trace.lower");
         let mut events = Vec::with_capacity(usize::try_from(self.event_len()).unwrap_or(0));
         for re in &self.events {
             match re {
@@ -287,7 +286,7 @@ const _: () = assert!(MAX_ROTATION_IDX as u64 == MAX_ROTATION);
 /// not fit — a parameter change, a `Power` event, a bare request —
 /// flushes the open run and drains unmatched periods as plain events.
 #[derive(Default)]
-pub struct Compressor {
+struct Compressor {
     cur: Option<Period>,
     open: Option<Run>,
     /// Completed periods not yet explained by a run, oldest first; empty
@@ -296,13 +295,8 @@ pub struct Compressor {
 }
 
 impl Compressor {
-    #[must_use]
-    pub fn new() -> Self {
-        Compressor::default()
-    }
-
     /// Consumes one event, appending any completed records to `out`.
-    pub fn push(&mut self, e: &AppEvent, out: &mut Vec<REvent>) {
+    fn push(&mut self, e: &AppEvent, out: &mut Vec<REvent>) {
         match e {
             AppEvent::Compute {
                 nest,
@@ -345,7 +339,7 @@ impl Compressor {
     }
 
     /// Flushes all pending state; call once after the last event.
-    pub fn finish(&mut self, out: &mut Vec<REvent>) {
+    fn finish(&mut self, out: &mut Vec<REvent>) {
         self.close_period(out);
         self.break_runs(out);
     }
@@ -551,7 +545,7 @@ impl Compressor {
 #[must_use]
 pub fn compress(trace: &Trace) -> RunTrace {
     let _sp = crate::prof::span("trace.compress");
-    let mut comp = Compressor::new();
+    let mut comp = Compressor::default();
     let mut events = Vec::new();
     for e in &trace.events {
         comp.push(e, &mut events);
@@ -739,29 +733,30 @@ mod tests {
 
     #[test]
     fn parameter_change_splits_runs() {
-        let mut events = Vec::new();
-        for k in 0..5u64 {
-            events.push(compute(0, k * 8, 8, 1.0e-6));
-            events.push(io(0, k * 128, (k + 1) * 8));
+        // Same shape but different compute seconds: new run, even when
+        // the seconds differ in the last bit only.
+        let one_ulp = f64::from_bits(1.0e-6f64.to_bits() + 1);
+        for changed in [2.0e-6, one_ulp] {
+            let mut events = Vec::new();
+            for k in 0..10u64 {
+                let secs = if k < 5 { 1.0e-6 } else { changed };
+                events.push(compute(0, k * 8, 8, secs));
+                events.push(io(0, k * 128, (k + 1) * 8));
+            }
+            let t = Trace {
+                name: "split".into(),
+                pool_size: 1,
+                events,
+            };
+            let rt = compress(&t);
+            let runs = rt
+                .events
+                .iter()
+                .filter(|e| matches!(e, REvent::Run(_)))
+                .count();
+            assert_eq!(runs, 2, "{changed:e}");
+            assert_eq!(rt.lower(), t);
         }
-        // Same shape but different compute seconds: new run.
-        for k in 5..10u64 {
-            events.push(compute(0, k * 8, 8, 2.0e-6));
-            events.push(io(0, k * 128, (k + 1) * 8));
-        }
-        let t = Trace {
-            name: "split".into(),
-            pool_size: 1,
-            events,
-        };
-        let rt = compress(&t);
-        let runs = rt
-            .events
-            .iter()
-            .filter(|e| matches!(e, REvent::Run(_)))
-            .count();
-        assert_eq!(runs, 2);
-        assert_eq!(rt.lower(), t);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Property tests for traces: codec round-trips, generator
-//! conservation laws, and the generator against a spec walk.
+//! Property tests for traces: generator conservation laws, lossless
+//! run compression, tenant merging, and the generator against a spec
+//! walk.
 
 mod support;
 
@@ -9,10 +10,9 @@ use sdpm_disk::RpmLevel;
 use sdpm_ir::conform::linearized_ref;
 use sdpm_ir::{AffineExpr, ArrayRef, LoopDim, LoopNest, Program, Statement};
 use sdpm_layout::{ArrayFile, DiskId, DiskPool, StorageOrder, Striping};
-use sdpm_trace::codec::{decode, decode_runs, encode, encode_runs, CodecError};
 use sdpm_trace::{
-    compress, generate, generate_runs, merge_tenants, AppEvent, IoRequest, IoTemplate, PowerAction,
-    REvent, ReqKind, Run, RunTrace, TenantEvent, TenantStream, TimedEvent, Trace, TraceGenConfig,
+    compress, generate, merge_tenants, AppEvent, IoRequest, PowerAction, REvent, ReqKind,
+    TenantEvent, TenantStream, TimedEvent, Trace, TraceGenConfig,
 };
 use support::{random_program, spec_walk};
 
@@ -57,102 +57,6 @@ fn event_strategy(pool: u32, nest: usize) -> impl Strategy<Value = AppEvent> {
 }
 
 proptest! {
-    /// encode/decode round-trips arbitrary traces exactly.
-    #[test]
-    fn codec_round_trips(
-        pool in 1u32..16,
-        name in "[a-z0-9.]{0,20}",
-        events in proptest::collection::vec((0usize..4, 0u32..1000), 0..60),
-    ) {
-        // Build events with non-decreasing nest ids (validity not needed
-        // for the codec, but keeps things tidy).
-        let mut evs = Vec::new();
-        let mut runner = proptest::test_runner::TestRunner::deterministic();
-        let mut last_nest = 0usize;
-        for (nest_inc, _) in events {
-            last_nest += nest_inc % 2;
-            let e = event_strategy(pool, last_nest)
-                .new_tree(&mut runner)
-                .unwrap()
-                .current();
-            evs.push(e);
-        }
-        let t = Trace {
-            name,
-            pool_size: pool,
-            events: evs,
-        };
-        let bytes = encode(&t);
-        let back = decode(&bytes).unwrap();
-        prop_assert_eq!(back, t);
-    }
-
-    /// The wire format can be written event at a time: a header ending
-    /// in the event count, then one record per event that depends on no
-    /// neighbour. So the records of a trace split anywhere, spliced
-    /// behind the whole trace's header, are byte-identical to the
-    /// one-shot encoding and decode back to the trace.
-    #[test]
-    fn streaming_codec_round_trips(
-        pool in 1u32..16,
-        name in "[a-z0-9.]{0,20}",
-        split_seed in 0usize..64,
-        events in proptest::collection::vec((0usize..4, 0u32..1000), 0..60),
-    ) {
-        let mut evs = Vec::new();
-        let mut runner = proptest::test_runner::TestRunner::deterministic();
-        let mut last_nest = 0usize;
-        for (nest_inc, _) in events {
-            last_nest += nest_inc % 2;
-            let e = event_strategy(pool, last_nest)
-                .new_tree(&mut runner)
-                .unwrap()
-                .current();
-            evs.push(e);
-        }
-        let t = Trace { name, pool_size: pool, events: evs };
-        let split = split_seed % (t.events.len() + 1);
-
-        let part = |evs: &[AppEvent]| {
-            encode(&Trace { name: t.name.clone(), pool_size: pool, events: evs.to_vec() })
-        };
-        let header = part(&[]);
-        let (head, count) = header.split_at(header.len() - 8);
-        prop_assert_eq!(count, &0u64.to_le_bytes()[..]);
-        let records = |evs: &[AppEvent]| part(evs)[header.len()..].to_vec();
-
-        let mut spliced = head.to_vec();
-        spliced.extend_from_slice(&(t.events.len() as u64).to_le_bytes());
-        spliced.extend(records(&t.events[..split]));
-        spliced.extend(records(&t.events[split..]));
-        prop_assert_eq!(&spliced, &encode(&t));
-        prop_assert_eq!(decode(&spliced).unwrap(), t);
-    }
-
-    /// Cutting an encoded trace anywhere short of its full length makes
-    /// the decoder report `Truncated` — never a partial success, never a
-    /// panic.
-    #[test]
-    fn codec_rejects_truncation_anywhere(
-        pool in 1u32..8,
-        cut_seed in 0usize..10_000,
-        events in proptest::collection::vec(0u32..1000, 1..40),
-    ) {
-        let mut evs = Vec::new();
-        let mut runner = proptest::test_runner::TestRunner::deterministic();
-        for _ in events {
-            let e = event_strategy(pool, 0)
-                .new_tree(&mut runner)
-                .unwrap()
-                .current();
-            evs.push(e);
-        }
-        let t = Trace { name: "cut".into(), pool_size: pool, events: evs };
-        let bytes = encode(&t);
-        let cut = cut_seed % (bytes.len() - 1).max(1);
-        prop_assert_eq!(decode(&bytes[..cut]), Err(CodecError::Truncated));
-    }
-
     /// Trace generation conserves compute time, covers each scanned byte
     /// exactly once per cold sweep, and yields only valid traces.
     #[test]
@@ -277,100 +181,6 @@ proptest! {
         }
     }
 
-    /// The v2 codec round-trips run-compressed traces exactly, and
-    /// lowering what it decodes gives back the original per-event
-    /// sequence; the per-event decoder refuses v2.
-    #[test]
-    fn run_codec_round_trips(
-        pool in 1u32..16,
-        events in proptest::collection::vec((0usize..4, 0u32..1000), 0..60),
-    ) {
-        let mut evs = Vec::new();
-        let mut runner = proptest::test_runner::TestRunner::deterministic();
-        let mut last_nest = 0usize;
-        for (nest_inc, _) in events {
-            last_nest += nest_inc % 2;
-            let e = event_strategy(pool, last_nest)
-                .new_tree(&mut runner)
-                .unwrap()
-                .current();
-            evs.push(e);
-        }
-        let t = Trace { name: "v2".into(), pool_size: pool, events: evs };
-        let rt = compress(&t);
-        let bytes = encode_runs(&rt).unwrap();
-        prop_assert_eq!(decode_runs(&bytes).unwrap(), rt);
-        prop_assert_eq!(decode_runs(&bytes).unwrap().lower(), t);
-        prop_assert_eq!(decode(&bytes), Err(CodecError::BadHeader));
-    }
-
-    /// Cutting a v2 encoding anywhere short of its full length makes the
-    /// run decoder report `Truncated` — never a partial success, never a
-    /// panic — even when the cut lands inside a run record. The per-event
-    /// decoder rejects every prefix too, at the header.
-    #[test]
-    fn run_codec_rejects_truncation_anywhere(
-        n in 4u64..24,
-        m in 1u64..5,
-        cut_seed in 0usize..10_000,
-    ) {
-        let pool = 8u32;
-        let mut evs = Vec::new();
-        for k in 0..n {
-            evs.push(AppEvent::Compute { nest: 0, first_iter: k * 2, iters: 2, secs: 5.0e-7 });
-            evs.push(AppEvent::Io(IoRequest {
-                disk: DiskId((k % m) as u32),
-                start_block: (k / m) * 32,
-                size_bytes: 2048,
-                kind: ReqKind::Read,
-                sequential: false,
-                nest: 0,
-                iter: (k + 1) * 2,
-            }));
-        }
-        let t = Trace { name: "cutv2".into(), pool_size: pool, events: evs };
-        let rt = compress(&t);
-        let bytes = encode_runs(&rt).unwrap();
-        let cut = cut_seed % (bytes.len() - 1).max(1);
-        prop_assert_eq!(
-            decode_runs(&bytes[..cut]).map(|rt| rt.lower()),
-            Err(CodecError::Truncated)
-        );
-        prop_assert!(decode(&bytes[..cut]).is_err());
-    }
-
-    /// Fuzz: arbitrary byte strings fed to every decoder entry point
-    /// produce an error or a trace — never a panic. Covers garbage that
-    /// is not just a truncation of a valid encoding.
-    #[test]
-    fn arbitrary_bytes_never_panic_the_decoders(
-        bytes in proptest::collection::vec(any::<u8>(), 0..600),
-    ) {
-        let _ = decode(&bytes);
-        let _ = decode_runs(&bytes);
-    }
-
-    /// Fuzz: a valid header followed by arbitrary garbage exercises the
-    /// record readers (not just header rejection); still error-not-panic.
-    #[test]
-    fn valid_header_with_garbage_tail_never_panics(
-        version_v2 in any::<bool>(),
-        pool in 1u32..16,
-        count in 0u64..10_000,
-        tail in proptest::collection::vec(any::<u8>(), 0..400),
-    ) {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"SDPM");
-        bytes.extend_from_slice(&(if version_v2 { 2u16 } else { 1u16 }).to_le_bytes());
-        bytes.extend_from_slice(&pool.to_le_bytes());
-        bytes.extend_from_slice(&2u16.to_le_bytes());
-        bytes.extend_from_slice(b"fz");
-        bytes.extend_from_slice(&count.to_le_bytes());
-        bytes.extend_from_slice(&tail);
-        let _ = decode(&bytes);
-        let _ = decode_runs(&bytes);
-    }
-
     /// Nominal arrivals are non-decreasing and one per request.
     #[test]
     fn nominal_arrivals_monotone(
@@ -415,79 +225,6 @@ proptest! {
             prop_assert!(w[0].0 <= w[1].0);
         }
     }
-}
-
-/// An attacker-controlled count of `u64::MAX` in the header must not
-/// drive a pre-allocation: the decoders cap their reservations by the
-/// buffer length, so the hostile count surfaces as `Truncated` long
-/// before memory is at risk.
-#[test]
-fn hostile_length_prefix_does_not_preallocate() {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"SDPM");
-    bytes.extend_from_slice(&1u16.to_le_bytes());
-    bytes.extend_from_slice(&4u32.to_le_bytes());
-    bytes.extend_from_slice(&0u16.to_le_bytes());
-    bytes.extend_from_slice(&u64::MAX.to_le_bytes());
-    assert_eq!(decode(&bytes), Err(CodecError::Truncated));
-    assert_eq!(decode_runs(&bytes).unwrap_err(), CodecError::Truncated);
-
-    // Same for a v2 run record claiming u32::MAX request templates.
-    let mut v2 = Vec::new();
-    v2.extend_from_slice(b"SDPM");
-    v2.extend_from_slice(&2u16.to_le_bytes());
-    v2.extend_from_slice(&4u32.to_le_bytes());
-    v2.extend_from_slice(&0u16.to_le_bytes());
-    v2.extend_from_slice(&1u64.to_le_bytes()); // one record
-    v2.push(3); // tag: Run
-    v2.extend_from_slice(&1u64.to_le_bytes()); // count
-    v2.extend_from_slice(&0u32.to_le_bytes()); // nest
-    v2.extend_from_slice(&0u64.to_le_bytes()); // first_iter
-    v2.extend_from_slice(&1u64.to_le_bytes()); // iters_per_rep
-    v2.extend_from_slice(&1.0f64.to_le_bytes()); // secs_per_rep
-    v2.extend_from_slice(&1u32.to_le_bytes()); // rotation
-    v2.extend_from_slice(&u32::MAX.to_le_bytes()); // nreqs: hostile
-    assert_eq!(decode_runs(&v2).unwrap_err(), CodecError::Truncated);
-}
-
-/// A ~100-byte v2 buffer can hold one valid run whose `count` is near
-/// 2^40. `decode` never lowers a run, so it refuses the v2 header rather
-/// than grow a vector until the allocator aborts; `decode_runs` returns
-/// the one record.
-#[test]
-fn hostile_run_count_is_not_lowered_by_decode() {
-    let count = 1u64 << 40;
-    let rt = RunTrace {
-        name: "hostile".into(),
-        pool_size: 4,
-        events: vec![REvent::Run(Run {
-            count,
-            nest: 0,
-            first_iter: 0,
-            iters_per_rep: 1,
-            secs_per_rep: 1.0,
-            rotation: 1,
-            reqs: vec![IoTemplate {
-                io: IoRequest {
-                    disk: DiskId(0),
-                    start_block: 0,
-                    size_bytes: 4096,
-                    kind: ReqKind::Read,
-                    sequential: false,
-                    nest: 0,
-                    iter: 1,
-                },
-                block_stride: 8,
-            }],
-        })],
-    };
-    let bytes = encode_runs(&rt).unwrap();
-    assert!(bytes.len() < 128, "{} bytes", bytes.len());
-    assert_eq!(decode(&bytes), Err(CodecError::BadHeader));
-    let back = decode_runs(&bytes).unwrap();
-    assert_eq!(back.events.len(), 1);
-    assert_eq!(back.event_len(), 2 * count);
-    assert_eq!(back, rt);
 }
 
 /// The merge's specification: concatenate every tenant's events and
@@ -579,17 +316,17 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The generator's run-compressed trace, lowered, reproduces the
-    /// spec walk event for event on random programs, including nests it
-    /// must step one outer segment at a time.
+    /// The generated trace reproduces the spec walk event for event on
+    /// random programs, including nests the generator must step one
+    /// outer segment at a time.
     #[test]
     fn analytic_generation_matches_the_walk(seed in any::<u64>()) {
         let (p, config) = random_program(seed);
         let pool = DiskPool::new(4);
         prop_assert_eq!(p.validate(pool), Ok(()));
-        let lowered = generate_runs(&p, pool, config).lower();
-        prop_assert_eq!((lowered.name.as_str(), lowered.pool_size), (p.name.as_str(), 4));
-        prop_assert_eq!(&lowered.events, &spec_walk(&p, pool, config));
+        let t = generate(&p, pool, config);
+        prop_assert_eq!((t.name.as_str(), t.pool_size), (p.name.as_str(), 4));
+        prop_assert_eq!(&t.events, &spec_walk(&p, pool, config));
     }
 }
 
@@ -616,8 +353,8 @@ fn random_programs_include_nests_that_need_outer_segments() {
     );
 }
 
-/// `generate` (the generator's lowered run trace) equals the spec walk
-/// under both `detect_sequential` values.
+/// `generate` equals the spec walk under both `detect_sequential`
+/// values.
 fn assert_walk_matches_spec(p: &Program, pool: DiskPool, io_chunk_bytes: u64) {
     assert_eq!(p.validate(pool), Ok(()), "{}", p.name);
     for detect_sequential in [false, true] {

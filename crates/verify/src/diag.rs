@@ -7,6 +7,7 @@
 //! fix hint. Two renderers are provided: a human one shaped like rustc's
 //! output and a JSON-lines one for tooling.
 
+use sdpm_obs::json::push_escaped;
 use std::fmt;
 
 /// How bad a finding is.
@@ -331,22 +332,6 @@ pub fn render_human_all(diags: &[Diagnostic]) -> String {
     out
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn push_span_json(out: &mut String, s: &Span) {
     match s {
         Span::TraceEvent { index, t_est } => {
@@ -359,12 +344,12 @@ fn push_span_json(out: &mut String, s: &Span) {
         }
         Span::Nest { label } => {
             out.push_str("{\"kind\":\"nest\",\"label\":");
-            push_json_str(out, label);
+            push_escaped(out, label);
             out.push('}');
         }
         Span::Array { name } => {
             out.push_str("{\"kind\":\"array\",\"name\":");
-            push_json_str(out, name);
+            push_escaped(out, name);
             out.push('}');
         }
         Span::Run => out.push_str("{\"kind\":\"run\"}"),
@@ -376,11 +361,11 @@ fn push_span_json(out: &mut String, s: &Span) {
 pub fn render_json(d: &Diagnostic) -> String {
     let mut out = String::new();
     out.push_str("{\"severity\":");
-    push_json_str(&mut out, d.severity.label());
+    push_escaped(&mut out, d.severity.label());
     out.push_str(",\"code\":");
-    push_json_str(&mut out, d.code.as_str());
+    push_escaped(&mut out, d.code.as_str());
     out.push_str(",\"message\":");
-    push_json_str(&mut out, &d.message);
+    push_escaped(&mut out, &d.message);
     out.push_str(",\"labels\":[");
     for (i, l) in d.labels.iter().enumerate() {
         if i > 0 {
@@ -389,13 +374,13 @@ pub fn render_json(d: &Diagnostic) -> String {
         out.push_str("{\"span\":");
         push_span_json(&mut out, &l.span);
         out.push_str(",\"note\":");
-        push_json_str(&mut out, &l.note);
+        push_escaped(&mut out, &l.note);
         out.push('}');
     }
     out.push(']');
     if let Some(h) = &d.help {
         out.push_str(",\"help\":");
-        push_json_str(&mut out, h);
+        push_escaped(&mut out, h);
     }
     out.push('}');
     out
@@ -461,6 +446,12 @@ mod tests {
         assert!(j.contains("\"code\":\"SDPM-E005\""));
         assert!(j.contains("level \\\"99\\\" off\\nladder"));
         assert!(!j.contains('\n'));
+        // Every escape the renderer makes, byte for byte.
+        let d = Diagnostic::new(Code::OffLadderRpm, "q\"b\\n\nr\rt\tc\u{1}.");
+        assert_eq!(
+            render_json(&d),
+            r#"{"severity":"error","code":"SDPM-E005","message":"q\"b\\n\nr\rt\tc\u0001.","labels":[]}"#
+        );
     }
 
     #[test]

@@ -49,17 +49,13 @@ fn profile_covers_every_pipeline_stage() {
     let bench = sdpm_workloads::swim();
     let (p, chrome) = run_profile(&bench);
 
-    // gen -> compress -> encode/decode -> simulate, each under its leg.
+    // gen -> compress -> simulate -> verify, each under its leg.
     for path in [
-        "profile.per_event/session.generate/session.generate_runs/trace.gen.analytic",
-        "profile.per_event/session.generate/trace.lower",
+        "profile.per_event/session.generate/trace.gen.analytic",
         "profile.per_event/session.simulate/sim.simulate",
-        "profile.run_compressed/session.simulate_runs/session.generate_runs/trace.gen.analytic",
+        "profile.run_compressed/session.simulate_runs/session.generate/trace.gen.analytic",
+        "profile.run_compressed/session.simulate_runs/trace.compress",
         "profile.run_compressed/session.simulate_runs/sim.simulate_runs",
-        "profile.codec/trace.compress",
-        "profile.codec/trace.encode",
-        "profile.codec/trace.decode",
-        "profile.codec/sim.simulate",
         "profile.verify/verify.run",
     ] {
         assert!(p.node(path).is_some(), "missing span path {path}");
@@ -67,11 +63,13 @@ fn profile_covers_every_pipeline_stage() {
 
     // Throughput counters carry real totals.
     let gen = p
-        .node("profile.per_event/session.generate/session.generate_runs/trace.gen.analytic")
+        .node("profile.per_event/session.generate/trace.gen.analytic")
         .expect("generation node");
     assert!(counter(gen, "gen.events") > 0);
-    let enc = p.node("profile.codec/trace.encode").expect("encode node");
-    assert!(counter(enc, "encode.bytes") > 0);
+    let comp = p
+        .node("profile.run_compressed/session.simulate_runs/trace.compress")
+        .expect("compression node");
+    assert!(counter(comp, "compress.events_in") > counter(comp, "compress.records_out"));
 
     // The Chrome export places host tracks (pid 3) next to the sim-time
     // tracks (pid 1) and the pipeline phases (pid 2).

@@ -1,14 +1,12 @@
-//! Codec data-path equivalence: a trace that makes the round trip
-//! through the binary codec must simulate to a bit-exact `SimReport` on
-//! every scheme of every Table 2 kernel, and the shared pipeline session
-//! must generate each benchmark's trace exactly once.
+//! Run compression is lossless on the pipeline's own traces: every
+//! scheme's trace of every Table 2 kernel, base and directive-carrying,
+//! lowers back from its compression event for event, and the shared
+//! pipeline session generates each benchmark's trace exactly once.
 
 use sdpm_bench::{config_for, parallel_map, suite};
 use sdpm_core::{CmMode, Scheme, Session};
-use sdpm_layout::DiskPool;
-use sdpm_sim::{simulate, DirectiveConfig, Policy, SimReport};
-use sdpm_trace::codec::{decode, decode_runs, encode, encode_runs};
-use sdpm_trace::{compress, Trace};
+use sdpm_sim::SimReport;
+use sdpm_trace::compress;
 
 fn assert_identical(reference: &SimReport, candidate: &SimReport, what: &str) {
     assert_eq!(
@@ -24,57 +22,26 @@ fn assert_identical(reference: &SimReport, candidate: &SimReport, what: &str) {
     assert_eq!(reference, candidate, "{what}: reports differ");
 }
 
-/// The `(policy, trace)` pair a scheme resolves to once the session has
-/// generated and instrumented.
-fn policy_and_trace(
-    session: &mut Session<'_>,
-    cfg: &sdpm_core::PipelineConfig,
-    scheme: Scheme,
-) -> (Policy, Trace) {
-    let policy = match scheme {
-        Scheme::Base => Policy::Base,
-        Scheme::Tpm => Policy::Tpm(cfg.tpm),
-        Scheme::ITpm => Policy::IdealTpm,
-        Scheme::Drpm => Policy::Drpm(cfg.drpm),
-        Scheme::IDrpm => Policy::IdealDrpm,
-        Scheme::CmTpm | Scheme::CmDrpm => Policy::Directive(DirectiveConfig {
-            overhead_secs: cfg.overhead_secs,
-        }),
-    };
-    let trace = match scheme {
-        Scheme::CmTpm => session.instrumented(CmMode::Tpm).trace.clone(),
-        Scheme::CmDrpm => session.instrumented(CmMode::Drpm).trace.clone(),
-        _ => session.base_trace().clone(),
-    };
-    (policy, trace)
-}
-
 #[test]
-fn all_paths_agree_bitwise_on_every_scheme_and_kernel() {
+fn compression_is_lossless_on_every_scheme_and_kernel() {
     let benches = suite();
     assert_eq!(benches.len(), 6, "the Table 2 kernel suite");
     parallel_map(&benches, |bench| {
         let cfg = config_for(bench);
-        let pool = DiskPool::new(cfg.disks);
         let mut session = Session::new(&bench.program, &cfg);
         for scheme in Scheme::all() {
-            let (policy, trace) = policy_and_trace(&mut session, &cfg, scheme);
-            let what = format!("{} {}", bench.name, scheme.label());
-            let reference = simulate(&trace, &cfg.params, pool, &policy);
-
-            // Round trip through the binary codec (the CM schemes' traces
-            // cover Power directives).
-            let decoded = decode(&encode(&trace)).expect("self-encoded trace");
-            let from_codec = simulate(&decoded, &cfg.params, pool, &policy);
-            assert_identical(&reference, &from_codec, &format!("{what} codec"));
-
-            // A run-compressed (v2) buffer decodes and lowers to the
-            // same per-event trace.
-            let v2 = encode_runs(&compress(&trace)).expect("compressor-built runs encode");
-            assert_eq!(
-                decode_runs(&v2).expect("self-encoded runs").lower(),
-                trace,
-                "{what}: v2 decode"
+            let trace = match scheme {
+                Scheme::CmTpm => &session.instrumented(CmMode::Tpm).trace,
+                Scheme::CmDrpm => &session.instrumented(CmMode::Drpm).trace,
+                _ => session.base_trace(),
+            };
+            // The CM schemes' traces carry Power directives, which
+            // compression passes through raw between runs.
+            assert!(
+                compress(trace).lower() == *trace,
+                "{} {}: compression lost an event",
+                bench.name,
+                scheme.label()
             );
         }
 
