@@ -3,8 +3,9 @@
 //! through `Session::run_compressed` and `Session::run`, so must random
 //! programs, and the generator must reproduce the spec walk's trace on
 //! every kernel program, original and transformed, and on the synthetic
-//! programs in use. The session's one-pass oracles must match the
-//! engine's own two-pass oracles on every kernel.
+//! programs in use. The session's one-pass oracles, replaying the
+//! schedules it keeps, must match the engine's own two-pass oracles on
+//! every kernel.
 
 #[path = "../../trace/tests/support/mod.rs"]
 mod support;
@@ -50,21 +51,20 @@ fn run_compressed_matches_per_event_for_every_kernel_and_scheme() {
     }
 }
 
-/// The session replays ITPM/IDRPM schedules built from the report of its
-/// first clean Base pass; a standalone oracle engine plays its own clean
-/// Base pass first. On every kernel the two must agree bit for bit,
-/// whichever run fills the session's Base report: `run(Base)`, the
-/// oracle itself on a fresh session, or the oracle after a faulted Base
-/// run, which must not fill it. A faulted oracle run must match the
+/// The session replays ITPM/IDRPM schedules built once from the report of
+/// its first clean Base pass and kept; a standalone oracle engine plays
+/// its own clean Base pass first. On every kernel the two must agree bit
+/// for bit, whichever run fills the session's Base report: `run(Base)`,
+/// the oracle itself on a fresh session, or the oracle after a faulted
+/// Base run, which must not fill it. A faulted oracle run must match the
 /// standalone engine with the same plan: the schedule comes from the
-/// clean gaps, the faults hit the replay.
+/// clean gaps, the faults hit the replay. On one session, each oracle run
+/// twice, between a faulted Base run, a faulted IDRPM run and (with the
+/// `obs` feature) a recorded run, must replay its own kept schedule,
+/// never the other oracle's or one built from a faulted report.
 #[test]
 fn session_oracles_match_the_standalone_two_pass_engine() {
     let plan = FaultPlan::new(FaultConfig::uniform(11, 0.05));
-    let oracles = [
-        (Scheme::ITpm, Policy::IdealTpm),
-        (Scheme::IDrpm, Policy::IdealDrpm),
-    ];
     for bench in sdpm_workloads::all_benchmarks() {
         let cfg = config_for(&bench);
         let mut reference = Session::new(&bench.program, &cfg);
@@ -93,15 +93,18 @@ fn session_oracles_match_the_standalone_two_pass_engine() {
                 "{label}: energy differs"
             );
         };
-        for (scheme, policy) in &oracles {
-            let want = standalone(policy, None);
-
+        let itpm = standalone(&Policy::IdealTpm, None);
+        let idrpm = standalone(&Policy::IdealDrpm, None);
+        for (scheme, policy, want) in [
+            (Scheme::ITpm, Policy::IdealTpm, &itpm),
+            (Scheme::IDrpm, Policy::IdealDrpm, &idrpm),
+        ] {
             let mut after_base = Session::new(&bench.program, &cfg);
             let _ = after_base.run(Scheme::Base);
-            same(&after_base.run(*scheme), &want, "after run(Base)");
+            same(&after_base.run(scheme), want, "after run(Base)");
 
             let mut fresh = Session::new(&bench.program, &cfg);
-            same(&fresh.run(*scheme), &want, "first on a fresh session");
+            same(&fresh.run(scheme), want, "first on a fresh session");
 
             let mut faulted = Session::new(&bench.program, &cfg);
             let faulted_base = faulted
@@ -112,16 +115,45 @@ fn session_oracles_match_the_standalone_two_pass_engine() {
                 "{}: the plan must perturb Base",
                 bench.name
             );
-            same(&faulted.run(*scheme), &want, "after a faulted Base run");
+            same(&faulted.run(scheme), want, "after a faulted Base run");
             let faulted_oracle = faulted
-                .run_with_faults(*scheme, Some(&plan))
+                .run_with_faults(scheme, Some(&plan))
                 .expect("faulted oracle run degrades gracefully");
             same(
                 &faulted_oracle,
-                &standalone(policy, Some(&plan)),
+                &standalone(&policy, Some(&plan)),
                 "with faults",
             );
         }
+
+        // ITPM's schedule is empty on the six kernels (no Base gap passes
+        // the TPM break-even), so IDRPM's carries the check: both are kept
+        // before the faulted runs, and both are read after them.
+        let mut kept = Session::new(&bench.program, &cfg);
+        same(&kept.run(Scheme::IDrpm), &idrpm, "kept: first IDRPM");
+        same(&kept.run(Scheme::ITpm), &itpm, "kept: first ITPM");
+        let _ = kept
+            .run_with_faults(Scheme::Base, Some(&plan))
+            .expect("faulted Base run degrades gracefully");
+        let faulted_idrpm = kept
+            .run_with_faults(Scheme::IDrpm, Some(&plan))
+            .expect("faulted oracle run degrades gracefully");
+        same(
+            &faulted_idrpm,
+            &standalone(&Policy::IdealDrpm, Some(&plan)),
+            "kept: faulted IDRPM",
+        );
+        #[cfg(feature = "obs")]
+        {
+            let rec = sdpm_obs::MetricsRecorder::new();
+            same(
+                &kept.run_with_recorder(Scheme::IDrpm, &rec),
+                &idrpm,
+                "kept: recorded IDRPM",
+            );
+        }
+        same(&kept.run(Scheme::ITpm), &itpm, "kept: second ITPM");
+        same(&kept.run(Scheme::IDrpm), &idrpm, "kept: second IDRPM");
     }
 }
 

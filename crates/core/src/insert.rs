@@ -181,13 +181,12 @@ fn plan_directives(
     // Per-nest noise factors, seeded like CycleEstimator::with_noise.
     let factors = nest_noise_factors(trace, noise);
 
-    // Estimated timeline: start/end time of every event.
-    let n_events = trace.events.len();
-    let mut t_start = vec![0.0f64; n_events];
-    let mut t_end = vec![0.0f64; n_events];
+    // Estimated timeline: event `i` runs from `at[i]` to `at[i + 1]`, and
+    // `at[n]` is the end of the run.
+    let mut at = Vec::with_capacity(trace.events.len() + 1);
     let mut t = 0.0f64;
-    for (i, e) in trace.events.iter().enumerate() {
-        t_start[i] = t;
+    for e in &trace.events {
+        at.push(t);
         let dur = match e {
             AppEvent::Compute { nest, secs, .. } => secs * factors[*nest],
             AppEvent::Io(r) => {
@@ -204,8 +203,8 @@ fn plan_directives(
             AppEvent::Power { .. } => 0.0,
         };
         t += dur;
-        t_end[i] = t;
     }
+    at.push(t);
     let t_total = t;
 
     // Per-disk request event indices.
@@ -236,10 +235,10 @@ fn plan_directives(
             let (gap_start_t, start_pin) = if k == 0 {
                 (0.0, 0usize)
             } else {
-                (t_end[reqs[k - 1]], reqs[k - 1] + 1)
+                (at[reqs[k - 1] + 1], reqs[k - 1] + 1)
             };
             let (gap_end_t, end_event) = if k < reqs.len() {
-                (t_start[reqs[k]], Some(reqs[k]))
+                (at[reqs[k]], Some(reqs[k]))
             } else {
                 (t_total, None)
             };
@@ -306,7 +305,14 @@ fn plan_directives(
                         decisions.push(decision);
                         continue;
                     }
-                    let preact = position_at(trace, &t_start, &t_end, end_idx, target_t);
+                    let (event_idx, split_iter) =
+                        position_at(trace, &at, start_pin, end_idx, target_t);
+                    if (event_idx, split_iter) == (start_pin, None) {
+                        // The restore's only position is the slow-down's
+                        // own, where it would be woven first: as above.
+                        decisions.push(decision);
+                        continue;
+                    }
                     pinned.push(Pinned {
                         event_idx: start_pin,
                         split_iter: None,
@@ -314,9 +320,10 @@ fn plan_directives(
                         action: down,
                     });
                     pinned.push(Pinned {
+                        event_idx,
+                        split_iter,
                         disk,
                         action: up,
-                        ..preact
                     });
                 }
             }
@@ -381,58 +388,38 @@ fn apply_plan(trace: &Trace, plan: Plan) -> InsertOutcome {
     }
 }
 
-/// Finds the stream position whose estimated time is `target_t`, looking
-/// backward from `end_idx` (the request the pre-activation protects).
+/// Finds the stream position whose estimated time is `target_t` inside
+/// the gap that opens before event `start_pin` and ends at `end_idx` (the
+/// request the pre-activation protects): before an event, or split
+/// inside a compute span at an absolute iteration. The gap's start
+/// precedes `target_t`, so the search stays within `[start_pin,
+/// end_idx]`.
 fn position_at(
     trace: &Trace,
-    t_start: &[f64],
-    t_end: &[f64],
+    at: &[f64],
+    start_pin: usize,
     end_idx: usize,
     target_t: f64,
-) -> Pinned {
-    // Binary search over event start times in [0, end_idx].
-    let slice = &t_start[..=end_idx];
-    let i = slice.partition_point(|&s| s <= target_t).saturating_sub(1);
+) -> (usize, Option<u64>) {
+    let gap = &at[start_pin..=end_idx];
+    let i = start_pin + gap.partition_point(|&s| s <= target_t).saturating_sub(1);
     match &trace.events[i] {
         AppEvent::Compute {
-            nest: _,
-            first_iter,
-            iters,
-            ..
-        } if *iters > 1 && t_end[i] > t_start[i] => {
-            let frac = ((target_t - t_start[i]) / (t_end[i] - t_start[i])).clamp(0.0, 1.0);
+            first_iter, iters, ..
+        } if *iters > 1 && at[i + 1] > at[i] => {
+            let frac = ((target_t - at[i]) / (at[i + 1] - at[i])).clamp(0.0, 1.0);
             let off = (frac * *iters as f64) as u64;
             if off == 0 {
-                Pinned {
-                    event_idx: i,
-                    split_iter: None,
-                    disk: DiskId(0),
-                    action: PowerAction::SpinUp,
-                }
+                (i, None)
             } else if off >= *iters {
-                Pinned {
-                    event_idx: i + 1,
-                    split_iter: None,
-                    disk: DiskId(0),
-                    action: PowerAction::SpinUp,
-                }
+                (i + 1, None)
             } else {
-                Pinned {
-                    event_idx: i,
-                    split_iter: Some(first_iter + off),
-                    disk: DiskId(0),
-                    action: PowerAction::SpinUp,
-                }
+                (i, Some(first_iter + off))
             }
         }
         // Io/Power/degenerate-compute: insert before this event (slightly
         // early — conservative).
-        _ => Pinned {
-            event_idx: i,
-            split_iter: None,
-            disk: DiskId(0),
-            action: PowerAction::SpinUp,
-        },
+        _ => (i, None),
     }
 }
 
@@ -722,6 +709,49 @@ mod tests {
             }
         }
         assert!(any_diff, "50% noise must flip at least one level choice");
+    }
+
+    /// Disk 0's gap is exactly one long disk-1 request. The restore's
+    /// target falls inside that request, so its only position is the
+    /// slow-down's own; woven there it would precede the slow-down and
+    /// leave disk 0 at 3,000 RPM for its next request. The gap gets no
+    /// calls, and CMDRPM runs as Base does.
+    #[test]
+    fn restore_landing_on_its_slowdown_leaves_the_gap_alone() {
+        use sdpm_layout::DiskPool;
+        use sdpm_sim::{simulate, DirectiveConfig, Policy};
+        use sdpm_trace::{IoRequest, ReqKind};
+        let io = |disk: u32, size_bytes: u64, iter: u64| {
+            AppEvent::Io(IoRequest {
+                disk: DiskId(disk),
+                start_block: iter * 1024,
+                size_bytes,
+                kind: ReqKind::Read,
+                sequential: false,
+                nest: 0,
+                iter,
+            })
+        };
+        let t = Trace {
+            name: "restore-on-slowdown".into(),
+            pool_size: 2,
+            events: vec![io(0, 4096, 0), io(1, 64 << 20, 1), io(0, 4096, 2)],
+        };
+        let params = ultrastar36z15();
+        let out = insert_directives(&t, &params, &NoiseModel::exact(), CmMode::Drpm, TM);
+        assert_eq!(out.inserted, 0, "{:?}", out.trace.events);
+        assert!(out.decisions.iter().all(|d| d.level.is_none()));
+        let pool = DiskPool::new(2);
+        let base = simulate(&t, &params, pool, &Policy::Base);
+        let cm = simulate(
+            &out.trace,
+            &params,
+            pool,
+            &Policy::Directive(DirectiveConfig { overhead_secs: TM }),
+        );
+        assert_eq!(cm.exec_secs.to_bits(), base.exec_secs.to_bits());
+        assert_eq!(cm.stall_secs.to_bits(), base.stall_secs.to_bits());
+        assert_eq!(cm.energy, base.energy);
     }
 
     #[test]

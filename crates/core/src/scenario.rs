@@ -279,8 +279,9 @@ impl<'a> MixSession<'a> {
     /// # Errors
     /// [`SimError::InvalidParams`] when the tenants disagree on the disk
     /// model or pool size (a mix shares physical disks; there is no
-    /// per-tenant hardware) or when a tenant's timeline overflows at the
-    /// mix's load factor, plus anything [`simulate_mix`] reports.
+    /// per-tenant hardware), [`SimError::InvalidTrace`] when a tenant's
+    /// timeline overflows at the mix's load factor, plus anything
+    /// [`simulate_mix`] reports.
     pub fn contended(&mut self, policy: &MixPolicy) -> Result<MixReport, SimError> {
         let first = self.mix.tenants[0].cfg;
         for t in &self.mix.tenants[1..] {
@@ -307,7 +308,7 @@ impl<'a> MixSession<'a> {
             .iter()
             .find(|s| s.events.iter().any(|e| !e.at_secs.is_finite()))
         {
-            return Err(SimError::InvalidParams(format!(
+            return Err(SimError::InvalidTrace(format!(
                 "tenant {}'s timeline is not finite at load factor {:e}",
                 s.tenant, self.mix.load_factor
             )));
@@ -507,10 +508,15 @@ mod tests {
             load_factor: 1e-310,
             ..degenerate_mix(&p, &cfg, Scheme::Base)
         });
-        assert!(matches!(
-            mix.contended(&MixPolicy::Base),
-            Err(SimError::InvalidParams(_))
-        ));
+        match mix.contended(&MixPolicy::Base) {
+            Err(SimError::InvalidTrace(m)) => {
+                assert!(
+                    m.contains("tenant 0") && m.contains("load factor 1e-310"),
+                    "{m}"
+                );
+            }
+            other => panic!("expected InvalidTrace, got {other:?}"),
+        }
     }
 
     #[test]

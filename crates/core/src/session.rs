@@ -15,10 +15,12 @@
 //! The oracle schemes (ITPM, IDRPM) need the Base run's idle gaps. The
 //! session keeps the report of its first clean Base pass (no faults, no
 //! recorder), whether `run(Base)` or the first oracle run made it, and
-//! replays the oracle schedules built from it. A seven-scheme suite on
-//! the per-event path therefore plays the trace seven times, not nine.
-//! Every run still plays its own measured pass; the kept report only
-//! feeds the schedules. [`Session::run_compressed`] leaves the oracles to
+//! the ITPM and IDRPM schedules built from it: each is built once per
+//! session, on the first oracle run that needs it, and every later run
+//! replays a copy. A seven-scheme suite on the per-event path therefore
+//! plays the trace seven times, not nine. Every run still plays its own
+//! measured pass; the kept report and schedules are only its input.
+//! [`Session::run_compressed`] leaves the oracles to
 //! [`sdpm_sim::Engine::runs`], which runs its own Base pass.
 //!
 //! Phase spans (`dap-construction`, the compiler phases) are emitted to a
@@ -27,10 +29,11 @@
 
 use crate::insert::{insert_directives, CmMode, InsertOutcome};
 use crate::pipeline::{PipelineConfig, Scheme, SchemeArtifacts};
+use sdpm_disk::DiskParams;
 use sdpm_fault::FaultPlan;
 use sdpm_ir::Program;
 use sdpm_layout::DiskPool;
-use sdpm_sim::{oracle, DirectiveConfig, Engine, Policy, SimError, SimReport};
+use sdpm_sim::{oracle, DirectiveConfig, Engine, Policy, ScheduledAction, SimError, SimReport};
 use sdpm_trace::{compress, generate, RunTrace, Trace};
 
 #[cfg(feature = "obs")]
@@ -71,6 +74,9 @@ pub struct Session<'a> {
     /// The report of the first clean Base pass on the per-event trace:
     /// the idle gaps the oracle schedules are built from.
     clean_base: Option<SimReport>,
+    /// The ITPM and IDRPM schedules built from `clean_base`, indexed by
+    /// [`oracle_slot`], each on the first run that needs it.
+    schedules: [Option<Schedule>; 2],
     generations: usize,
 }
 
@@ -86,6 +92,7 @@ impl<'a> Session<'a> {
             cm: [None, None],
             cm_runs: [None, None],
             clean_base: None,
+            schedules: [None, None],
             generations: 0,
         }
     }
@@ -237,9 +244,9 @@ impl<'a> Session<'a> {
     /// cached trace `scheme` needs, played under a `simulation` phase span
     /// with the given options. The trace was validated when the session
     /// cached it, so the engine takes it by reference without a second
-    /// validation pass. An oracle scheme replays its schedule, built from
-    /// the session's clean Base report; a clean Base run fills that
-    /// report if it is still empty.
+    /// validation pass. An oracle scheme replays a copy of its kept
+    /// schedule, built from the session's clean Base report on first use;
+    /// a clean Base run fills that report if it is still empty.
     fn simulate(
         &mut self,
         scheme: Scheme,
@@ -256,15 +263,9 @@ impl<'a> Session<'a> {
             }
         }
         let _sp = crate::prof::span("session.simulate");
-        let params = &self.cfg.params;
-        let policy = match policy {
-            Policy::IdealTpm => {
-                Policy::Schedule(oracle::ideal_tpm_schedule(self.clean_base()?, params))
-            }
-            Policy::IdealDrpm => {
-                Policy::Schedule(oracle::ideal_drpm_schedule(self.clean_base()?, params))
-            }
-            policy => policy,
+        let policy = match oracle_slot(&policy) {
+            Some((slot, build)) => Policy::Schedule(self.schedule(slot, build)?.clone()),
+            None => policy,
         };
         let keep = scheme == Scheme::Base
             && faults.is_none()
@@ -289,6 +290,17 @@ impl<'a> Session<'a> {
         Ok(report)
     }
 
+    /// The oracle schedule kept in `slot`, built by `build` from the
+    /// session's clean Base report on first use.
+    fn schedule(&mut self, slot: usize, build: BuildSchedule) -> Result<&Schedule, SimError> {
+        if self.schedules[slot].is_none() {
+            let cfg = self.cfg;
+            let schedule = build(self.clean_base()?, &cfg.params);
+            self.schedules[slot] = Some(schedule);
+        }
+        Ok(self.schedules[slot].as_ref().expect("just cached"))
+    }
+
     /// The report of the session's first clean Base pass over the cached
     /// per-event trace, played now if no clean `run(Base)` made it yet.
     fn clean_base(&mut self) -> Result<&SimReport, SimError> {
@@ -298,6 +310,22 @@ impl<'a> Session<'a> {
             self.clean_base = Some(report);
         }
         Ok(self.clean_base.as_ref().expect("just cached"))
+    }
+}
+
+/// An oracle's per-disk action schedule, and what builds one from a
+/// clean Base report.
+type Schedule = Vec<Vec<ScheduledAction>>;
+type BuildSchedule = fn(&SimReport, &DiskParams) -> Schedule;
+
+/// An oracle policy's slot in the schedule cache (`IdealTpm` = 0) and
+/// the builder that fills it, or `None` for a policy the engine plays as
+/// given.
+fn oracle_slot(policy: &Policy) -> Option<(usize, BuildSchedule)> {
+    match policy {
+        Policy::IdealTpm => Some((0, oracle::ideal_tpm_schedule)),
+        Policy::IdealDrpm => Some((1, oracle::ideal_drpm_schedule)),
+        _ => None,
     }
 }
 

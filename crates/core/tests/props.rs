@@ -1,10 +1,14 @@
 //! Property tests for the instrumentation pass.
 
+#[path = "../../trace/tests/support/mod.rs"]
+mod support;
+
 use proptest::prelude::*;
 use sdpm_core::{insert_directives, CmMode, NoiseModel};
-use sdpm_disk::{ultrastar36z15, RpmLadder};
-use sdpm_layout::DiskId;
-use sdpm_trace::{AppEvent, IoRequest, PowerAction, ReqKind, Trace};
+use sdpm_disk::{ultrastar36z15, RpmLadder, RpmLevel};
+use sdpm_layout::{DiskId, DiskPool};
+use sdpm_trace::{generate, AppEvent, IoRequest, PowerAction, ReqKind, Trace};
+use support::random_program;
 
 /// Random alternating compute/IO traces (valid by construction).
 fn trace_strategy() -> impl Strategy<Value = Trace> {
@@ -47,6 +51,29 @@ fn io_multiset(t: &Trace) -> Vec<(u32, u64, u64)> {
         .collect();
     v.sort_unstable();
     v
+}
+
+/// Per disk, the woven calls alternate slow-down then restore: a restore
+/// (`SpinUp` or `SetRpm(max)`) never comes without an unrestored
+/// slow-down before it, and no slow-down follows an unrestored one.
+fn check_alternation(trace: &Trace, max: RpmLevel) {
+    let mut lowered = vec![false; trace.pool_size as usize];
+    for e in &trace.events {
+        if let AppEvent::Power { disk, action } = e {
+            let d = disk.0 as usize;
+            let restore = match action {
+                PowerAction::SpinUp => true,
+                PowerAction::SpinDown => false,
+                PowerAction::SetRpm(l) => *l == max,
+            };
+            if restore {
+                assert!(lowered[d], "restore without slow-down on disk {d}");
+            } else {
+                assert!(!lowered[d], "double slow-down on disk {d}");
+            }
+            lowered[d] = !restore;
+        }
+    }
 }
 
 proptest! {
@@ -99,22 +126,35 @@ proptest! {
             CmMode::Drpm,
             50e-6,
         );
-        let mut lowered = vec![false; trace.pool_size as usize];
-        for e in &out.trace.events {
-            if let AppEvent::Power { disk, action } = e {
-                let d = disk.0 as usize;
-                match action {
-                    PowerAction::SetRpm(l) if *l < max => {
-                        prop_assert!(!lowered[d], "double slow-down on disk {d}");
-                        lowered[d] = true;
-                    }
-                    PowerAction::SetRpm(_) => {
-                        prop_assert!(lowered[d], "restore without slow-down on disk {d}");
-                        lowered[d] = false;
-                    }
-                    _ => {}
-                }
-            }
+        check_alternation(&out.trace, max);
+    }
+
+    /// The same alternation on the traces of random programs, in both
+    /// modes. Nests run at 1 µs, 0.1 s or 10 s per iteration, so gaps
+    /// open on one-iteration compute spans and on other disks' requests
+    /// as well as inside long spans.
+    #[test]
+    fn woven_calls_alternate_on_random_programs(
+        seed in any::<u64>(),
+        speeds in proptest::collection::vec(0usize..3, 3),
+        noise_seed in 0u64..200,
+    ) {
+        let (mut program, gen) = random_program(seed);
+        for (nest, &speed) in program.nests.iter_mut().zip(&speeds) {
+            nest.cycles_per_iter = [750.0, 7.5e7, 7.5e9][speed];
+        }
+        let trace = generate(&program, DiskPool::new(4), gen);
+        let params = ultrastar36z15();
+        let max = RpmLadder::new(&params).max_level();
+        for mode in [CmMode::Tpm, CmMode::Drpm] {
+            let out = insert_directives(
+                &trace,
+                &params,
+                &NoiseModel { spread: 0.1, gap_jitter: 0.1, seed: noise_seed },
+                mode,
+                50e-6,
+            );
+            check_alternation(&out.trace, max);
         }
     }
 

@@ -84,36 +84,42 @@ impl EnergyIntegrator {
         self.breakdown
     }
 
+    #[inline]
     pub fn add_active(&mut self, joules: f64, secs: f64) {
         debug_assert!(joules >= 0.0 && secs >= 0.0);
         self.breakdown.active_j += joules;
         self.breakdown.active_secs += secs;
     }
 
+    #[inline]
     pub fn add_idle(&mut self, joules: f64, secs: f64) {
         debug_assert!(joules >= 0.0 && secs >= 0.0);
         self.breakdown.idle_j += joules;
         self.breakdown.idle_secs += secs;
     }
 
+    #[inline]
     pub fn add_standby(&mut self, joules: f64, secs: f64) {
         debug_assert!(joules >= 0.0 && secs >= 0.0);
         self.breakdown.standby_j += joules;
         self.breakdown.standby_secs += secs;
     }
 
+    #[inline]
     pub fn add_spin_up(&mut self, joules: f64, secs: f64) {
         debug_assert!(joules >= 0.0 && secs >= 0.0);
         self.breakdown.spin_up_j += joules;
         self.breakdown.transition_secs += secs;
     }
 
+    #[inline]
     pub fn add_spin_down(&mut self, joules: f64, secs: f64) {
         debug_assert!(joules >= 0.0 && secs >= 0.0);
         self.breakdown.spin_down_j += joules;
         self.breakdown.transition_secs += secs;
     }
 
+    #[inline]
     pub fn add_transition(&mut self, joules: f64, secs: f64) {
         debug_assert!(joules >= 0.0 && secs >= 0.0);
         self.breakdown.transition_j += joules;

@@ -140,12 +140,14 @@ impl PowerStateMachine {
 
     /// Current simulated time of this machine, seconds.
     #[must_use]
+    #[inline]
     pub fn now(&self) -> f64 {
         self.now
     }
 
     /// Current state.
     #[must_use]
+    #[inline]
     pub fn state(&self) -> DiskPowerState {
         self.state
     }
@@ -179,34 +181,37 @@ impl PowerStateMachine {
         }
     }
 
-    fn power_rate_w(&self, state: DiskPowerState) -> f64 {
+    /// Charges `dur` seconds in `state` at that state's power rate.
+    #[inline]
+    fn charge(&mut self, state: DiskPowerState, dur: f64) {
+        debug_assert!(dur >= 0.0);
+        let p = &self.params;
         match state {
-            DiskPowerState::Idle { level } => self.ladder.idle_power_w(level),
-            DiskPowerState::Active { level } => self.ladder.active_power_w(level),
-            DiskPowerState::Standby => self.params.standby_power_w,
+            DiskPowerState::Idle { level } => {
+                let rate = self.ladder.idle_power_w(level);
+                self.energy.add_idle(rate * dur, dur);
+            }
+            DiskPowerState::Active { level } => {
+                let rate = self.ladder.active_power_w(level);
+                self.energy.add_active(rate * dur, dur);
+            }
+            DiskPowerState::Standby => {
+                let rate = p.standby_power_w;
+                self.energy.add_standby(rate * dur, dur);
+            }
             DiskPowerState::SpinningDown { .. } => {
-                self.params.spin_down_energy_j / self.params.spin_down_secs
+                let rate = p.spin_down_energy_j / p.spin_down_secs;
+                self.energy.add_spin_down(rate * dur, dur);
             }
             DiskPowerState::SpinningUp { .. } => {
-                self.params.spin_up_energy_j / self.params.spin_up_secs
+                let rate = p.spin_up_energy_j / p.spin_up_secs;
+                self.energy.add_spin_up(rate * dur, dur);
             }
             DiskPowerState::Shifting { from, to, .. } => {
                 let faster = if from >= to { from } else { to };
-                self.ladder.idle_power_w(faster)
+                let rate = self.ladder.idle_power_w(faster);
+                self.energy.add_transition(rate * dur, dur);
             }
-        }
-    }
-
-    fn charge(&mut self, state: DiskPowerState, dur: f64) {
-        debug_assert!(dur >= 0.0);
-        let rate = self.power_rate_w(state);
-        match state {
-            DiskPowerState::Idle { .. } => self.energy.add_idle(rate * dur, dur),
-            DiskPowerState::Active { .. } => self.energy.add_active(rate * dur, dur),
-            DiskPowerState::Standby => self.energy.add_standby(rate * dur, dur),
-            DiskPowerState::SpinningDown { .. } => self.energy.add_spin_down(rate * dur, dur),
-            DiskPowerState::SpinningUp { .. } => self.energy.add_spin_up(rate * dur, dur),
-            DiskPowerState::Shifting { .. } => self.energy.add_transition(rate * dur, dur),
         }
     }
 
@@ -215,6 +220,7 @@ impl PowerStateMachine {
     ///
     /// Advancing to the past is a no-op for `t == now` and an error
     /// otherwise.
+    #[inline]
     pub fn advance(&mut self, t: f64) -> Result<(), PowerError> {
         if t < self.now {
             return Err(PowerError::TimeWentBackwards {
@@ -222,6 +228,24 @@ impl PowerStateMachine {
                 event_time: t,
             });
         }
+        match self.state {
+            // The steady step: the disk spins with no transition in
+            // flight, so the whole interval is charged in its state.
+            DiskPowerState::Idle { .. } | DiskPowerState::Active { .. } => {
+                if self.now < t {
+                    self.charge(self.state, t - self.now);
+                    self.now = t;
+                }
+            }
+            _ => self.advance_slow(t),
+        }
+        Ok(())
+    }
+
+    /// [`Self::advance`] from standby or a transition: completes the
+    /// transition if it ends by `t`, then charges the rest of the
+    /// interval in the state it landed in.
+    fn advance_slow(&mut self, t: f64) {
         while self.now < t {
             match self.state {
                 DiskPowerState::SpinningDown { until } if until <= t => {
@@ -250,12 +274,12 @@ impl PowerStateMachine {
                 }
             }
         }
-        Ok(())
     }
 
     /// Begins servicing a request at time `t`. The disk must be `Idle`
     /// (spinning steadily) at `t`; callers are responsible for first
     /// waiting out standby/transition states (see [`Self::ready_time`]).
+    #[inline]
     pub fn begin_service(&mut self, t: f64) -> Result<RpmLevel, PowerError> {
         self.advance(t)?;
         match self.state {
@@ -268,6 +292,7 @@ impl PowerStateMachine {
     }
 
     /// Ends the in-flight service at time `t`, returning to `Idle`.
+    #[inline]
     pub fn end_service(&mut self, t: f64) -> Result<(), PowerError> {
         self.advance(t)?;
         match self.state {

@@ -104,6 +104,7 @@ impl RpmLadder {
     ///
     /// # Panics
     /// If `level` is off the ladder.
+    #[inline]
     pub(crate) fn consts(&self, level: RpmLevel) -> &LevelConsts {
         &self.consts[level.0 as usize]
     }
@@ -116,6 +117,7 @@ impl RpmLadder {
 
     /// The full-speed (fastest) level.
     #[must_use]
+    #[inline]
     pub fn max_level(&self) -> RpmLevel {
         RpmLevel((self.rpms.len() - 1) as u8)
     }
@@ -146,12 +148,14 @@ impl RpmLadder {
 
     /// Idle (spinning, no service) power at `level`, watts.
     #[must_use]
+    #[inline]
     pub fn idle_power_w(&self, level: RpmLevel) -> f64 {
         self.idle_power_w[level.0 as usize]
     }
 
     /// Power while servicing a request at `level`, watts.
     #[must_use]
+    #[inline]
     pub fn active_power_w(&self, level: RpmLevel) -> f64 {
         self.idle_power_w[level.0 as usize] + self.active_extra_w
     }

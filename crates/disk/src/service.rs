@@ -37,6 +37,7 @@ pub struct ServiceRequest {
 /// positioning components. The level's positioning time and transfer
 /// rate come from the ladder's cache, so a call does one division.
 #[must_use]
+#[inline]
 pub fn service_time_secs(ladder: &RpmLadder, level: RpmLevel, req: ServiceRequest) -> f64 {
     let c = ladder.consts(level);
     let positioning = if req.sequential {

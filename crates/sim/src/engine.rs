@@ -6,6 +6,14 @@
 //! DRPM drift step, a scheduled oracle action) are applied — with their
 //! correct timestamps — when the disk is next touched or at finalization,
 //! so the energy integral is exact without a global event queue.
+//!
+//! The steady request step — the disk idle at the arrival, no transition
+//! in flight, no policy action due — makes no out-of-line call: the
+//! machine's `advance`, `begin_service` and `end_service`, the service
+//! model and the policy's "anything due?" check are inlined into the
+//! per-event handler. Policy actions, wake-ups, transitions and fault
+//! retries stay out of line, and run the same machine calls and float
+//! operations in the same order either way.
 
 use crate::error::SimError;
 use crate::oracle;
@@ -187,8 +195,10 @@ struct ExecState<'a> {
 /// the trace twice: a clean Base pass — no faults, no recorder — recovers
 /// the true gap structure, from which [`oracle`] derives a
 /// [`Policy::Schedule`] that the measured pass replays. A caller that
-/// already holds that Base report (`sdpm_core::Session` keeps one) builds
-/// the schedule itself and plays it in one pass.
+/// already holds that Base report plays the schedule in one pass:
+/// `sdpm_core::Session` keeps the report and builds each oracle's
+/// schedule from it once per session, and every run still plays its own
+/// measured pass.
 pub struct Engine<'r> {
     params: DiskParams,
     pool: DiskPool,
@@ -559,26 +569,9 @@ impl<'a> Replay<'a> {
 
     /// True when the disk can take the next request of a run on the
     /// steady fast path: it is spinning idle (no transition in flight)
-    /// and, critically, [`Replay::catch_up`] at time `t` would be a
-    /// no-op — every guard here is the same predicate `catch_up`
-    /// evaluates, so skipping the call cannot change the trajectory.
+    /// and [`Replay::catch_up`] at time `t` would be a no-op.
     fn steady_ok(&self, rt: &DiskRt, t: f64) -> bool {
-        if !matches!(rt.machine.state(), DiskPowerState::Idle { .. }) {
-            return false;
-        }
-        match self.policy {
-            Policy::Base | Policy::Directive(_) => true,
-            Policy::Tpm(_) => rt.idle_since + self.tpm_threshold > t,
-            Policy::Drpm(cfg) => {
-                rt.drift_hold
-                    || rt.cur_level == RpmLevel::MIN
-                    || rt.drift_mark + cfg.idle_drift_secs > t
-            }
-            Policy::Schedule(_) => rt.sched_idx >= rt.sched.len() || rt.sched[rt.sched_idx].at > t,
-            Policy::IdealTpm | Policy::IdealDrpm => {
-                unreachable!("oracle policies are lowered before the replay")
-            }
-        }
+        matches!(rt.machine.state(), DiskPowerState::Idle { .. }) && !self.due(rt, t)
     }
 
     /// Services one [`Run`] record. Each repetition is a compute span
@@ -785,7 +778,51 @@ impl<'a> Replay<'a> {
     }
 
     /// Applies the policy's timed actions for one disk up to time `t`.
+    /// The check whether any is due stays inline on every request; the
+    /// actions themselves are out of line.
+    #[inline]
     fn catch_up(
+        &self,
+        rt: &mut DiskRt,
+        t: f64,
+        misfires: &mut MisfireCauses,
+        fc: &mut FaultCounts,
+    ) -> Result<(), SimError> {
+        if self.due(rt, t) {
+            self.apply_due(rt, t, misfires, fc)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// True unless [`Replay::apply_due`] at time `t` would leave the disk
+    /// untouched: each arm is the guard that body's first step tests.
+    #[inline]
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    fn due(&self, rt: &DiskRt, t: f64) -> bool {
+        match self.policy {
+            Policy::Base | Policy::Directive(_) => false,
+            Policy::Tpm(_) => {
+                rt.idle_since + self.tpm_threshold <= t
+                    && matches!(rt.machine.state(), DiskPowerState::Idle { .. })
+            }
+            Policy::Drpm(cfg) => {
+                !rt.drift_hold
+                    && rt.cur_level > RpmLevel::MIN
+                    // `!(>)`, not `<=`: a NaN drift time fires, as in
+                    // the body's loop.
+                    && !(rt.drift_mark + cfg.idle_drift_secs > t)
+            }
+            Policy::Schedule(_) => rt.sched.get(rt.sched_idx).is_some_and(|a| a.at <= t),
+            Policy::IdealTpm | Policy::IdealDrpm => {
+                unreachable!("oracle policies are lowered before the replay")
+            }
+        }
+    }
+
+    /// The body of [`Replay::catch_up`]: fires every policy action due on
+    /// this disk by time `t`.
+    fn apply_due(
         &self,
         rt: &mut DiskRt,
         t: f64,
@@ -906,6 +943,9 @@ impl<'a> Replay<'a> {
 
     /// Makes the disk serviceable at or after `t`, begins and completes
     /// service, and returns the completion time and the service time.
+    /// A disk spinning idle at the arrival is served inline; fault
+    /// retries and wake-ups are out of line.
+    #[inline]
     fn service(
         &self,
         rt: &mut DiskRt,
@@ -913,35 +953,8 @@ impl<'a> Replay<'a> {
         req: &IoRequest,
         fc: &mut FaultCounts,
     ) -> Result<(f64, f64), SimError> {
-        // Injected fault: transient service failures. Each failed
-        // attempt costs an exponentially growing backoff before the
-        // retry; a request whose budget runs out is serviced anyway
-        // (degraded) — the closed-loop application cannot drop it. The
-        // delay shifts the effective arrival, so it surfaces as stall.
         let t = match self.faults {
-            Some(plan) => {
-                let n = rt.fault_seq;
-                rt.fault_seq += 1;
-                let (failed, exhausted) = plan.transient_failures(rt.id.0, n);
-                if failed > 0 {
-                    fc.transient_failures += 1;
-                    fc.retries += u64::from(failed);
-                    if exhausted {
-                        fc.retry_exhausted += 1;
-                    }
-                    obs_emit!(
-                        self.rec,
-                        ObsEvent::FaultInjected {
-                            t,
-                            disk: rt.id,
-                            kind: sdpm_fault::kind::TRANSIENT,
-                        }
-                    );
-                    t + plan.backoff_secs(failed)
-                } else {
-                    t
-                }
-            }
+            Some(plan) => self.retry_transients(rt, t, plan, fc),
             None => t,
         };
         // Bring the machine to the arrival time first, so transitions that
@@ -952,6 +965,84 @@ impl<'a> Replay<'a> {
             .advance(arrive)
             .map_err(|e| SimError::power("advance to arrival", rt.id, arrive, e))?;
         let start = match rt.machine.state() {
+            DiskPowerState::Idle { .. } => t.max(rt.machine.now()),
+            _ => self.wake(rt, t, fc)?,
+        };
+        // A directive-issued spin-up that came up slow delays readiness
+        // past the machine's nominal transition end.
+        let start = if self.faults.is_some() {
+            start.max(rt.slow_ready_at)
+        } else {
+            start
+        };
+        let start = start.max(rt.machine.now());
+        let level = rt
+            .machine
+            .begin_service(start)
+            .map_err(|e| SimError::power("begin_service", rt.id, start, e))?;
+        rt.cur_level = level;
+        obs_emit!(
+            self.rec,
+            ObsEvent::ServiceStart {
+                t: start,
+                disk: rt.id,
+                level,
+            }
+        );
+        let svc = service_time_secs(&self.ladder, level, service_request(req));
+        let completion = start + svc;
+        rt.machine
+            .end_service(completion)
+            .map_err(|e| SimError::power("end_service", rt.id, completion, e))?;
+        obs_emit!(
+            self.rec,
+            ObsEvent::ServiceEnd {
+                t: completion,
+                disk: rt.id,
+            }
+        );
+        Ok((completion, svc))
+    }
+
+    /// Injected fault: transient service failures. Each failed attempt
+    /// costs an exponentially growing backoff before the retry; a request
+    /// whose budget runs out is serviced anyway (degraded) — the
+    /// closed-loop application cannot drop it. Returns the effective
+    /// arrival: the delay surfaces as stall.
+    fn retry_transients(
+        &self,
+        rt: &mut DiskRt,
+        t: f64,
+        plan: &FaultPlan,
+        fc: &mut FaultCounts,
+    ) -> f64 {
+        let n = rt.fault_seq;
+        rt.fault_seq += 1;
+        let (failed, exhausted) = plan.transient_failures(rt.id.0, n);
+        if failed == 0 {
+            return t;
+        }
+        fc.transient_failures += 1;
+        fc.retries += u64::from(failed);
+        if exhausted {
+            fc.retry_exhausted += 1;
+        }
+        obs_emit!(
+            self.rec,
+            ObsEvent::FaultInjected {
+                t,
+                disk: rt.id,
+                kind: sdpm_fault::kind::TRANSIENT,
+            }
+        );
+        t + plan.backoff_secs(failed)
+    }
+
+    /// The time a request arriving at `t` can begin service on a disk
+    /// that is not spinning idle: a wake-up from standby or from a
+    /// spin-down, or the end of the transition in flight.
+    fn wake(&self, rt: &mut DiskRt, t: f64, fc: &mut FaultCounts) -> Result<f64, SimError> {
+        Ok(match rt.machine.state() {
             DiskPowerState::Idle { .. } => t.max(rt.machine.now()),
             DiskPowerState::Active { .. } => {
                 // Unreachable through the closed-loop generator, but a
@@ -990,41 +1081,7 @@ impl<'a> Replay<'a> {
             DiskPowerState::SpinningUp { until } | DiskPowerState::Shifting { until, .. } => {
                 until.max(t)
             }
-        };
-        // A directive-issued spin-up that came up slow delays readiness
-        // past the machine's nominal transition end.
-        let start = if self.faults.is_some() {
-            start.max(rt.slow_ready_at)
-        } else {
-            start
-        };
-        let start = start.max(rt.machine.now());
-        let level = rt
-            .machine
-            .begin_service(start)
-            .map_err(|e| SimError::power("begin_service", rt.id, start, e))?;
-        rt.cur_level = level;
-        obs_emit!(
-            self.rec,
-            ObsEvent::ServiceStart {
-                t: start,
-                disk: rt.id,
-                level,
-            }
-        );
-        let svc = service_time_secs(&self.ladder, level, service_request(req));
-        let completion = start + svc;
-        rt.machine
-            .end_service(completion)
-            .map_err(|e| SimError::power("end_service", rt.id, completion, e))?;
-        obs_emit!(
-            self.rec,
-            ObsEvent::ServiceEnd {
-                t: completion,
-                disk: rt.id,
-            }
-        );
-        Ok((completion, svc))
+        })
     }
 
     /// Injected fault: a demand spin-up that comes up slower than the
@@ -1055,7 +1112,9 @@ impl<'a> Replay<'a> {
         extra
     }
 
-    /// Reactive DRPM window bookkeeping after a completed request.
+    /// Reactive DRPM window bookkeeping after a completed request. The
+    /// tally stays inline on every request; a reaction is out of line.
+    #[inline]
     fn drpm_window_update(
         &self,
         rt: &mut DiskRt,
@@ -1067,6 +1126,22 @@ impl<'a> Replay<'a> {
     ) {
         rt.window_sum += slowdown;
         rt.window_n += 1;
+        if (slowdown > cfg.upper_tolerance && rt.cur_level < max) || rt.window_n >= cfg.window {
+            self.drpm_react(rt, cfg, slowdown, t, max, fc);
+        }
+    }
+
+    /// The reaction [`Replay::drpm_window_update`] calls for: a ramp-up
+    /// after a severely slow request, then the check of a full window.
+    fn drpm_react(
+        &self,
+        rt: &mut DiskRt,
+        cfg: &DrpmConfig,
+        slowdown: f64,
+        t: f64,
+        max: RpmLevel,
+        fc: &mut FaultCounts,
+    ) {
         // Injected fault: a stuck-at-RPM actuator ignores the shift
         // request. The window statistics still reset, so a stuck disk
         // keeps re-attempting on later windows — mirroring a retried

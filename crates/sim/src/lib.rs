@@ -36,8 +36,9 @@
 //! ([`oracle`]) built from the true per-disk idle gaps of a clean Base
 //! run. An [`Engine`] built with an oracle policy runs that Base pass
 //! itself before the replay; `sdpm_core::Session` keeps the Base report
-//! of its first clean Base pass and replays the schedules built from it,
-//! so a seven-scheme suite plays the trace seven times.
+//! of its first clean Base pass and the schedules built from it, each
+//! built once per session, so a seven-scheme suite plays the trace seven
+//! times. Every session run still plays its own measured pass.
 //!
 //! # Example
 //!

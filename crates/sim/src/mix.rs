@@ -246,7 +246,8 @@ impl Feedback {
 ///
 /// # Errors
 /// [`SimError::InvalidParams`] / [`SimError::InvalidTrace`] on malformed
-/// input, including an event time so large that adding the shortest
+/// input: invalid disk parameters, an [`AdaptiveConfig`] field outside
+/// its documented range, or an event time so large that adding the shortest
 /// transition it can start no longer advances it (the lesser of
 /// `spin_up_secs` and `spin_down_secs`, and for a `SetRpm` directive
 /// under [`MixPolicy::Directive`] also `rpm_transition_secs_per_step`);
@@ -680,6 +681,9 @@ fn validate(
 ) -> Result<(), SimError> {
     if let Err(e) = params.validate() {
         return Err(SimError::InvalidParams(e.to_string()));
+    }
+    if let MixPolicy::Adaptive(c) = policy {
+        c.check().map_err(SimError::InvalidParams)?;
     }
     if tenants.is_empty() {
         return Err(SimError::InvalidTrace("mix has no tenants".into()));
@@ -1122,6 +1126,85 @@ mod tests {
         assert!(late(sim(&shift(2f64.powi(45)), &directive)));
         assert!(sim(&shift(2f64.powi(44)), &directive).is_ok());
         assert!(sim(&shift(2f64.powi(45)), &tpm).is_ok());
+    }
+
+    /// Simulates one request under the adaptive policy `c`.
+    fn adaptive(c: AdaptiveConfig) -> Result<MixReport, SimError> {
+        let events = [ev(1.0, 0, 0, 0)];
+        simulate_mix(
+            &events,
+            &["a"],
+            &ultrastar36z15(),
+            DiskPool::new(2),
+            &MixPolicy::Adaptive(c),
+        )
+    }
+
+    /// Each value must be rejected as invalid parameters naming `field`.
+    fn rejects(field: &str, configs: &[AdaptiveConfig]) {
+        for c in configs {
+            match adaptive(*c) {
+                Err(SimError::InvalidParams(m)) => {
+                    assert!(m.contains(&format!("policy {field} must")), "{m}");
+                }
+                other => panic!("{field}: {c:?} gave {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn adaptive_epoch_must_be_positive() {
+        let d = AdaptiveConfig::default();
+        rejects(
+            "epoch_secs",
+            &[0.0, -5.0, f64::NAN].map(|epoch_secs| AdaptiveConfig { epoch_secs, ..d }),
+        );
+        let never = AdaptiveConfig {
+            epoch_secs: f64::INFINITY,
+            ..d
+        };
+        assert!(adaptive(never).is_ok(), "an endless epoch is allowed");
+    }
+
+    #[test]
+    fn adaptive_ewma_alpha_must_be_in_the_unit_interval() {
+        let d = AdaptiveConfig::default();
+        rejects(
+            "ewma_alpha",
+            &[0.0, -0.5, 7.0, f64::NAN].map(|ewma_alpha| AdaptiveConfig { ewma_alpha, ..d }),
+        );
+        assert!(adaptive(AdaptiveConfig {
+            ewma_alpha: 1.0,
+            ..d
+        })
+        .is_ok());
+    }
+
+    #[test]
+    fn adaptive_margin_must_be_positive_and_finite() {
+        let d = AdaptiveConfig::default();
+        rejects(
+            "margin",
+            &[0.0, -1.0, f64::INFINITY, f64::NAN].map(|margin| AdaptiveConfig { margin, ..d }),
+        );
+    }
+
+    #[test]
+    fn adaptive_margin_grow_must_exceed_one() {
+        let d = AdaptiveConfig::default();
+        rejects(
+            "margin_grow",
+            &[0.5, 1.0, f64::NAN].map(|margin_grow| AdaptiveConfig { margin_grow, ..d }),
+        );
+    }
+
+    #[test]
+    fn adaptive_margin_shrink_must_be_in_the_open_unit_interval() {
+        let d = AdaptiveConfig::default();
+        rejects(
+            "margin_shrink",
+            &[3.0, 1.0, 0.0, f64::NAN].map(|margin_shrink| AdaptiveConfig { margin_shrink, ..d }),
+        );
     }
 
     /// The epoch closing [`Feedback::close_epochs`] replaces: one

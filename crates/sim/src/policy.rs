@@ -72,12 +72,14 @@ impl Default for DirectiveConfig {
 /// DVFS.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveConfig {
-    /// Feedback epoch length, seconds.
+    /// Feedback epoch length, seconds (> 0; an infinite epoch never
+    /// closes, so the margin never moves).
     pub epoch_secs: f64,
     /// EWMA smoothing factor in `(0, 1]`; 1 tracks only the last gap.
     pub ewma_alpha: f64,
     /// Initial spin-down margin: predicted idle must exceed
-    /// `margin × break-even` before the policy sleeps the disk.
+    /// `margin × break-even` before the policy sleeps the disk
+    /// (positive and finite).
     pub margin: f64,
     /// Multiplier applied to the margin after a misfire-dominated epoch
     /// (must be > 1).
@@ -91,6 +93,44 @@ impl AdaptiveConfig {
     /// Clamp range for the feedback margin; keeps a pathological epoch
     /// history from pinning the policy permanently asleep or awake.
     pub const MARGIN_RANGE: (f64, f64) = (0.25, 8.0);
+
+    /// Checks each field against the range its doc states (NaN is in
+    /// none), naming the first field out of range.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let fields = [
+            ("epoch_secs", self.epoch_secs, self.epoch_secs > 0.0, "> 0"),
+            (
+                "ewma_alpha",
+                self.ewma_alpha,
+                self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0,
+                "in (0, 1]",
+            ),
+            (
+                "margin",
+                self.margin,
+                self.margin > 0.0 && self.margin.is_finite(),
+                "positive and finite",
+            ),
+            (
+                "margin_grow",
+                self.margin_grow,
+                self.margin_grow > 1.0,
+                "> 1",
+            ),
+            (
+                "margin_shrink",
+                self.margin_shrink,
+                self.margin_shrink > 0.0 && self.margin_shrink < 1.0,
+                "in (0, 1)",
+            ),
+        ];
+        match fields.into_iter().find(|&(_, _, ok, _)| !ok) {
+            Some((name, value, _, range)) => Err(format!(
+                "adaptive policy {name} must be {range}, got {value}"
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 impl Default for AdaptiveConfig {
