@@ -32,6 +32,34 @@ use sdpm_bench::format::{norm, render_table};
 use sdpm_bench::*;
 use sdpm_disk::{tpm_break_even_secs, ultrastar36z15};
 
+// This binary's `print!` and `println!`: the std macros panic when stdout
+// closes early (`repro all | head -1`); these end the process quietly
+// instead. Any other write error still panics, as the std macros do.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("probe") {

@@ -414,7 +414,7 @@ pub fn section2_laptop_vs_server() -> Vec<(String, Vec<SchemeRow>)> {
 }
 
 /// PDC baseline study: concentrate popular arrays on few disks (the
-/// reactive data-placement alternative the paper cites as [16]) and
+/// reactive data-placement alternative the paper cites as \[16\]) and
 /// measure (a) closed-loop energy under TPM/CMDRPM and (b) the open-loop
 /// response-time cost of the concentration.
 #[must_use]

@@ -8,7 +8,7 @@
 //! lives — the epoch-based adaptive policy only distinguishes itself
 //! from classic TPM once several tenants interleave on one pool.
 //!
-//! [`smoke`] is the CI face of the harness. It checks the four
+//! [`smoke`] is the CI face of the harness. It checks the five
 //! properties the scenario layer promises:
 //!
 //! 1. **Determinism** — every mix × load × policy cell re-run under the
@@ -22,11 +22,19 @@
 //! 4. **Verification** — no mix in the suite draws an `SDPM-Exxx`
 //!    diagnostic from the shared-pool checker ([`verify_mix_session`]);
 //!    stochastic mixes degrade to the expected `SDPM-W003` warning.
+//! 5. **Both entry points** — every cell's [`MixSession::contended`]
+//!    report, merged lazily from the tenants' traces, equals
+//!    [`simulate_mix`] over [`merge_tenants`] of
+//!    [`MixSession::tenant_streams`], the materialized path, bit for bit.
 
 use crate::config_for;
 use sdpm_core::{ArrivalProcess, Mix, MixSession, PipelineConfig, Scheme, Session, Tenant};
 use sdpm_ir::Program;
-use sdpm_sim::{AdaptiveConfig, DirectiveConfig, MixPolicy, MixReport, TpmConfig};
+use sdpm_layout::DiskPool;
+use sdpm_sim::{
+    simulate_mix, AdaptiveConfig, DirectiveConfig, MixPolicy, MixReport, SimError, TpmConfig,
+};
+use sdpm_trace::merge_tenants;
 use sdpm_verify::{verify_mix_session, Severity};
 use sdpm_workloads::synth::checkpoint_loop;
 use sdpm_workloads::{applu, mesa, mgrid, swim, Benchmark};
@@ -87,6 +95,12 @@ impl MixDef {
             seed: self.seed,
             load_factor,
         })
+    }
+
+    /// The tenants' display names, in tenant-id order.
+    #[must_use]
+    pub fn tenant_names(&self) -> Vec<&str> {
+        self.tenants.iter().map(|t| t.name.as_str()).collect()
     }
 
     /// The same mix under a different arrival seed.
@@ -345,7 +359,7 @@ pub struct SmokeCheck {
     pub detail: String,
 }
 
-/// The CI smoke record: the frontier plus the four property checks.
+/// The CI smoke record: the frontier plus the five property checks.
 #[derive(Debug, Clone)]
 pub struct MixSmoke {
     pub seed: u64,
@@ -376,6 +390,14 @@ impl MixSmoke {
     }
 }
 
+/// Both runs simulated, to the same report with the same energy bits.
+fn same_cell(a: &Result<MixReport, SimError>, b: &Result<MixReport, SimError>) -> bool {
+    match (a, b) {
+        (Ok(x), Ok(y)) => x == y && x.total_energy_j().to_bits() == y.total_energy_j().to_bits(),
+        _ => false,
+    }
+}
+
 /// Runs the smoke suite. `seed` re-seeds every stochastic mix (the named
 /// defaults use their built-in seeds when `seed` is 0, matching the
 /// published frontier).
@@ -397,13 +419,7 @@ pub fn smoke(seed: u64) -> MixSmoke {
             for policy in &policies {
                 let a = def.session(lf).contended(policy);
                 let b = def.session(lf).contended(policy);
-                let same = match (&a, &b) {
-                    (Ok(x), Ok(y)) => {
-                        x == y && x.total_energy_j().to_bits() == y.total_energy_j().to_bits()
-                    }
-                    _ => false,
-                };
-                if !same {
+                if !same_cell(&a, &b) {
                     det_fail = format!("{} @ load {lf} under {}", def.name, policy.label());
                     break 'det;
                 }
@@ -516,6 +532,43 @@ pub fn smoke(seed: u64) -> MixSmoke {
         },
     });
 
+    // 5. The lazy merge and the materialized path give the same cells.
+    let mut paths_fail = String::new();
+    'paths: for def in &mixes {
+        let names = def.tenant_names();
+        let cfg = &def.tenants[0].cfg;
+        for &lf in &DEFAULT_LOADS {
+            let mut session = def.session(lf);
+            let merged = merge_tenants(&session.tenant_streams());
+            for policy in &policies {
+                let lazy = session.contended(policy);
+                let materialized = simulate_mix(
+                    &merged,
+                    &names,
+                    &cfg.params,
+                    DiskPool::new(cfg.disks),
+                    policy,
+                );
+                if !same_cell(&lazy, &materialized) {
+                    paths_fail = format!("{} @ load {lf} under {}", def.name, policy.label());
+                    break 'paths;
+                }
+            }
+        }
+    }
+    checks.push(SmokeCheck {
+        name: "lazy-equals-materialized",
+        passed: paths_fail.is_empty(),
+        detail: if paths_fail.is_empty() {
+            format!(
+                "{} cells: contended == simulate_mix(merge_tenants(tenant_streams))",
+                mixes.len() * DEFAULT_LOADS.len() * policies.len()
+            )
+        } else {
+            paths_fail
+        },
+    });
+
     MixSmoke {
         seed,
         checks,
@@ -526,7 +579,69 @@ pub fn smoke(seed: u64) -> MixSmoke {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdpm_sim::SimError;
+    use sdpm_trace::{AppEvent, TenantEvent, Trace};
+
+    /// Every frontier cell's contended report equals `simulate_mix` over
+    /// a stream merged here, independently of `sdpm_trace::mix`: each
+    /// tenant's trace (from a session of its own) walked by hand onto the
+    /// wall clock, the timelines concatenated and stable-sorted by
+    /// `(time bits, tenant, seq)`.
+    #[test]
+    fn every_frontier_cell_matches_a_hand_merged_stream() {
+        let mut cells = 0;
+        for def in all_mixes() {
+            let traces: Vec<Trace> = (def.tenants.iter())
+                .map(|t| {
+                    Session::new(&t.program, &t.cfg)
+                        .scheme_trace(t.scheme)
+                        .clone()
+                })
+                .collect();
+            let names = def.tenant_names();
+            let cfg = &def.tenants[0].cfg;
+            for &lf in &DEFAULT_LOADS {
+                let mut session = def.session(lf);
+                let mut merged = Vec::new();
+                for ((trace, offset), tenant) in traces.iter().zip(session.offsets()).zip(0u32..) {
+                    let mut t = 0.0f64;
+                    for (event, seq) in trace.events.iter().zip(0u64..) {
+                        match event {
+                            AppEvent::Compute { secs, .. } => t += secs,
+                            _ => merged.push(TenantEvent {
+                                at_secs: offset + t / lf,
+                                tenant,
+                                seq,
+                                event: *event,
+                            }),
+                        }
+                    }
+                }
+                merged.sort_by_key(|e| (e.at_secs.to_bits(), e.tenant, e.seq));
+                for policy in default_policies() {
+                    let label = format!("{} @ load {lf} under {}", def.name, policy.label());
+                    let got = session.contended(&policy).expect(&label);
+                    let want = simulate_mix(
+                        &merged,
+                        &names,
+                        &cfg.params,
+                        DiskPool::new(cfg.disks),
+                        &policy,
+                    )
+                    .expect(&label);
+                    // `assert!`: a cell's `Debug` text lists every gap.
+                    assert!(got == want, "{label}: reports differ");
+                    assert_eq!(
+                        got.total_energy_j().to_bits(),
+                        want.total_energy_j().to_bits(),
+                        "{label}"
+                    );
+                    assert!(got.requests > 0, "{label}");
+                    cells += 1;
+                }
+            }
+        }
+        assert_eq!(cells, 48);
+    }
 
     #[test]
     fn frontier_covers_the_grid_and_serializes() {

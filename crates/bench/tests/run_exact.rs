@@ -14,8 +14,9 @@ use proptest::prelude::*;
 use sdpm_bench::{config_for, parallel_map};
 use sdpm_core::{PipelineConfig, Scheme, Session};
 use sdpm_fault::{FaultConfig, FaultPlan};
+use sdpm_ir::Program;
 use sdpm_layout::DiskPool;
-use sdpm_sim::{Engine, Policy, SimPath, SimReport};
+use sdpm_sim::{oracle, Engine, Policy, SimPath, SimReport};
 use sdpm_trace::generate;
 use sdpm_workloads::synth::{blocked_matmul, checkpoint_loop, out_of_core_stencil};
 use sdpm_xform::Transform;
@@ -53,8 +54,10 @@ fn run_compressed_matches_per_event_for_every_kernel_and_scheme() {
 
 /// The session replays ITPM/IDRPM schedules built once from the report of
 /// its first clean Base pass and kept; a standalone oracle engine plays
-/// its own clean Base pass first. On every kernel the two must agree bit
-/// for bit, whichever run fills the session's Base report: `run(Base)`,
+/// its own clean Base pass first. On every kernel, and on a checkpointing
+/// program whose Base gaps pass the TPM break-even (the kernels' do not,
+/// so their ITPM schedules are empty), the two must agree bit for bit,
+/// whichever run fills the session's Base report: `run(Base)`,
 /// the oracle itself on a fresh session, or the oracle after a faulted
 /// Base run, which must not fill it. A faulted oracle run must match the
 /// standalone engine with the same plan: the schedule comes from the
@@ -65,10 +68,25 @@ fn run_compressed_matches_per_event_for_every_kernel_and_scheme() {
 #[test]
 fn session_oracles_match_the_standalone_two_pass_engine() {
     let plan = FaultPlan::new(FaultConfig::uniform(11, 0.05));
-    for bench in sdpm_workloads::all_benchmarks() {
-        let cfg = config_for(&bench);
-        let mut reference = Session::new(&bench.program, &cfg);
+    let mut programs: Vec<(String, Program, PipelineConfig)> = sdpm_workloads::all_benchmarks()
+        .into_iter()
+        .map(|b| (b.name.to_string(), b.program.clone(), config_for(&b)))
+        .collect();
+    programs.push((
+        "checkpoint 2/12/60".to_string(),
+        checkpoint_loop(2, 12, 60.0),
+        PipelineConfig::default(),
+    ));
+    for (name, program, cfg) in &programs {
+        let mut reference = Session::new(program, cfg);
         let clean_base = reference.run(Scheme::Base);
+        if name.starts_with("checkpoint") {
+            let schedule = oracle::ideal_tpm_schedule(&clean_base, &cfg.params);
+            assert!(
+                schedule.iter().any(|disk| !disk.is_empty()),
+                "{name}: the ITPM schedule must not be empty"
+            );
+        }
         let pool = reference.pool();
         let trace = reference.base_trace();
         let standalone = |policy: &Policy, faults: Option<&FaultPlan>| {
@@ -78,7 +96,7 @@ fn session_oracles_match_the_standalone_two_pass_engine() {
                 .expect("standalone oracle run")
         };
         let same = |got: &SimReport, want: &SimReport, order: &str| {
-            let label = format!("{} / {} {order}", bench.name, want.policy);
+            let label = format!("{name} / {} {order}", want.policy);
             // `assert!`, not `assert_eq!`: a kernel report's `Debug`
             // text runs to megabytes.
             assert!(got == want, "{label}: reports differ");
@@ -99,21 +117,20 @@ fn session_oracles_match_the_standalone_two_pass_engine() {
             (Scheme::ITpm, Policy::IdealTpm, &itpm),
             (Scheme::IDrpm, Policy::IdealDrpm, &idrpm),
         ] {
-            let mut after_base = Session::new(&bench.program, &cfg);
+            let mut after_base = Session::new(program, cfg);
             let _ = after_base.run(Scheme::Base);
             same(&after_base.run(scheme), want, "after run(Base)");
 
-            let mut fresh = Session::new(&bench.program, &cfg);
+            let mut fresh = Session::new(program, cfg);
             same(&fresh.run(scheme), want, "first on a fresh session");
 
-            let mut faulted = Session::new(&bench.program, &cfg);
+            let mut faulted = Session::new(program, cfg);
             let faulted_base = faulted
                 .run_with_faults(Scheme::Base, Some(&plan))
                 .expect("faulted Base run degrades gracefully");
             assert!(
                 faulted_base != clean_base,
-                "{}: the plan must perturb Base",
-                bench.name
+                "{name}: the plan must perturb Base"
             );
             same(&faulted.run(scheme), want, "after a faulted Base run");
             let faulted_oracle = faulted
@@ -126,10 +143,10 @@ fn session_oracles_match_the_standalone_two_pass_engine() {
             );
         }
 
-        // ITPM's schedule is empty on the six kernels (no Base gap passes
-        // the TPM break-even), so IDRPM's carries the check: both are kept
-        // before the faulted runs, and both are read after them.
-        let mut kept = Session::new(&bench.program, &cfg);
+        // Both schedules are kept before the faulted runs, and both are
+        // read after them. ITPM's is empty on the six kernels, so there
+        // IDRPM's carries the check; the checkpointing program's is not.
+        let mut kept = Session::new(program, cfg);
         same(&kept.run(Scheme::IDrpm), &idrpm, "kept: first IDRPM");
         same(&kept.run(Scheme::ITpm), &itpm, "kept: first ITPM");
         let _ = kept

@@ -7,8 +7,13 @@
 //! *scenario* lifts that assumption: K [`Tenant`]s (each a program +
 //! scheme pair) share one disk pool, their request streams shifted by an
 //! [`ArrivalProcess`] and compressed by a load factor, merged on one
-//! wall clock ([`sdpm_trace::merge_tenants`]) and played open-loop
-//! through the shared-pool engine ([`sdpm_sim::simulate_mix`]).
+//! wall clock and played open-loop through the shared-pool engine. A
+//! contended run reads each tenant's cached trace in place: a
+//! [`sdpm_trace::TenantMerge`] of per-tenant cursors feeds
+//! [`sdpm_sim::simulate_mix_merged`] as it merges, so no timeline or
+//! merged stream is built. [`MixSession::tenant_streams`] materializes
+//! the same timelines for [`sdpm_trace::merge_tenants`] and
+//! [`sdpm_sim::simulate_mix`], which give the same reports.
 //!
 //! Two disciplines, one cache:
 //!
@@ -26,13 +31,13 @@
 //! `u64` seed through a splitmix64 stream — identical seeds give
 //! bit-identical scenarios on every platform.
 
-use crate::insert::CmMode;
 use crate::pipeline::{PipelineConfig, Scheme};
 use crate::session::Session;
 use sdpm_ir::Program;
 use sdpm_layout::DiskPool;
-use sdpm_sim::{simulate_mix, MixPolicy, MixReport, SimError, SimReport};
-use sdpm_trace::mix::{merge_tenants, tenant_timeline, TenantStream};
+use sdpm_sim::{simulate_mix_merged, MixPolicy, MixReport, SimError, SimReport};
+use sdpm_trace::mix::{tenant_timeline, TenantCursor, TenantMerge, TenantStream};
+use sdpm_trace::Trace;
 
 /// One program in a shared-pool scenario.
 #[derive(Debug, Clone)]
@@ -174,6 +179,9 @@ pub struct MixSession<'a> {
     sessions: Vec<Session<'a>>,
     /// `session_of[t]` indexes `sessions` for tenant `t`.
     session_of: Vec<usize>,
+    /// Tenant `t`'s nominal time at its last `Io`/`Power` event (`None`
+    /// if it has none); empty until the first contended run fills it.
+    ends: Vec<Option<f64>>,
 }
 
 impl<'a> MixSession<'a> {
@@ -208,6 +216,7 @@ impl<'a> MixSession<'a> {
             mix,
             sessions,
             session_of,
+            ends: Vec::new(),
         }
     }
 
@@ -257,12 +266,7 @@ impl<'a> MixSession<'a> {
         let mut out = Vec::with_capacity(self.mix.tenants.len());
         for (t, offset) in offsets.iter().enumerate() {
             let scheme = self.mix.tenants[t].scheme;
-            let session = &mut self.sessions[self.session_of[t]];
-            let trace = match scheme {
-                Scheme::CmTpm => &session.instrumented(CmMode::Tpm).trace,
-                Scheme::CmDrpm => &session.instrumented(CmMode::Drpm).trace,
-                _ => session.base_trace(),
-            };
+            let trace = self.sessions[self.session_of[t]].scheme_trace(scheme);
             out.push(tenant_timeline(
                 trace,
                 t as u32,
@@ -273,15 +277,18 @@ impl<'a> MixSession<'a> {
         out
     }
 
-    /// Runs the contended scenario: all tenants' streams merged against
-    /// the shared pool under `policy`.
+    /// Runs the contended scenario: all tenants' timelines, read in place
+    /// from their cached traces and merged as the engine consumes them,
+    /// against the shared pool under `policy`. The report equals
+    /// [`sdpm_sim::simulate_mix`] over [`sdpm_trace::merge_tenants`] of
+    /// [`MixSession::tenant_streams`], bit for bit.
     ///
     /// # Errors
     /// [`SimError::InvalidParams`] when the tenants disagree on the disk
     /// model or pool size (a mix shares physical disks; there is no
     /// per-tenant hardware), [`SimError::InvalidTrace`] when a tenant's
     /// timeline overflows at the mix's load factor, plus anything
-    /// [`simulate_mix`] reports.
+    /// [`simulate_mix_merged`] reports.
     pub fn contended(&mut self, policy: &MixPolicy) -> Result<MixReport, SimError> {
         let first = self.mix.tenants[0].cfg;
         for t in &self.mix.tenants[1..] {
@@ -298,24 +305,67 @@ impl<'a> MixSession<'a> {
                 )));
             }
         }
-        let pool = DiskPool::new(first.disks);
-        let params = first.params.clone();
-        let names: Vec<String> = self.mix.tenants.iter().map(|t| t.name.clone()).collect();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let streams = self.tenant_streams();
-        // A tiny load factor stretches `t / load_factor` past f64::MAX.
-        if let Some(s) = streams
-            .iter()
-            .find(|s| s.events.iter().any(|e| !e.at_secs.is_finite()))
-        {
-            return Err(SimError::InvalidTrace(format!(
-                "tenant {}'s timeline is not finite at load factor {:e}",
-                s.tenant, self.mix.load_factor
-            )));
+        if self.ends.is_empty() {
+            for t in 0..self.mix.tenants.len() {
+                let scheme = self.mix.tenants[t].scheme;
+                let trace = self.sessions[self.session_of[t]].scheme_trace(scheme);
+                self.ends.push(nominal_end(trace));
+            }
         }
-        let events = merge_tenants(&streams);
-        simulate_mix(&events, &name_refs, &params, pool, policy)
+        let tenants: Vec<(&str, &Trace, Option<f64>)> = (self.mix.tenants.iter().enumerate())
+            .map(|(t, tenant)| {
+                let trace = self.sessions[self.session_of[t]]
+                    .cached_trace(tenant.scheme)
+                    .expect("cached with the ends");
+                (tenant.name.as_str(), trace, self.ends[t])
+            })
+            .collect();
+        let offsets = self.offsets();
+        simulate_traces(&tenants, &offsets, self.mix.load_factor, first, policy)
     }
+}
+
+/// A trace's nominal (offset 0, load factor 1) time at its last
+/// `Io`/`Power` event, or `None` if it has none.
+fn nominal_end(trace: &Trace) -> Option<f64> {
+    TenantCursor::new(trace, 0.0, 1.0)
+        .last()
+        .map(|(at, _, _)| at)
+}
+
+/// The contended run over the tenants' traces, given as `(name, trace,
+/// nominal end)` in tenant-id order, each shifted by its offset and
+/// compressed by `load`: the timelines are checked, then read in place
+/// and merged as the engine consumes them.
+fn simulate_traces(
+    tenants: &[(&str, &Trace, Option<f64>)],
+    offsets: &[f64],
+    load: f64,
+    cfg: &PipelineConfig,
+    policy: &MixPolicy,
+) -> Result<MixReport, SimError> {
+    // A tiny load factor stretches `t / load_factor` past f64::MAX. A
+    // tenant's times never decrease, so its last one decides.
+    let overflow = tenants
+        .iter()
+        .zip(offsets)
+        .position(|(&(_, _, end), offset)| {
+            end.is_some_and(|end| !(offset + end / load).is_finite())
+        });
+    if let Some(t) = overflow {
+        return Err(SimError::InvalidTrace(format!(
+            "tenant {t}'s timeline is not finite at load factor {load:e}"
+        )));
+    }
+    let names: Vec<&str> = tenants.iter().map(|&(name, _, _)| name).collect();
+    let merge = TenantMerge::new(
+        tenants
+            .iter()
+            .zip(offsets)
+            .zip(0u32..)
+            .map(|((&(_, trace, _), &offset), t)| (t, TenantCursor::new(trace, offset, load))),
+    );
+    simulate_mix_merged(merge, &names, &cfg.params, DiskPool::new(cfg.disks), policy)
 }
 
 /// splitmix64 (Steele et al.): tiny, seedable, platform-independent.
@@ -348,7 +398,11 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdpm_sim::{AdaptiveConfig, TpmConfig};
+    use proptest::prelude::*;
+    use sdpm_disk::RpmLevel;
+    use sdpm_layout::DiskId;
+    use sdpm_sim::{simulate_mix, AdaptiveConfig, DirectiveConfig, TpmConfig};
+    use sdpm_trace::{AppEvent, IoRequest, PowerAction, ReqKind, TenantEvent};
     use sdpm_workloads::synth::checkpoint_loop;
 
     fn degenerate_mix<'a>(p: &'a Program, cfg: &'a PipelineConfig, scheme: Scheme) -> Mix<'a> {
@@ -550,5 +604,165 @@ mod tests {
             mix.contended(&MixPolicy::Base),
             Err(SimError::InvalidParams(_))
         ));
+    }
+
+    /// A validated 2-disk trace from `(kind, disk, x)` draws: compute
+    /// spans of a few lengths, zero and past the TPM break-even included,
+    /// so tenants' times tie and gaps invite spin-downs; requests; and
+    /// power calls, off-ladder RPM levels included.
+    fn drawn_trace(draws: &[(u8, u8, u8)]) -> Trace {
+        let events = (draws.iter().zip(0u64..))
+            .map(|(&(kind, disk, x), i)| {
+                let disk = DiskId(u32::from(disk % 2));
+                match kind % 4 {
+                    0 | 1 => AppEvent::Compute {
+                        nest: 0,
+                        first_iter: i,
+                        iters: 1,
+                        secs: [0.0, 0.0, 0.5, 1.0, 7.25, 40.0][usize::from(x % 6)],
+                    },
+                    2 => AppEvent::Io(IoRequest {
+                        disk,
+                        start_block: i * 8,
+                        size_bytes: 4096 << (x % 6),
+                        kind: ReqKind::Read,
+                        sequential: x % 2 == 0,
+                        nest: 0,
+                        iter: i,
+                    }),
+                    _ => AppEvent::Power {
+                        disk,
+                        action: match x % 3 {
+                            0 => PowerAction::SpinDown,
+                            1 => PowerAction::SpinUp,
+                            _ => PowerAction::SetRpm(RpmLevel(x % 13)),
+                        },
+                    },
+                }
+            })
+            .collect();
+        let trace = Trace {
+            name: "drawn".into(),
+            pool_size: 2,
+            events,
+        };
+        assert_eq!(trace.validate(), Ok(()));
+        trace
+    }
+
+    /// What a contended run must return: each tenant's timeline walked by
+    /// hand, concatenated in tenant order (so the first non-finite time
+    /// names the first tenant that has one), stable-sorted by
+    /// `(time bits, tenant, seq)`, checked for the one malformation such
+    /// timelines can carry, a time too late for the shortest transition
+    /// it can start to advance the clock, and simulated as a vector.
+    fn hand_merged(
+        traces: &[Trace],
+        offsets: &[f64],
+        load: f64,
+        cfg: &PipelineConfig,
+        policy: &MixPolicy,
+    ) -> Result<MixReport, SimError> {
+        let mut merged = Vec::new();
+        for ((trace, &offset), tenant) in traces.iter().zip(offsets).zip(0u32..) {
+            let mut t = 0.0f64;
+            for (event, seq) in trace.events.iter().zip(0u64..) {
+                match event {
+                    AppEvent::Compute { secs, .. } => t += secs,
+                    _ => merged.push(TenantEvent {
+                        at_secs: offset + t / load,
+                        tenant,
+                        seq,
+                        event: *event,
+                    }),
+                }
+            }
+        }
+        if let Some(e) = merged.iter().find(|e| !e.at_secs.is_finite()) {
+            return Err(SimError::InvalidTrace(format!(
+                "tenant {}'s timeline is not finite at load factor {load:e}",
+                e.tenant
+            )));
+        }
+        merged.sort_by_key(|e| (e.at_secs.to_bits(), e.tenant, e.seq));
+        let p = &cfg.params;
+        let spin = p.spin_up_secs.min(p.spin_down_secs);
+        for e in &merged {
+            let shortest = match (e.event, policy) {
+                (
+                    AppEvent::Power {
+                        action: PowerAction::SetRpm(_),
+                        ..
+                    },
+                    MixPolicy::Directive(_),
+                ) => spin.min(p.rpm_transition_secs_per_step),
+                _ => spin,
+            };
+            if e.at_secs + shortest == e.at_secs {
+                return Err(SimError::InvalidTrace(format!(
+                    "event time {} s is too late for the shortest power transition \
+                     ({shortest} s) to advance the clock",
+                    e.at_secs
+                )));
+            }
+        }
+        let names: Vec<String> = (0..traces.len()).map(|t| format!("t{t}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        simulate_mix(
+            &merged,
+            &names,
+            &cfg.params,
+            DiskPool::new(cfg.disks),
+            policy,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A contended run over random tenants' traces (1–4 tenants, tied
+        /// and zero-length compute spans, power calls, random offsets,
+        /// load factors that overflow the timeline or put events past
+        /// the clock's resolution) returns what simulating a hand-merged
+        /// vector returns, report or error, bit for bit, under every
+        /// pool policy.
+        #[test]
+        fn contended_runs_match_a_hand_merged_stream(
+            draws in proptest::collection::vec(
+                proptest::collection::vec((0u8..4, 0u8..2, any::<u8>()), 0..40),
+                1..5,
+            ),
+            offset_picks in proptest::collection::vec(0usize..5, 4),
+            load_pick in 0usize..8,
+        ) {
+            let cfg = PipelineConfig {
+                disks: 2,
+                ..PipelineConfig::default()
+            };
+            let traces: Vec<Trace> = draws.iter().map(|d| drawn_trace(d)).collect();
+            let offsets: Vec<f64> = offset_picks[..traces.len()]
+                .iter()
+                .map(|&i| [0.0, 0.0, 1.0, 2.5, 17.0][i])
+                .collect();
+            let load = [1.0, 1.0, 2.0, 0.5, 3.7, 1e-12, 1e-20, 1e-310][load_pick];
+            let names: Vec<String> = (0..traces.len()).map(|t| format!("t{t}")).collect();
+            let tenants: Vec<(&str, &Trace, Option<f64>)> = (names.iter().zip(&traces))
+                .map(|(name, trace)| (name.as_str(), trace, nominal_end(trace)))
+                .collect();
+            for policy in [
+                MixPolicy::Base,
+                MixPolicy::Tpm(TpmConfig::default()),
+                MixPolicy::Adaptive(AdaptiveConfig::default()),
+                MixPolicy::Directive(DirectiveConfig::default()),
+            ] {
+                let got = simulate_traces(&tenants, &offsets, load, &cfg, &policy);
+                let want = hand_merged(&traces, &offsets, load, &cfg, &policy);
+                prop_assert_eq!(&got, &want, "{} at load {:e}", policy.label(), load);
+                prop_assert_eq!(
+                    got.map(|r| r.total_energy_j().to_bits()),
+                    want.map(|r| r.total_energy_j().to_bits())
+                );
+            }
+        }
     }
 }

@@ -172,6 +172,34 @@ impl<'a> Session<'a> {
         self.cm[idx].as_ref().expect("just cached")
     }
 
+    /// The trace `scheme` replays: the instrumented trace for a CM
+    /// scheme, the base trace otherwise, generated (and instrumented) and
+    /// validated on first use.
+    pub fn scheme_trace(&mut self, scheme: Scheme) -> &Trace {
+        self.cache_trace(scheme, None);
+        self.cached_trace(scheme).expect("cached above")
+    }
+
+    /// Caches the trace `scheme` replays, emitting the phases that run.
+    fn cache_trace(&mut self, scheme: Scheme, rec: Obs<'_>) {
+        match scheme_plan(scheme, self.cfg).0 {
+            None => {
+                self.base_trace_obs(rec);
+            }
+            Some(mode) => {
+                self.instrumented_obs(mode, rec);
+            }
+        }
+    }
+
+    /// The trace `scheme` replays, if the session has cached it.
+    pub(crate) fn cached_trace(&self, scheme: Scheme) -> Option<&Trace> {
+        match scheme_plan(scheme, self.cfg).0 {
+            None => self.base.as_ref(),
+            Some(mode) => self.cm[slot(mode)].as_ref().map(|out| &out.trace),
+        }
+    }
+
     /// Runs one scheme against the session's cached traces. The report's
     /// `policy` field carries the scheme label.
     #[must_use]
@@ -253,15 +281,8 @@ impl<'a> Session<'a> {
         faults: Option<&FaultPlan>,
         rec: Obs<'_>,
     ) -> Result<SimReport, SimError> {
-        let (mode, policy) = scheme_plan(scheme, self.cfg);
-        match mode {
-            None => {
-                self.base_trace_obs(rec);
-            }
-            Some(mode) => {
-                self.instrumented_obs(mode, rec);
-            }
-        }
+        let policy = scheme_plan(scheme, self.cfg).1;
+        self.cache_trace(scheme, rec);
         let _sp = crate::prof::span("session.simulate");
         let policy = match oracle_slot(&policy) {
             Some((slot, build)) => Policy::Schedule(self.schedule(slot, build)?.clone()),
@@ -277,11 +298,7 @@ impl<'a> Session<'a> {
             Some(r) => engine.recorder(r),
             None => engine,
         };
-        let trace = match mode {
-            None => self.base.as_ref(),
-            Some(mode) => self.cm[slot(mode)].as_ref().map(|out| &out.trace),
-        }
-        .expect("cached above");
+        let trace = self.cached_trace(scheme).expect("cached above");
         let mut report = phase(rec, "simulation", || engine.events(trace))?;
         if keep {
             self.clean_base = Some(report.clone());

@@ -9,7 +9,7 @@
 //! * [`striping`] — the 3-tuple itself and byte-range -> per-disk extent
 //!   mapping,
 //! * [`pool`] — disk identities and fixed-size disk pools,
-//! * [`file`] — striped array files with per-disk base addresses and
+//! * [`file`](mod@file) — striped array files with per-disk base addresses and
 //!   block-granular placement,
 //! * [`order`] — row-/column-major storage orders and index linearization
 //!   (needed by the tiling transformation's layout conversion),

@@ -20,6 +20,8 @@
 //!   arrive at fixed times on a shared pool, so delays show up as
 //!   response time and queueing instead. One tenant under
 //!   [`MixPolicy::Base`] is the classic DiskSim-style trace replay.
+//!   [`simulate_mix_merged`] runs the same engine on the lazy merge of
+//!   the tenants' traces instead of a merged vector.
 //!
 //! Seven schemes from Section 4.2 are covered by five policy kinds:
 //!
@@ -28,7 +30,7 @@
 //! | Base          | [`Policy::Base`] |
 //! | TPM           | [`Policy::Tpm`] (fixed idleness threshold) |
 //! | ITPM          | [`Policy::IdealTpm`] (oracle schedule over the Base gaps) |
-//! | DRPM          | [`Policy::Drpm`] (reactive window heuristic of [10]) |
+//! | DRPM          | [`Policy::Drpm`] (reactive window heuristic of \[10\]) |
 //! | IDRPM         | [`Policy::IdealDrpm`] (oracle schedule over the Base gaps) |
 //! | CMTPM, CMDRPM | [`Policy::Directive`] (executes compiler-inserted calls carried by the trace) |
 //!
@@ -96,7 +98,9 @@ pub mod report;
 
 pub use engine::Engine;
 pub use error::SimError;
-pub use mix::{simulate_mix, MixPolicy, MixReport, OpenDiskReport, TenantMixReport};
+pub use mix::{
+    simulate_mix, simulate_mix_merged, MixPolicy, MixReport, OpenDiskReport, TenantMixReport,
+};
 pub use policy::{AdaptiveConfig, DirectiveConfig, DrpmConfig, Policy, ScheduledAction, TpmConfig};
 pub use report::{GapRecord, MisfireCause, MisfireCauses, PerDiskReport, SimPath, SimReport};
 

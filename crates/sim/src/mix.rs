@@ -11,7 +11,11 @@
 //! DiskSim-style open-loop replay of one trace at full speed.
 //!
 //! The engine is event-driven over the merged stream and linear in it.
-//! Per disk it keeps the exact [`PowerStateMachine`] energy accounting
+//! It reads the stream once, checking each event just before simulating
+//! it, so the stream can be the lazy merge of the tenants' traces
+//! ([`simulate_mix_merged`]) or a materialized merged vector
+//! ([`simulate_mix`]); the Directive policy reads it twice. Per disk it
+//! keeps the exact [`PowerStateMachine`] energy accounting
 //! of the closed-loop engine and a FIFO queue with response-time
 //! accounting. Completions never decrease, so each arrival retires
 //! finished work from the queue's front; p99s are taken by selection.
@@ -44,7 +48,7 @@ use sdpm_disk::{
     PowerStateMachine, RpmLadder, RpmLevel, ServiceRequest,
 };
 use sdpm_layout::{DiskId, DiskPool};
-use sdpm_trace::mix::TenantEvent;
+use sdpm_trace::mix::{Merged, TenantEvent};
 use sdpm_trace::{AppEvent, PowerAction};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -242,19 +246,11 @@ impl Feedback {
 /// `pool` under `policy`. `tenants[i]` names tenant id `i`; every event
 /// must reference a known tenant. `events` must be sorted by the merge
 /// order `(at_secs, tenant, seq)` — the order
-/// [`sdpm_trace::merge_tenants`] produces.
+/// [`sdpm_trace::merge_tenants`] produces. This is
+/// [`simulate_mix_merged`] over the vector's events.
 ///
 /// # Errors
-/// [`SimError::InvalidParams`] / [`SimError::InvalidTrace`] on malformed
-/// input: invalid disk parameters, an [`AdaptiveConfig`] field outside
-/// its documented range, or an event time so large that adding the shortest
-/// transition it can start no longer advances it (the lesser of
-/// `spin_up_secs` and `spin_down_secs`, and for a `SetRpm` directive
-/// under [`MixPolicy::Directive`] also `rpm_transition_secs_per_step`);
-/// [`SimError::DiskOutOfRange`] when an event names a disk outside the
-/// pool; [`SimError::Power`] if the power-state machine rejects a call
-/// the engine's sequencing says is legal (unreachable from input that
-/// passes these checks).
+/// As [`simulate_mix_merged`].
 pub fn simulate_mix(
     events: &[TenantEvent],
     tenants: &[&str],
@@ -262,18 +258,59 @@ pub fn simulate_mix(
     pool: DiskPool,
     policy: &MixPolicy,
 ) -> Result<MixReport, SimError> {
-    validate(events, tenants, params, pool, policy)?;
+    let merged = events
+        .iter()
+        .map(|e| (e.at_secs, e.tenant, e.seq, &e.event));
+    simulate_mix_merged(merged, tenants, params, pool, policy)
+}
+
+/// Simulates a merged multi-tenant stream, read as it is produced,
+/// against a shared `pool` under `policy`: the engine behind
+/// [`simulate_mix`], fed for instance by an
+/// [`sdpm_trace::TenantMerge`] over the tenants' traces, so no merged
+/// copy is built. `tenants[i]` names tenant id `i`. The items are
+/// `(at_secs, tenant, seq, event)` in merge order. Each event is checked
+/// just before it is simulated (under [`MixPolicy::Directive`], by the
+/// pass that builds the co-tenant arrival table, which reads a clone of
+/// `events` first), so the first malformed event's error is returned as
+/// if the whole stream had been checked up front.
+///
+/// # Errors
+/// [`SimError::InvalidParams`] / [`SimError::InvalidTrace`] on malformed
+/// input: invalid disk parameters, an [`AdaptiveConfig`] field outside
+/// its documented range, no tenants, an event with a non-finite or
+/// negative time, an unknown tenant, out of merge order or carrying a
+/// `Compute` event, or an event time so large that adding the shortest
+/// transition it can start no longer advances it (the lesser of
+/// `spin_up_secs` and `spin_down_secs`, and for a `SetRpm` directive
+/// under [`MixPolicy::Directive`] also `rpm_transition_secs_per_step`);
+/// [`SimError::DiskOutOfRange`] when an event names a disk outside the
+/// pool; [`SimError::Power`] if the power-state machine rejects a call
+/// the engine's sequencing says is legal (unreachable from input that
+/// passes these checks).
+pub fn simulate_mix_merged<'e>(
+    events: impl Iterator<Item = Merged<'e>> + Clone,
+    tenants: &[&str],
+    params: &DiskParams,
+    pool: DiskPool,
+    policy: &MixPolicy,
+) -> Result<MixReport, SimError> {
+    check_inputs(tenants, params, policy)?;
+    let mut check = EventCheck::new(tenants.len(), params, pool, policy);
     let ladder = RpmLadder::new(params);
     let max_level = ladder.max_level();
     let break_even = tpm_break_even_secs(params);
 
     // Per-disk arrival table for the cross-tenant lookahead guard, which
-    // only the Directive policy runs.
+    // only the Directive policy runs. Its pass checks every event, so the
+    // simulating pass need not check them again.
     let mut arrivals: Vec<Vec<(f64, u32)>> = vec![Vec::new(); pool.count() as usize];
-    if let MixPolicy::Directive(_) = policy {
-        for e in events {
-            if let AppEvent::Io(req) = &e.event {
-                arrivals[req.disk.0 as usize].push((e.at_secs, e.tenant));
+    let checked = matches!(policy, MixPolicy::Directive(_));
+    if checked {
+        for (at, tenant, seq, event) in events.clone() {
+            check.event(at, tenant, seq, event)?;
+            if let AppEvent::Io(req) = event {
+                arrivals[req.disk.0 as usize].push((at, tenant));
             }
         }
     }
@@ -321,20 +358,22 @@ pub fn simulate_mix(
     let mut per_tenant_misfires = vec![MisfireCauses::default(); tenants.len()];
     let mut makespan = 0.0f64;
 
-    for te in events {
-        let tenant = te.tenant as usize;
-        match &te.event {
+    for (at, tenant_id, seq, event) in events {
+        if !checked {
+            check.event(at, tenant_id, seq, event)?;
+        }
+        let tenant = tenant_id as usize;
+        match event {
             AppEvent::Io(req) => {
                 let dk = req.disk;
-                let a = te.at_secs;
                 let d = &mut disks[dk.0 as usize];
                 d.next_arrival += 1;
-                while d.inflight.front().is_some_and(|&c| c <= a) {
+                while d.inflight.front().is_some_and(|&c| c <= at) {
                     d.inflight.pop_front();
                 }
 
-                let ready = if a >= d.available_at {
-                    close_gap(d, a, break_even, adaptive.as_ref(), dk)?
+                let ready = if at >= d.available_at {
+                    close_gap(d, at, break_even, adaptive.as_ref(), dk)?
                 } else {
                     // Queued behind in-flight work; the disk is spinning.
                     d.available_at
@@ -371,7 +410,7 @@ pub fn simulate_mix(
                 d.gap_standby = false;
                 arm_reactive(d, completion, break_even, policy);
 
-                let response = completion - a;
+                let response = completion - at;
                 per_tenant_resp[tenant].push(response);
                 per_tenant_busy[tenant] += st;
                 per_tenant_active_j[tenant] += st * ladder.active_power_w(lvl);
@@ -384,14 +423,14 @@ pub fn simulate_mix(
                         &mut disks,
                         &arrivals,
                         *disk,
-                        te.at_secs,
-                        te.tenant,
+                        at,
+                        tenant_id,
                         *action,
                         &ladder,
                         break_even,
                         &mut per_tenant_misfires[tenant],
                     )?;
-                    makespan = makespan.max(te.at_secs);
+                    makespan = makespan.max(at);
                 }
                 // Inert under every other policy, exactly like the
                 // closed-loop engine ignores Power events off-Directive.
@@ -437,8 +476,13 @@ pub fn simulate_mix(
         })
         .collect::<Result<_, SimError>>()?;
 
-    let mut all_resp: Vec<f64> = per_tenant_resp.iter().flatten().copied().collect();
+    // Tenant-major: the pool-wide sum below adds the responses in this
+    // order.
     let requests: u64 = per_tenant_req.iter().sum();
+    let mut all_resp: Vec<f64> = Vec::with_capacity(per_tenant_resp.iter().map(Vec::len).sum());
+    for resp in &per_tenant_resp {
+        all_resp.extend_from_slice(resp);
+    }
     let mut misfires = MisfireCauses::default();
     let per_tenant: Vec<TenantMixReport> = tenants
         .iter()
@@ -672,13 +716,9 @@ fn apply_directive(
     Ok(())
 }
 
-fn validate(
-    events: &[TenantEvent],
-    tenants: &[&str],
-    params: &DiskParams,
-    pool: DiskPool,
-    policy: &MixPolicy,
-) -> Result<(), SimError> {
+/// The checks that need no event: the disk parameters, the adaptive
+/// policy's configuration and a non-empty tenant table.
+fn check_inputs(tenants: &[&str], params: &DiskParams, policy: &MixPolicy) -> Result<(), SimError> {
     if let Err(e) = params.validate() {
         return Err(SimError::InvalidParams(e.to_string()));
     }
@@ -688,51 +728,78 @@ fn validate(
     if tenants.is_empty() {
         return Err(SimError::InvalidTrace("mix has no tenants".into()));
     }
-    // A transition whose length rounds away when added to its start
-    // time ends when it began, and the power-state machine, which
-    // completes transitions only while the clock advances, never ends
-    // it. Spin-downs and spin-ups start at arrivals and directives; RPM
-    // steps start only at the `SetRpm` directives the Directive policy
-    // applies.
-    let spin = params.spin_up_secs.min(params.spin_down_secs);
-    let shifts = matches!(policy, MixPolicy::Directive(_));
-    let mut prev: Option<(u64, u32, u64)> = None;
-    for e in events {
-        if !e.at_secs.is_finite() || e.at_secs < 0.0 {
+    Ok(())
+}
+
+/// The per-event checks, run on each event in stream order before the
+/// engine acts on it.
+struct EventCheck {
+    tenants: usize,
+    pool: DiskPool,
+    /// The shortest transition an event can start, and the shortest a
+    /// `SetRpm` directive can.
+    spin: f64,
+    shift: f64,
+    /// The previous event's merge key.
+    prev: Option<(u64, u32, u64)>,
+}
+
+impl EventCheck {
+    fn new(tenants: usize, params: &DiskParams, pool: DiskPool, policy: &MixPolicy) -> Self {
+        // A transition whose length rounds away when added to its start
+        // time ends when it began, and the power-state machine, which
+        // completes transitions only while the clock advances, never ends
+        // it. Spin-downs and spin-ups start at arrivals and directives;
+        // RPM steps start only at the `SetRpm` directives the Directive
+        // policy applies.
+        let spin = params.spin_up_secs.min(params.spin_down_secs);
+        let shift = match policy {
+            MixPolicy::Directive(_) => spin.min(params.rpm_transition_secs_per_step),
+            _ => spin,
+        };
+        EventCheck {
+            tenants,
+            pool,
+            spin,
+            shift,
+            prev: None,
+        }
+    }
+
+    #[inline]
+    fn event(&mut self, at: f64, tenant: u32, seq: u64, event: &AppEvent) -> Result<(), SimError> {
+        if !at.is_finite() || at < 0.0 {
             return Err(SimError::InvalidTrace(format!(
-                "non-finite or negative event time {}",
-                e.at_secs
+                "non-finite or negative event time {at}"
             )));
         }
-        let shortest = match e.event {
+        let shortest = match event {
             AppEvent::Power {
                 action: PowerAction::SetRpm(_),
                 ..
-            } if shifts => spin.min(params.rpm_transition_secs_per_step),
-            _ => spin,
+            } => self.shift,
+            _ => self.spin,
         };
-        if e.at_secs + shortest == e.at_secs {
+        if at + shortest == at {
             return Err(SimError::InvalidTrace(format!(
-                "event time {} s is too late for the shortest power transition \
-                 ({shortest} s) to advance the clock",
-                e.at_secs
+                "event time {at} s is too late for the shortest power transition \
+                 ({shortest} s) to advance the clock"
             )));
         }
-        if e.tenant as usize >= tenants.len() {
+        if tenant as usize >= self.tenants {
             return Err(SimError::InvalidTrace(format!(
-                "event references tenant {} of {}",
-                e.tenant,
-                tenants.len()
+                "event references tenant {tenant} of {}",
+                self.tenants
             )));
         }
-        let key = (e.at_secs.to_bits(), e.tenant, e.seq);
-        if prev.is_some_and(|p| key < p) {
+        let key = (at.to_bits(), tenant, seq);
+        if self.prev.is_some_and(|p| key < p) {
             return Err(SimError::InvalidTrace(
                 "mix events are not in (time, tenant, seq) merge order".into(),
             ));
         }
-        prev = Some(key);
-        let disk = match &e.event {
+        self.prev = Some(key);
+        let disk = match event {
             AppEvent::Io(req) => req.disk,
             AppEvent::Power { disk, .. } => *disk,
             AppEvent::Compute { .. } => {
@@ -741,14 +808,14 @@ fn validate(
                 ))
             }
         };
-        if !pool.contains(disk) {
+        if !self.pool.contains(disk) {
             return Err(SimError::DiskOutOfRange {
                 disk: disk.0,
-                pool: pool.count(),
+                pool: self.pool.count(),
             });
         }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -965,6 +1032,33 @@ mod tests {
             simulate_mix(&bad_disk, &["a"], &p, pool, &MixPolicy::Base),
             Err(SimError::DiskOutOfRange { disk: 9, pool: 2 })
         ));
+        // The Directive policy's arrival table is built from checked
+        // events only.
+        let directive = MixPolicy::Directive(DirectiveConfig::default());
+        assert!(matches!(
+            simulate_mix(&bad_disk, &["a"], &p, pool, &directive),
+            Err(SimError::DiskOutOfRange { disk: 9, pool: 2 })
+        ));
+    }
+
+    /// Events are checked as the engine reaches them, yet the first
+    /// malformed one's error comes back, not one its simulated prefix
+    /// could raise: a valid request, then a late one.
+    #[test]
+    fn the_first_bad_event_decides_the_error() {
+        let p = ultrastar36z15();
+        let events = [ev(1.0, 0, 0, 0), ev(2f64.powi(54), 0, 1, 1)];
+        for policy in [
+            MixPolicy::Base,
+            MixPolicy::Directive(DirectiveConfig::default()),
+        ] {
+            let err = simulate_mix(&events, &["a"], &p, DiskPool::new(2), &policy).unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidTrace(m) if m.contains("shortest power transition")),
+                "{}: {err}",
+                policy.label()
+            );
+        }
     }
 
     /// Full-speed service time of one 64 KiB random read.

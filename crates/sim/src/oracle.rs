@@ -2,10 +2,11 @@
 //!
 //! The ideal schemes of Section 4.2 "assume the existence of an oracle
 //! predictor for detecting idle periods". We realize the oracle by
-//! running the trace once under `Base` — its per-disk [`GapRecord`]s are
-//! the true idle periods, because the Base timeline is exactly the
-//! timeline an ideal run reproduces (ideal actions never delay a request)
-//! — and then compiling a feasible, optimal per-disk action schedule:
+//! running the trace once under `Base` — its per-disk
+//! [`GapRecord`](crate::report::GapRecord)s are the true idle periods,
+//! because the Base timeline is exactly the timeline an ideal run
+//! reproduces (ideal actions never delay a request) — and then compiling
+//! a feasible, optimal per-disk action schedule:
 //!
 //! * **ITPM**: spin down at the start of every gap that passes the
 //!   break-even test, and issue the spin-up exactly one spin-up time

@@ -13,7 +13,7 @@ pub struct TpmConfig {
 }
 
 /// Reactive DRPM configuration (the window heuristic of Gurumurthi et al.
-/// [10], as the paper parameterizes it).
+/// \[10\], as the paper parameterizes it).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DrpmConfig {
     /// Response-time observation window, in requests (paper: 30).

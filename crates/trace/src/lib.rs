@@ -55,6 +55,9 @@ pub mod trace;
 
 pub use event::{AppEvent, IoRequest, PowerAction, ReqKind};
 pub use gen::{generate, TraceGenConfig};
-pub use mix::{merge_tenants, tenant_timeline, TenantEvent, TenantStream, TimedEvent};
+pub use mix::{
+    merge_tenants, tenant_timeline, Merged, TenantCursor, TenantEvent, TenantMerge, TenantStream,
+    Timed, TimedEvent,
+};
 pub use run::{compress, IoTemplate, REvent, Run, RunTrace, MAX_ROTATION};
 pub use trace::{Trace, TraceStats};

@@ -7,12 +7,18 @@
 //! their per-disk request streams interleave. This module owns the
 //! interleaving itself:
 //!
-//! * [`TenantStream`] — one tenant's `Io`/`Power` events on the shared
-//!   wall clock (its nominal timeline shifted by the tenant's arrival
-//!   offset and compressed by the mix's load factor),
-//! * [`TenantEvent`] — one merged event, stamped with its tenant,
-//! * [`merge_tenants`] — the multi-way merge with the stable
-//!   `(time, tenant, seq)` tiebreak.
+//! * [`TenantCursor`] — one tenant's `Io`/`Power` events read in place
+//!   from its trace, each stamped with its time on the shared wall clock
+//!   (the nominal timeline shifted by the tenant's arrival offset and
+//!   compressed by the mix's load factor),
+//! * [`TenantMerge`] — the lazy multi-way merge of such cursors with the
+//!   stable `(time, tenant, seq)` tiebreak, yielding each event by
+//!   reference ([`Merged`]); the shared-pool engine consumes it as it is
+//!   produced, so a contended run copies no event,
+//! * [`TenantStream`] / [`TenantEvent`] / [`merge_tenants`] — the same
+//!   timelines and merge materialized: [`tenant_timeline`] collects a
+//!   cursor, and [`merge_tenants`] checks the streams and collects a
+//!   [`TenantMerge`] over them.
 //!
 //! Determinism contract: the merge is a *function of the tenant streams
 //! as sets*, not of their slice order. Feeding the same streams in any
@@ -68,16 +74,76 @@ pub struct TenantStream {
     pub events: Vec<TimedEvent>,
 }
 
-/// Builds one tenant's wall-clock timeline from its (validated) trace:
-/// walks the events accumulating nominal compute time `t` and stamps
-/// each `Io`/`Power` event at `offset_secs + t / load_factor`.
+/// One timeline event by reference: `(at_secs, seq, event)`, the fields
+/// of a [`TimedEvent`].
+pub type Timed<'t> = (f64, u64, &'t AppEvent);
+
+/// One merged event by reference: `(at_secs, tenant, seq, event)`, the
+/// fields of a [`TenantEvent`].
+pub type Merged<'t> = (f64, u32, u64, &'t AppEvent);
+
+/// One tenant's wall-clock timeline, read in place from its (validated)
+/// trace: walks the events accumulating nominal compute time `t` and
+/// yields each `Io`/`Power` event, with its index in the trace as `seq`,
+/// at `offset_secs + t / load_factor`.
 ///
 /// `load_factor` > 1 compresses the tenant's arrivals (open-loop "the
 /// offered load doubled" knob); 1.0 with a zero offset reproduces the
 /// nominal timeline exactly (`0.0 + t / 1.0` is bitwise `t`), which is
 /// what the degenerate single-tenant bit-exactness gate relies on. A
-/// factor small enough that `t / load_factor` overflows stamps `+inf`,
-/// which [`merge_tenants`] rejects.
+/// factor small enough that `t / load_factor` overflows stamps `+inf`.
+/// Compute spans are finite and non-negative in a validated trace, so
+/// the times never decrease and the last one is the largest.
+#[derive(Debug, Clone)]
+pub struct TenantCursor<'t> {
+    events: std::iter::Enumerate<std::slice::Iter<'t, AppEvent>>,
+    t: f64,
+    offset_secs: f64,
+    load_factor: f64,
+}
+
+impl<'t> TenantCursor<'t> {
+    /// A cursor at the start of `trace`.
+    ///
+    /// # Panics
+    /// If `load_factor` is not finite and positive.
+    #[must_use]
+    pub fn new(trace: &'t Trace, offset_secs: f64, load_factor: f64) -> Self {
+        assert!(
+            load_factor.is_finite() && load_factor > 0.0,
+            "load factor must be finite and positive, got {load_factor}"
+        );
+        TenantCursor {
+            events: trace.events.iter().enumerate(),
+            t: 0.0,
+            offset_secs,
+            load_factor,
+        }
+    }
+}
+
+impl<'t> Iterator for TenantCursor<'t> {
+    type Item = Timed<'t>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Timed<'t>> {
+        for (seq, event) in self.events.by_ref() {
+            match event {
+                AppEvent::Compute { secs, .. } => self.t += secs,
+                AppEvent::Io(_) | AppEvent::Power { .. } => {
+                    let at = self.offset_secs + self.t / self.load_factor;
+                    return Some((at, seq as u64, event));
+                }
+            }
+        }
+        None
+    }
+}
+
+/// Builds one tenant's wall-clock timeline from its (validated) trace:
+/// the events of a [`TenantCursor`], copied into a [`TenantStream`]. A
+/// timeline a tiny load factor stretches past `f64::MAX` carries `+inf`
+/// stamps, which [`merge_tenants`] rejects.
 ///
 /// # Panics
 /// If `load_factor` is not finite and positive.
@@ -88,22 +154,13 @@ pub fn tenant_timeline(
     offset_secs: f64,
     load_factor: f64,
 ) -> TenantStream {
-    assert!(
-        load_factor.is_finite() && load_factor > 0.0,
-        "load factor must be finite and positive, got {load_factor}"
-    );
-    let mut t = 0.0f64;
-    let mut events = Vec::new();
-    for (seq, event) in trace.events.iter().enumerate() {
-        match event {
-            AppEvent::Compute { secs, .. } => t += secs,
-            AppEvent::Io(_) | AppEvent::Power { .. } => events.push(TimedEvent {
-                at_secs: offset_secs + t / load_factor,
-                seq: seq as u64,
-                event: *event,
-            }),
-        }
-    }
+    let events = TenantCursor::new(trace, offset_secs, load_factor)
+        .map(|(at_secs, seq, event)| TimedEvent {
+            at_secs,
+            seq,
+            event: *event,
+        })
+        .collect();
     TenantStream { tenant, events }
 }
 
@@ -115,6 +172,73 @@ fn merge_key(at_secs: f64, tenant: u32, seq: u64) -> (u64, u32, u64) {
     // of their IEEE-754 bit patterns; keying on the bits keeps the
     // comparator branch-free and obviously total.
     (at_secs.to_bits(), tenant, seq)
+}
+
+/// The lazy k-way merge of per-tenant timelines into one
+/// `(time, tenant, seq)`-ordered stream of [`Merged`] items.
+///
+/// Each cursor is already sorted, so the smallest head among them is the
+/// next event overall: a step costs one key comparison per tenant and
+/// copies no event. A clone continues independently from the same
+/// position, so a consumer that reads the stream twice clones the merge
+/// before its first pass.
+#[derive(Debug, Clone)]
+pub struct TenantMerge<'t, C> {
+    /// The cursors that have events left, each with its next one. Keys
+    /// are distinct, so their order does not matter.
+    lanes: Vec<Lane<'t, C>>,
+}
+
+/// One tenant's cursor and its next event, keyed.
+#[derive(Debug, Clone)]
+struct Lane<'t, C> {
+    key: (u64, u32, u64),
+    event: &'t AppEvent,
+    cursor: C,
+}
+
+impl<'t, C: Iterator<Item = Timed<'t>>> TenantMerge<'t, C> {
+    /// Merges `(tenant id, cursor)` pairs. The ids must be distinct, so
+    /// no two keys tie and slice order cannot matter; each cursor must
+    /// yield its events in `(at_secs, seq)` order with non-negative
+    /// times (a [`TenantCursor`] over a validated trace does, with a
+    /// non-negative offset). [`merge_tenants`] checks both.
+    #[must_use]
+    pub fn new(cursors: impl IntoIterator<Item = (u32, C)>) -> Self {
+        let lanes = cursors
+            .into_iter()
+            .filter_map(|(tenant, mut cursor)| {
+                let (at, seq, event) = cursor.next()?;
+                let key = merge_key(at, tenant, seq);
+                Some(Lane { key, event, cursor })
+            })
+            .collect();
+        TenantMerge { lanes }
+    }
+}
+
+impl<'t, C: Iterator<Item = Timed<'t>>> Iterator for TenantMerge<'t, C> {
+    type Item = Merged<'t>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Merged<'t>> {
+        let (mut i, mut key) = (0, self.lanes.first()?.key);
+        for (j, lane) in self.lanes.iter().enumerate().skip(1) {
+            if lane.key < key {
+                (i, key) = (j, lane.key);
+            }
+        }
+        let (bits, tenant, seq) = key;
+        let lane = &mut self.lanes[i];
+        let event = lane.event;
+        if let Some((at, next_seq, next)) = lane.cursor.next() {
+            lane.key = merge_key(at, tenant, next_seq);
+            lane.event = next;
+        } else {
+            self.lanes.swap_remove(i);
+        }
+        Some((f64::from_bits(bits), tenant, seq, event))
+    }
 }
 
 fn check_stream(s: &TenantStream) {
@@ -140,9 +264,9 @@ fn check_stream(s: &TenantStream) {
 }
 
 /// Merges the tenant streams into one `(time, tenant, seq)`-ordered
-/// stream in a single pass: each stream is already sorted, so the
-/// smallest head among the streams is the next event overall. Tenant ids
-/// are distinct, so no two keys tie and slice order cannot matter.
+/// stream in a single pass: a [`TenantMerge`] over the streams, collected.
+/// Tenant ids are distinct, so no two keys tie and slice order cannot
+/// matter.
 ///
 /// # Panics
 /// If a stream violates the [`TenantStream`] invariants, or two streams
@@ -153,28 +277,17 @@ pub fn merge_tenants(streams: &[TenantStream]) -> Vec<TenantEvent> {
     for s in streams {
         check_stream(s);
     }
-    let mut heads = vec![0usize; streams.len()];
     let mut out = Vec::with_capacity(streams.iter().map(|s| s.events.len()).sum());
-    loop {
-        let mut best: Option<(usize, (u64, u32, u64))> = None;
-        for (i, s) in streams.iter().enumerate() {
-            if let Some(e) = s.events.get(heads[i]) {
-                let key = merge_key(e.at_secs, s.tenant, e.seq);
-                if best.is_none_or(|(_, k)| key < k) {
-                    best = Some((i, key));
-                }
-            }
-        }
-        let Some((i, _)) = best else { break };
-        let e = &streams[i].events[heads[i]];
-        out.push(TenantEvent {
-            at_secs: e.at_secs,
-            tenant: streams[i].tenant,
-            seq: e.seq,
-            event: e.event,
-        });
-        heads[i] += 1;
-    }
+    let merge = TenantMerge::new(streams.iter().map(|s| {
+        let cursor = s.events.iter().map(|e| (e.at_secs, e.seq, &e.event));
+        (s.tenant, cursor)
+    }));
+    out.extend(merge.map(|(at_secs, tenant, seq, event)| TenantEvent {
+        at_secs,
+        tenant,
+        seq,
+        event: *event,
+    }));
     out
 }
 

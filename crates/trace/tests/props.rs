@@ -11,8 +11,9 @@ use sdpm_ir::conform::linearized_ref;
 use sdpm_ir::{AffineExpr, ArrayRef, LoopDim, LoopNest, Program, Statement};
 use sdpm_layout::{ArrayFile, DiskId, DiskPool, StorageOrder, Striping};
 use sdpm_trace::{
-    compress, generate, merge_tenants, AppEvent, IoRequest, PowerAction, REvent, ReqKind,
-    TenantEvent, TenantStream, TimedEvent, Trace, TraceGenConfig,
+    compress, generate, merge_tenants, tenant_timeline, AppEvent, IoRequest, PowerAction, REvent,
+    ReqKind, TenantCursor, TenantEvent, TenantMerge, TenantStream, TimedEvent, Trace,
+    TraceGenConfig,
 };
 use support::{random_program, spec_walk};
 
@@ -310,6 +311,92 @@ proptest! {
             prop_assert_eq!(a.seq, b.seq);
             prop_assert_eq!(&a.event, &b.event);
         }
+    }
+}
+
+proptest! {
+    /// A cursor yields the hand-walked timeline of a random trace (each
+    /// `Io`/`Power` event at `offset + t / load` with the compute before
+    /// it in `t`, its trace index as `seq`), and the lazy merge of such
+    /// cursors yields, by reference, exactly what `merge_tenants` of the
+    /// collected timelines copies.
+    #[test]
+    fn cursors_and_lazy_merge_match_the_materialized_timelines(
+        tenants in proptest::collection::vec(
+            (
+                proptest::collection::vec((0usize..3, 0u32..40), 0..40),
+                0u32..4,
+                0.25f64..4.0,
+            ),
+            1..5,
+        ),
+    ) {
+        let traces: Vec<(Trace, f64, f64)> = tenants
+            .iter()
+            .map(|(events, offset, load)| {
+                let events = events
+                    .iter()
+                    .map(|&(kind, q)| match kind {
+                        // Zero-length and quantized spans force ties.
+                        0 => AppEvent::Compute {
+                            nest: 0,
+                            first_iter: 0,
+                            iters: 1,
+                            secs: f64::from(q % 4) * 0.5,
+                        },
+                        1 => AppEvent::Io(IoRequest {
+                            disk: DiskId(q % 2),
+                            start_block: u64::from(q),
+                            size_bytes: 4096,
+                            kind: ReqKind::Read,
+                            sequential: false,
+                            nest: 0,
+                            iter: 0,
+                        }),
+                        _ => AppEvent::Power {
+                            disk: DiskId(q % 2),
+                            action: PowerAction::SpinDown,
+                        },
+                    })
+                    .collect();
+                let trace = Trace { name: "t".into(), pool_size: 2, events };
+                (trace, f64::from(*offset), *load)
+            })
+            .collect();
+        let streams: Vec<TenantStream> = (traces.iter().zip(0u32..))
+            .map(|((trace, offset, load), tenant)| tenant_timeline(trace, tenant, *offset, *load))
+            .collect();
+        for (s, (trace, offset, load)) in streams.iter().zip(&traces) {
+            let mut t = 0.0f64;
+            let mut want = Vec::new();
+            for (seq, event) in trace.events.iter().enumerate() {
+                match event {
+                    AppEvent::Compute { secs, .. } => t += secs,
+                    _ => want.push((offset + t / load, seq as u64, *event)),
+                }
+            }
+            let got: Vec<(f64, u64, AppEvent)> =
+                s.events.iter().map(|e| (e.at_secs, e.seq, e.event)).collect();
+            prop_assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!((g.0.to_bits(), g.1, &g.2), (w.0.to_bits(), w.1, &w.2));
+            }
+        }
+        let lazy: Vec<TenantEvent> = TenantMerge::new(
+            (traces.iter().zip(0u32..))
+                .map(|((trace, offset, load), tenant)| (tenant, TenantCursor::new(trace, *offset, *load))),
+        )
+        .map(|(at_secs, tenant, seq, event)| TenantEvent { at_secs, tenant, seq, event: *event })
+        .collect();
+        let merged = merge_tenants(&streams);
+        prop_assert_eq!(lazy.len(), merged.len());
+        for (a, b) in lazy.iter().zip(&merged) {
+            prop_assert_eq!(
+                (a.at_secs.to_bits(), a.tenant, a.seq, &a.event),
+                (b.at_secs.to_bits(), b.tenant, b.seq, &b.event)
+            );
+        }
+        prop_assert_eq!(&merged, &spec_merge(&streams));
     }
 }
 

@@ -1,6 +1,6 @@
 //! Popular Data Concentration (PDC) baseline.
 //!
-//! The paper cites Pinheiro & Bianchini's PDC [16] as the third family of
+//! The paper cites Pinheiro & Bianchini's PDC \[16\] as the third family of
 //! prior disk power management: instead of changing disk states, migrate
 //! **popular data onto few disks** so the remaining disks see long idle
 //! stretches and can power down. We implement the layout-level essence:

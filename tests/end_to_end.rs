@@ -55,17 +55,27 @@ fn every_kernel_reproduces_the_paper_scheme_ordering() {
                 norm(scheme)
             );
         }
-        // The DRPM family: reactive DRPM saves energy but pays in time
-        // (Figure 4; wupwise's 1.035 is the smallest slowdown), and the
-        // oracle lower-bounds CMDRPM.
+        // The DRPM family: reactive DRPM saves energy but pays in time,
+        // and the oracle lower-bounds CMDRPM.
         let (e_i, e_cm, e_d) = (
             norm(Scheme::IDrpm),
             norm(Scheme::CmDrpm),
             norm(Scheme::Drpm),
         );
         assert!(e_d < 1.0, "{name}: reactive DRPM must save energy, {e_d}");
+        // Figure 4: DRPM runs more than 5% slower than Base on every
+        // kernel but wupwise, whose 1.035 is the smallest slowdown.
         let slowdown = get(Scheme::Drpm).normalized_time(base);
-        assert!(slowdown > 1.03, "{name}: DRPM time {slowdown}");
+        let min_slowdown = if name == "168.wupwise" { 1.03 } else { 1.05 };
+        assert!(slowdown > min_slowdown, "{name}: DRPM time {slowdown}");
+        // Figure 3: the oracle saves over 45% on every kernel but wupwise
+        // (0.558) and mgrid (0.586), which still save over 40%.
+        let max_idrpm = if matches!(name, "168.wupwise" | "172.mgrid") {
+            0.60
+        } else {
+            0.55
+        };
+        assert!(e_i < max_idrpm, "{name}: IDRPM normalized energy {e_i}");
         assert!(e_i <= e_cm + 1e-9, "{name}: IDRPM {e_i} vs CMDRPM {e_cm}");
         // CMDRPM beats reactive DRPM on every kernel but mgrid, where
         // reactive DRPM nearly ties the oracle (0.590 vs IDRPM 0.586) and
