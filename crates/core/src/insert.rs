@@ -23,6 +23,14 @@
 //! the generated trace's requests, so the gap walk below *is* the DAP
 //! walk of [`crate::dap`], merely carried out on the event stream where
 //! the insertion must happen anyway.
+//!
+//! The pass has two stages. Planning ([`plan_directives`]) makes the gap
+//! decisions and pins each call to a base-trace position, in weave order:
+//! a [`DirectivePlan`]. Weaving ([`DirectivePlan::weave`]) is one loop
+//! that hands the base events and the synthesized calls and split
+//! compute halves to a sink in program order. [`insert_directives`] weaves
+//! into a `Vec`; `Session` weaves straight into the simulator, so a
+//! compiler-managed run builds no woven copy.
 
 use crate::estimate::NoiseModel;
 use rand::rngs::StdRng;
@@ -73,23 +81,83 @@ pub struct InsertOutcome {
     pub nest_factors: Vec<f64>,
 }
 
-/// Where a directive goes: before event `event_idx`, optionally inside
-/// it (a `Compute` split at absolute iteration `split_iter`).
-#[derive(Debug, Clone, Copy)]
-struct Pinned {
+/// Where one power call goes in the woven stream: before base event
+/// `event_idx`, or inside it, a `Compute` split at an absolute iteration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pin {
     event_idx: usize,
-    /// `None`: before the event. `Some(iter)`: split the compute event at
-    /// this absolute iteration and insert between the halves.
-    split_iter: Option<u64>,
+    /// The split iteration, or 0 for "before the event": a split lands
+    /// strictly inside its span, never at iteration 0.
+    split_iter: u64,
     disk: DiskId,
     action: PowerAction,
 }
 
-/// Instruments `trace` with power-management calls for `mode`.
+impl Pin {
+    fn new(event_idx: usize, split_iter: Option<u64>, disk: DiskId, action: PowerAction) -> Self {
+        debug_assert_ne!(split_iter, Some(0), "a split lands inside its span");
+        Pin {
+            event_idx,
+            split_iter: split_iter.unwrap_or(0),
+            disk,
+            action,
+        }
+    }
+
+    /// The base-trace event the call is pinned to.
+    #[must_use]
+    pub fn event_idx(&self) -> usize {
+        self.event_idx
+    }
+
+    /// `None`: the call goes before the event. `Some(iter)`: the compute
+    /// event is split at this absolute iteration and the call goes
+    /// between the halves.
+    #[must_use]
+    pub fn split_iter(&self) -> Option<u64> {
+        (self.split_iter != 0).then_some(self.split_iter)
+    }
+
+    /// The disk the call manages.
+    #[must_use]
+    pub fn disk(&self) -> DiskId {
+        self.disk
+    }
+
+    /// The call.
+    #[must_use]
+    pub fn action(&self) -> PowerAction {
+        self.action
+    }
+
+    fn event(&self) -> AppEvent {
+        AppEvent::Power {
+            disk: self.disk,
+            action: self.action,
+        }
+    }
+}
+
+/// The compiler's directive plan for one trace and mode: the gap
+/// decisions, the per-nest noise factors, and the power calls pinned to
+/// base-trace positions in weave order. [`DirectivePlan::weave`] turns it
+/// and its base trace into the instrumented event stream.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DirectivePlan {
+    pins: Vec<Pin>,
+    decisions: Vec<Decision>,
+    nest_factors: Vec<f64>,
+}
+
+/// Instruments `trace` with power-management calls for `mode`: the
+/// [`plan_directives`] plan woven into the trace.
 ///
 /// `noise` models the compiler's measurement error: one multiplicative
 /// factor per nest, applied to the estimated timeline (both compute and
 /// service portions, as a real timed run would be).
+///
+/// # Panics
+/// As [`DirectivePlan::weave`].
 #[must_use]
 pub fn insert_directives(
     trace: &Trace,
@@ -98,50 +166,161 @@ pub fn insert_directives(
     mode: CmMode,
     overhead_secs: f64,
 ) -> InsertOutcome {
-    let plan = plan_directives(trace, params, noise, mode, overhead_secs);
-    apply_plan(trace, plan)
+    plan_directives(trace, params, noise, mode, overhead_secs).weave_outcome(trace)
 }
 
-/// Like [`insert_directives`], but wraps the two compiler stages in
-/// observability phase spans: `break-even-thresholding` (timeline
-/// estimation plus per-gap decisions) and `directive-insertion` (weaving
-/// the pinned calls into the event stream).
-#[cfg(feature = "obs")]
+/// The plan [`insert_directives`] weaves: break-even thresholding (the
+/// gap decisions and where each call is pinned) followed by the weave
+/// order.
 #[must_use]
-pub fn insert_directives_with_recorder(
+pub fn plan_directives(
     trace: &Trace,
     params: &DiskParams,
     noise: &NoiseModel,
     mode: CmMode,
     overhead_secs: f64,
-    rec: &dyn sdpm_obs::Recorder,
-) -> InsertOutcome {
-    use sdpm_obs::Event;
-    rec.record(&Event::PhaseStart {
-        phase: "break-even-thresholding",
-    });
-    let plan = plan_directives(trace, params, noise, mode, overhead_secs);
-    rec.record(&Event::PhaseEnd {
-        phase: "break-even-thresholding",
-    });
-    rec.record(&Event::PhaseStart {
-        phase: "directive-insertion",
-    });
-    let out = apply_plan(trace, plan);
-    rec.record(&Event::PhaseEnd {
-        phase: "directive-insertion",
-    });
-    out
+) -> DirectivePlan {
+    decide(trace, params, noise, mode, overhead_secs).ordered()
 }
 
-/// Output of the decision stage, before weaving.
-struct Plan {
-    pinned: Vec<Pinned>,
+impl DirectivePlan {
+    /// The pinned calls, in weave order.
+    #[must_use]
+    pub fn pins(&self) -> &[Pin] {
+        &self.pins
+    }
+
+    /// Weaves the plan into `base`, the trace it was planned on, handing
+    /// each event of the instrumented stream to `sink` in order and
+    /// stopping at the first error `sink` returns. A pinned call goes
+    /// before its event or between the halves of its split compute span;
+    /// calls pinned past the last event go at the end.
+    ///
+    /// Base events pass through unchecked. Each synthesized event (a
+    /// `Power` call or a split half) is checked as it is produced, which
+    /// covers everything [`Trace::validate`] checks of the woven trace
+    /// when `base` is valid: split halves keep their nest, and `Power`
+    /// events carry none.
+    ///
+    /// # Panics
+    /// With "instrumented trace must be valid" if a synthesized event
+    /// names a disk outside the pool or a non-finite or negative compute
+    /// time.
+    ///
+    /// # Errors
+    /// The first error `sink` returns.
+    pub fn weave<E>(
+        &self,
+        base: &Trace,
+        mut sink: impl FnMut(&AppEvent) -> Result<(), E>,
+    ) -> Result<(), E> {
+        // Each event goes to `sink`; a synthesized one is checked first.
+        let mut emit = |e: &AppEvent, synthesized: bool| {
+            if synthesized {
+                check_synthesized(e, base.pool_size);
+            }
+            sink(e)
+        };
+        let (events, pins) = (&base.events, &self.pins);
+        // `events[..next]` and `pins[..di]` are woven.
+        let (mut next, mut di) = (0, 0);
+        while let Some(&Pin { event_idx: at, .. }) = pins.get(di) {
+            let Some(e) = events.get(at) else {
+                break;
+            };
+            // Events up to the pinned one pass through.
+            for e in &events[next..at] {
+                emit(e, false)?;
+            }
+            next = at + 1;
+            // "Before" pins come first and go before the event. A split
+            // pin cuts a compute event at its iteration and goes between
+            // the halves; a split point outside what is left of the span,
+            // or on any other event, falls back to "before" semantics.
+            let (mut seg, mut split) = (*e, false);
+            while let Some(p) = pins.get(di).filter(|p| p.event_idx == at) {
+                if let AppEvent::Compute {
+                    first_iter, iters, ..
+                } = seg
+                {
+                    if p.split_iter > first_iter && p.split_iter < first_iter + iters {
+                        let (l, r) = seg.split_compute(p.split_iter);
+                        emit(&l, true)?;
+                        (seg, split) = (r, true);
+                    }
+                }
+                emit(&p.event(), true)?;
+                di += 1;
+            }
+            emit(&seg, split)?;
+        }
+        // Then the rest of the events, and the pins past the last one.
+        for e in &events[next..] {
+            emit(e, false)?;
+        }
+        for p in &pins[di..] {
+            emit(&p.event(), true)?;
+        }
+        Ok(())
+    }
+
+    /// The instrumentation outcome: the plan woven into `base` as a
+    /// trace. The plan's decisions and nest factors move into the
+    /// outcome; the plan keeps its pins, all a replay reads.
+    ///
+    /// # Panics
+    /// As [`DirectivePlan::weave`].
+    pub(crate) fn weave_outcome(&mut self, base: &Trace) -> InsertOutcome {
+        let mut events = Vec::with_capacity(base.events.len() + self.pins.len());
+        let Ok(()) = self.weave(base, |e| {
+            events.push(*e);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        InsertOutcome {
+            trace: Trace {
+                name: base.name.clone(),
+                pool_size: base.pool_size,
+                events,
+            },
+            inserted: self.pins.len(),
+            decisions: std::mem::take(&mut self.decisions),
+            nest_factors: std::mem::take(&mut self.nest_factors),
+        }
+    }
+}
+
+/// Panics unless the synthesized event `e` passes the checks
+/// [`Trace::validate`] makes of it in a trace of `pool_size` disks.
+#[inline]
+fn check_synthesized(e: &AppEvent, pool_size: u32) {
+    let ok = match e {
+        AppEvent::Power { disk, .. } => disk.0 < pool_size,
+        AppEvent::Compute { secs, .. } => *secs >= 0.0 && secs.is_finite(),
+        AppEvent::Io(_) => true,
+    };
+    if !ok {
+        invalid_synthesized(e);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn invalid_synthesized(e: &AppEvent) -> ! {
+    let why = match e {
+        AppEvent::Power { disk, .. } => format!("power call on out-of-pool {disk}"),
+        AppEvent::Compute { secs, .. } => format!("bad compute duration {secs}"),
+        AppEvent::Io(_) => unreachable!("the weave synthesizes no request"),
+    };
+    panic!("instrumented trace must be valid: {why}");
+}
+
+/// Output of break-even thresholding, before the weave order.
+pub(crate) struct Decided {
+    pinned: Vec<Pin>,
     decisions: Vec<Decision>,
     max: RpmLevel,
     nest_factors: Vec<f64>,
 }
-
 /// The per-nest multiplicative noise factors the compiler's estimated
 /// timeline applies, seeded like `CycleEstimator::with_noise`: one draw
 /// per nest from `noise.seed`, clamped below at 0.05.
@@ -168,13 +347,13 @@ pub fn nest_noise_factors(trace: &Trace, noise: &NoiseModel) -> Vec<f64> {
 
 /// Break-even thresholding: builds the estimated timeline, walks every
 /// disk's gaps, and decides which power calls to pin where.
-fn plan_directives(
+pub(crate) fn decide(
     trace: &Trace,
     params: &DiskParams,
     noise: &NoiseModel,
     mode: CmMode,
     overhead_secs: f64,
-) -> Plan {
+) -> Decided {
     let ladder = RpmLadder::new(params);
     let max = ladder.max_level();
 
@@ -221,7 +400,7 @@ fn plan_directives(
     let call_cost_j = 2.0 * overhead_secs * params.idle_power_w * pool as f64;
     let min_saved_j = 4.0 * call_cost_j;
 
-    let mut pinned: Vec<Pinned> = Vec::new();
+    let mut pinned: Vec<Pin> = Vec::new();
     let mut decisions: Vec<Decision> = Vec::new();
 
     // Per-gap jitter stream (drawn in deterministic disk/gap order).
@@ -290,12 +469,7 @@ fn plan_directives(
             match end_event {
                 None => {
                     // Trailing gap: no pre-activation needed.
-                    pinned.push(Pinned {
-                        event_idx: start_pin,
-                        split_iter: None,
-                        disk,
-                        action: down,
-                    });
+                    pinned.push(Pin::new(start_pin, None, disk, down));
                 }
                 Some(end_idx) => {
                     let target_t = gap_end_t - (tsu + overhead_secs);
@@ -313,18 +487,8 @@ fn plan_directives(
                         decisions.push(decision);
                         continue;
                     }
-                    pinned.push(Pinned {
-                        event_idx: start_pin,
-                        split_iter: None,
-                        disk,
-                        action: down,
-                    });
-                    pinned.push(Pinned {
-                        event_idx,
-                        split_iter,
-                        disk,
-                        action: up,
-                    });
+                    pinned.push(Pin::new(start_pin, None, disk, down));
+                    pinned.push(Pin::new(event_idx, split_iter, disk, up));
                 }
             }
             match mode {
@@ -339,7 +503,7 @@ fn plan_directives(
         }
     }
 
-    Plan {
+    Decided {
         pinned,
         decisions,
         max,
@@ -347,44 +511,36 @@ fn plan_directives(
     }
 }
 
-/// Directive insertion: orders the pinned calls and weaves them into the
-/// event stream.
-fn apply_plan(trace: &Trace, plan: Plan) -> InsertOutcome {
-    let Plan {
-        mut pinned,
-        decisions,
-        max,
-        nest_factors,
-    } = plan;
-    // Deterministic weave order: by event position, "before event" pins
-    // first, then intra-compute splits by iteration; pre-activations
-    // ahead of slow-downs at the same point; then by disk.
-    let rank = |a: &PowerAction| match a {
-        PowerAction::SpinUp => 0,
-        PowerAction::SetRpm(l) if *l == max => 0,
-        _ => 1,
-    };
-    pinned.sort_by(|a, b| {
-        a.event_idx
-            .cmp(&b.event_idx)
-            .then_with(|| a.split_iter.unwrap_or(0).cmp(&b.split_iter.unwrap_or(0)))
-            .then_with(|| rank(&a.action).cmp(&rank(&b.action)))
-            .then_with(|| a.disk.cmp(&b.disk))
-    });
-
-    let inserted = pinned.len();
-    let events = weave(trace, &pinned);
-    let out = Trace {
-        name: trace.name.clone(),
-        pool_size: trace.pool_size,
-        events,
-    };
-    debug_assert_eq!(out.validate(), Ok(()));
-    InsertOutcome {
-        trace: out,
-        inserted,
-        decisions,
-        nest_factors,
+impl Decided {
+    /// Directive insertion: orders the pinned calls for the weave. By
+    /// event position, "before event" pins first, then intra-compute
+    /// splits by iteration; pre-activations ahead of slow-downs at the
+    /// same point; then by disk.
+    pub(crate) fn ordered(self) -> DirectivePlan {
+        let Decided {
+            mut pinned,
+            decisions,
+            max,
+            nest_factors,
+        } = self;
+        let rank = |a: &PowerAction| match a {
+            PowerAction::SpinUp => 0,
+            PowerAction::SetRpm(l) if *l == max => 0,
+            _ => 1,
+        };
+        pinned.sort_by(|a, b| {
+            a.event_idx
+                .cmp(&b.event_idx)
+                .then_with(|| a.split_iter.cmp(&b.split_iter))
+                .then_with(|| rank(&a.action).cmp(&rank(&b.action)))
+                .then_with(|| a.disk.cmp(&b.disk))
+        });
+        pinned.shrink_to_fit();
+        DirectivePlan {
+            pins: pinned,
+            decisions,
+            nest_factors,
+        }
     }
 }
 
@@ -421,74 +577,6 @@ fn position_at(
         // early — conservative).
         _ => (i, None),
     }
-}
-
-/// Merges pinned directives into the event stream.
-fn weave(trace: &Trace, pinned: &[Pinned]) -> Vec<AppEvent> {
-    let mut out = Vec::with_capacity(trace.events.len() + pinned.len());
-    let mut di = 0usize;
-    for (i, e) in trace.events.iter().enumerate() {
-        // Pins strictly before this event.
-        while di < pinned.len() && pinned[di].event_idx == i && pinned[di].split_iter.is_none() {
-            out.push(AppEvent::Power {
-                disk: pinned[di].disk,
-                action: pinned[di].action,
-            });
-            di += 1;
-        }
-        // Intra-compute splits.
-        if matches!(e, AppEvent::Compute { .. }) {
-            let mut seg = *e;
-            while di < pinned.len() && pinned[di].event_idx == i {
-                let at = pinned[di]
-                    .split_iter
-                    .expect("before-event pins handled above");
-                // Guard against duplicate split points.
-                let (first_iter, iters) = match seg {
-                    AppEvent::Compute {
-                        first_iter, iters, ..
-                    } => (first_iter, iters),
-                    _ => unreachable!(),
-                };
-                if at <= first_iter || at >= first_iter + iters {
-                    out.push(AppEvent::Power {
-                        disk: pinned[di].disk,
-                        action: pinned[di].action,
-                    });
-                    di += 1;
-                    continue;
-                }
-                let (l, r) = seg.split_compute(at);
-                out.push(l);
-                out.push(AppEvent::Power {
-                    disk: pinned[di].disk,
-                    action: pinned[di].action,
-                });
-                di += 1;
-                seg = r;
-            }
-            out.push(seg);
-        } else {
-            // Any split pins erroneously targeting a non-compute event
-            // fall back to "before" semantics.
-            while di < pinned.len() && pinned[di].event_idx == i {
-                out.push(AppEvent::Power {
-                    disk: pinned[di].disk,
-                    action: pinned[di].action,
-                });
-                di += 1;
-            }
-            out.push(*e);
-        }
-    }
-    while di < pinned.len() {
-        out.push(AppEvent::Power {
-            disk: pinned[di].disk,
-            action: pinned[di].action,
-        });
-        di += 1;
-    }
-    out
 }
 
 #[cfg(test)]

@@ -51,9 +51,10 @@ pub mod session;
 
 pub use dap::{build_dap, disk_gaps, Dap, DapEntry, DapState, GlobalGap, NestOffsets};
 pub use estimate::{CycleEstimator, NoiseModel};
-#[cfg(feature = "obs")]
-pub use insert::insert_directives_with_recorder;
-pub use insert::{insert_directives, nest_noise_factors, CmMode, Decision, InsertOutcome};
+pub use insert::{
+    insert_directives, nest_noise_factors, plan_directives, CmMode, Decision, DirectivePlan,
+    InsertOutcome, Pin,
+};
 #[cfg(feature = "obs")]
 pub use pipeline::run_scheme_with_recorder;
 pub use pipeline::{

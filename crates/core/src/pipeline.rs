@@ -132,8 +132,8 @@ pub fn run_scheme_with_artifacts(
 /// simulator's event sequence into `rec`.
 ///
 /// Phases emitted: `dap-construction` (trace generation), for CM schemes
-/// `break-even-thresholding` and `directive-insertion` (see
-/// [`crate::insert::insert_directives_with_recorder`]), and `simulation`.
+/// `break-even-thresholding` (the gap decisions) and `directive-insertion`
+/// (their weave order), and `simulation`.
 #[cfg(feature = "obs")]
 #[must_use]
 pub fn run_scheme_with_recorder(

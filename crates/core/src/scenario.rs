@@ -106,6 +106,40 @@ impl ArrivalProcess {
         !matches!(self, ArrivalProcess::Fixed { .. })
     }
 
+    /// Checks each parameter against its range: every time finite and
+    /// non-negative, the Pareto shape finite and positive. Names the first
+    /// parameter out of range.
+    fn check(&self) -> Result<(), String> {
+        let secs = |name: &str, v: f64| {
+            if v >= 0.0 && v.is_finite() {
+                Ok(())
+            } else {
+                Err(format!(
+                    "arrival {name} must be finite and non-negative, got {v}"
+                ))
+            }
+        };
+        match *self {
+            ArrivalProcess::Fixed { stagger_secs } => secs("stagger_secs", stagger_secs),
+            ArrivalProcess::Poisson { mean_gap_secs } => secs("mean_gap_secs", mean_gap_secs),
+            ArrivalProcess::Bursty {
+                gap_secs,
+                spread_secs,
+                ..
+            } => secs("gap_secs", gap_secs).and_then(|()| secs("spread_secs", spread_secs)),
+            ArrivalProcess::LongTail { scale_secs, shape } => {
+                secs("scale_secs", scale_secs)?;
+                if shape > 0.0 && shape.is_finite() {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "arrival shape must be finite and positive, got {shape}"
+                    ))
+                }
+            }
+        }
+    }
+
     /// The start offset of each of `k` tenants, in tenant order.
     /// Deterministic in `(self, seed, k)`.
     #[must_use]
@@ -188,8 +222,10 @@ impl<'a> MixSession<'a> {
     /// Builds the session table for `mix`.
     ///
     /// # Panics
-    /// If the mix has no tenants or a non-finite/non-positive load
-    /// factor.
+    /// If the mix has no tenants, a non-finite/non-positive load factor,
+    /// or an arrival parameter out of range: a negative or non-finite
+    /// `stagger_secs`, `mean_gap_secs`, `gap_secs`, `spread_secs` or
+    /// `scale_secs`, or a non-finite or non-positive `shape`.
     #[must_use]
     pub fn new(mix: Mix<'a>) -> Self {
         assert!(!mix.tenants.is_empty(), "a mix needs at least one tenant");
@@ -198,6 +234,9 @@ impl<'a> MixSession<'a> {
             "load factor must be finite and positive, got {}",
             mix.load_factor
         );
+        if let Err(e) = mix.arrivals.check() {
+            panic!("{e}");
+        }
         let mut sessions: Vec<Session<'a>> = Vec::new();
         let mut keys: Vec<(*const Program, *const PipelineConfig)> = Vec::new();
         let session_of = mix
@@ -552,6 +591,99 @@ mod tests {
             assert_eq!(a.per_tenant.len(), 2);
             assert!(a.requests > 0);
         }
+    }
+
+    /// Whether `MixSession::new` accepts two `checkpoint_loop` tenants
+    /// arriving under `arrivals`.
+    fn accepts(arrivals: ArrivalProcess) -> bool {
+        let p = checkpoint_loop(2, 2, 8.0);
+        let cfg = PipelineConfig::default();
+        let tenant = |name: &str| Tenant {
+            name: name.into(),
+            program: &p,
+            cfg: &cfg,
+            scheme: Scheme::Base,
+        };
+        let mix = Mix {
+            tenants: vec![tenant("a"), tenant("b")],
+            arrivals,
+            seed: 0,
+            load_factor: 1.0,
+        };
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| MixSession::new(mix))).is_ok()
+    }
+
+    const OUT_OF_RANGE: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0];
+
+    #[test]
+    fn stagger_must_be_finite_and_non_negative() {
+        for v in OUT_OF_RANGE {
+            assert!(!accepts(ArrivalProcess::Fixed { stagger_secs: v }), "{v}");
+        }
+        assert!(accepts(ArrivalProcess::Fixed { stagger_secs: 0.0 }));
+        assert!(accepts(ArrivalProcess::Fixed { stagger_secs: 3.0 }));
+    }
+
+    #[test]
+    fn mean_gap_must_be_finite_and_non_negative() {
+        for v in OUT_OF_RANGE {
+            assert!(
+                !accepts(ArrivalProcess::Poisson { mean_gap_secs: v }),
+                "{v}"
+            );
+        }
+        assert!(accepts(ArrivalProcess::Poisson { mean_gap_secs: 2.0 }));
+    }
+
+    #[test]
+    fn burst_gap_must_be_finite_and_non_negative() {
+        let bursty = |gap_secs| ArrivalProcess::Bursty {
+            burst: 2,
+            gap_secs,
+            spread_secs: 1.0,
+        };
+        for v in OUT_OF_RANGE {
+            assert!(!accepts(bursty(v)), "{v}");
+        }
+        assert!(accepts(bursty(10.0)));
+    }
+
+    #[test]
+    fn burst_spread_must_be_finite_and_non_negative() {
+        let bursty = |spread_secs| ArrivalProcess::Bursty {
+            burst: 2,
+            gap_secs: 10.0,
+            spread_secs,
+        };
+        for v in OUT_OF_RANGE {
+            assert!(!accepts(bursty(v)), "{v}");
+        }
+        assert!(accepts(bursty(0.0)));
+        assert!(accepts(bursty(1.0)));
+    }
+
+    #[test]
+    fn tail_scale_must_be_finite_and_non_negative() {
+        let tail = |scale_secs| ArrivalProcess::LongTail {
+            scale_secs,
+            shape: 1.5,
+        };
+        for v in OUT_OF_RANGE {
+            assert!(!accepts(tail(v)), "{v}");
+        }
+        assert!(accepts(tail(1.0)));
+    }
+
+    #[test]
+    fn tail_shape_must_be_finite_and_positive() {
+        let tail = |shape| ArrivalProcess::LongTail {
+            scale_secs: 1.0,
+            shape,
+        };
+        for v in OUT_OF_RANGE.into_iter().chain([0.0]) {
+            assert!(!accepts(tail(v)), "{v}");
+        }
+        assert!(accepts(tail(1.5)));
     }
 
     #[test]

@@ -5,19 +5,23 @@
 //! [`run_scheme`](crate::run_scheme) call regenerated it from scratch. A
 //! [`Session`] generates the per-event base trace once and validates it
 //! at cache time, compresses it to the run form only when a run-path
-//! caller asks, and caches the per-mode instrumentation outcomes, so
-//! repeated scheme runs — including the artifact- and recorder-carrying
-//! variants — pay for generation and instrumentation at most once.
-//! Schemes hand the cached [`Trace`]s and [`RunTrace`]s to
-//! [`sdpm_sim::Engine::events`] and [`sdpm_sim::Engine::runs`] by
-//! reference, so no scheme run regenerates or re-validates a trace.
+//! caller asks, and keeps one directive plan per CM mode, so repeated
+//! scheme runs — including the artifact- and recorder-carrying variants
+//! — pay for generation and planning at most once. Base schemes hand the
+//! cached [`Trace`] to [`sdpm_sim::Engine::events`] by reference; a CM
+//! run weaves its plan into the base trace as the engine plays it
+//! ([`DirectivePlan::weave`] into [`sdpm_sim::Engine::stream`]), so no
+//! scheme run regenerates, copies or re-validates a trace. The woven
+//! [`InsertOutcome`] is built from the same plan only when a caller asks
+//! for it ([`Session::instrumented`]), and the run path compresses that
+//! trace for [`sdpm_sim::Engine::runs`].
 //!
 //! The oracle schemes (ITPM, IDRPM) need the Base run's idle gaps. The
 //! session keeps the report of its first clean Base pass (no faults, no
 //! recorder), whether `run(Base)` or the first oracle run made it, and
 //! the ITPM and IDRPM schedules built from it: each is built once per
 //! session, on the first oracle run that needs it, and every later run
-//! replays a copy. A seven-scheme suite on the per-event path therefore
+//! replays it in place. A seven-scheme suite on the per-event path therefore
 //! plays the trace seven times, not nine. Every run still plays its own
 //! measured pass; the kept report and schedules are only its input.
 //! [`Session::run_compressed`] leaves the oracles to
@@ -27,7 +31,7 @@
 //! recorder only when the corresponding work actually runs, i.e. on the
 //! first scheme that needs it; cache hits are silent.
 
-use crate::insert::{insert_directives, CmMode, InsertOutcome};
+use crate::insert::{decide, CmMode, DirectivePlan, InsertOutcome};
 use crate::pipeline::{PipelineConfig, Scheme, SchemeArtifacts};
 use sdpm_disk::DiskParams;
 use sdpm_fault::FaultPlan;
@@ -35,6 +39,7 @@ use sdpm_ir::Program;
 use sdpm_layout::DiskPool;
 use sdpm_sim::{oracle, DirectiveConfig, Engine, Policy, ScheduledAction, SimError, SimReport};
 use sdpm_trace::{compress, generate, RunTrace, Trace};
+use std::sync::Arc;
 
 #[cfg(feature = "obs")]
 pub(crate) type Obs<'a> = Option<&'a dyn sdpm_obs::Recorder>;
@@ -67,7 +72,11 @@ pub struct Session<'a> {
     base: Option<Trace>,
     /// Its run-compressed form, compressed from `base` on first use.
     base_runs: Option<RunTrace>,
-    /// Cached instrumentation, indexed by [`CmMode`] (`Tpm` = 0).
+    /// Directive plans, indexed by [`CmMode`] (`Tpm` = 0): what a CM run
+    /// replays, woven into `base` as the engine plays it.
+    plans: [Option<DirectivePlan>; 2],
+    /// Woven instrumentation outcomes, indexed like `plans`, built from
+    /// them only when a caller asks for the woven trace.
     cm: [Option<InsertOutcome>; 2],
     /// Run-compressed instrumented traces, indexed like `cm`.
     cm_runs: [Option<RunTrace>; 2],
@@ -89,6 +98,7 @@ impl<'a> Session<'a> {
             pool: DiskPool::new(cfg.disks),
             base: None,
             base_runs: None,
+            plans: [None, None],
             cm: [None, None],
             cm_runs: [None, None],
             clean_base: None,
@@ -151,19 +161,15 @@ impl<'a> Session<'a> {
         self.cm_runs[idx].as_ref().expect("just cached")
     }
 
-    /// The instrumentation outcome for `mode`, computed (from the cached
-    /// base trace) and validated on first use.
+    /// The instrumentation outcome for `mode`: the session's plan woven
+    /// into the cached base trace, built and validated on first use.
     pub fn instrumented(&mut self, mode: CmMode) -> &InsertOutcome {
-        self.instrumented_obs(mode, None)
-    }
-
-    fn instrumented_obs(&mut self, mode: CmMode, rec: Obs<'_>) -> &InsertOutcome {
         let idx = slot(mode);
         if self.cm[idx].is_none() {
-            self.base_trace_obs(rec);
-            let _sp = crate::prof::span("session.instrument");
-            let base = self.base.as_ref().expect("just cached");
-            let out = instrument(base, self.cfg, mode, rec);
+            self.plan(mode, None);
+            let base = self.base.as_ref().expect("planned on it");
+            let plan = self.plans[idx].as_mut().expect("just planned");
+            let out = plan.weave_outcome(base);
             out.trace
                 .validate()
                 .expect("instrumented trace must be valid");
@@ -172,23 +178,31 @@ impl<'a> Session<'a> {
         self.cm[idx].as_ref().expect("just cached")
     }
 
+    /// The directive plan for `mode`, planned on the cached base trace on
+    /// first use, under the two compiler phases.
+    fn plan(&mut self, mode: CmMode, rec: Obs<'_>) -> &DirectivePlan {
+        let idx = slot(mode);
+        if self.plans[idx].is_none() {
+            self.base_trace_obs(rec);
+            let _sp = crate::prof::span("session.instrument");
+            let base = self.base.as_ref().expect("just cached");
+            let cfg = self.cfg;
+            let decided = phase(rec, "break-even-thresholding", || {
+                decide(base, &cfg.params, &cfg.noise, mode, cfg.overhead_secs)
+            });
+            let plan = phase(rec, "directive-insertion", || decided.ordered());
+            self.plans[idx] = Some(plan);
+        }
+        self.plans[idx].as_ref().expect("just cached")
+    }
+
     /// The trace `scheme` replays: the instrumented trace for a CM
     /// scheme, the base trace otherwise, generated (and instrumented) and
     /// validated on first use.
     pub fn scheme_trace(&mut self, scheme: Scheme) -> &Trace {
-        self.cache_trace(scheme, None);
-        self.cached_trace(scheme).expect("cached above")
-    }
-
-    /// Caches the trace `scheme` replays, emitting the phases that run.
-    fn cache_trace(&mut self, scheme: Scheme, rec: Obs<'_>) {
         match scheme_plan(scheme, self.cfg).0 {
-            None => {
-                self.base_trace_obs(rec);
-            }
-            Some(mode) => {
-                self.instrumented_obs(mode, rec);
-            }
+            None => self.base_trace(),
+            Some(mode) => &self.instrumented(mode).trace,
         }
     }
 
@@ -268,24 +282,33 @@ impl<'a> Session<'a> {
         self.simulate(scheme, faults, None)
     }
 
-    /// The per-event run behind [`Session::run`] and its variants: the
-    /// cached trace `scheme` needs, played under a `simulation` phase span
-    /// with the given options. The trace was validated when the session
-    /// cached it, so the engine takes it by reference without a second
-    /// validation pass. An oracle scheme replays a copy of its kept
-    /// schedule, built from the session's clean Base report on first use;
-    /// a clean Base run fills that report if it is still empty.
+    /// The per-event run behind [`Session::run`] and its variants, played
+    /// under a `simulation` phase span with the given options. A base
+    /// scheme plays the cached base trace, which was validated when the
+    /// session cached it, so the engine takes it by reference without a
+    /// second validation pass. A CM scheme streams the base trace woven
+    /// with its mode's plan into the engine as the weave produces it. An
+    /// oracle scheme replays its kept schedule in place, built from the
+    /// session's clean Base report on first use; a clean Base run fills
+    /// that report if it is still empty.
     fn simulate(
         &mut self,
         scheme: Scheme,
         faults: Option<&FaultPlan>,
         rec: Obs<'_>,
     ) -> Result<SimReport, SimError> {
-        let policy = scheme_plan(scheme, self.cfg).1;
-        self.cache_trace(scheme, rec);
+        let (mode, policy) = scheme_plan(scheme, self.cfg);
+        match mode {
+            None => {
+                self.base_trace_obs(rec);
+            }
+            Some(mode) => {
+                self.plan(mode, rec);
+            }
+        }
         let _sp = crate::prof::span("session.simulate");
         let policy = match oracle_slot(&policy) {
-            Some((slot, build)) => Policy::Schedule(self.schedule(slot, build)?.clone()),
+            Some((slot, build)) => Policy::Schedule(Arc::clone(self.schedule(slot, build)?)),
             None => policy,
         };
         let keep = scheme == Scheme::Base
@@ -298,8 +321,16 @@ impl<'a> Session<'a> {
             Some(r) => engine.recorder(r),
             None => engine,
         };
-        let trace = self.cached_trace(scheme).expect("cached above");
-        let mut report = phase(rec, "simulation", || engine.events(trace))?;
+        let base = self.base.as_ref().expect("cached above");
+        let plan = mode.map(|mode| self.plans[slot(mode)].as_ref().expect("planned above"));
+        let mut report = phase(rec, "simulation", || match plan {
+            None => engine.events(base),
+            Some(plan) => {
+                let mut stream = engine.stream(base.pool_size)?;
+                plan.weave(base, |e| stream.event(e))?;
+                stream.finish()
+            }
+        })?;
         if keep {
             self.clean_base = Some(report.clone());
         }
@@ -312,7 +343,7 @@ impl<'a> Session<'a> {
     fn schedule(&mut self, slot: usize, build: BuildSchedule) -> Result<&Schedule, SimError> {
         if self.schedules[slot].is_none() {
             let cfg = self.cfg;
-            let schedule = build(self.clean_base()?, &cfg.params);
+            let schedule = build(self.clean_base()?, &cfg.params).into();
             self.schedules[slot] = Some(schedule);
         }
         Ok(self.schedules[slot].as_ref().expect("just cached"))
@@ -330,10 +361,10 @@ impl<'a> Session<'a> {
     }
 }
 
-/// An oracle's per-disk action schedule, and what builds one from a
-/// clean Base report.
-type Schedule = Vec<Vec<ScheduledAction>>;
-type BuildSchedule = fn(&SimReport, &DiskParams) -> Schedule;
+/// An oracle's per-disk action schedule, shared with every run that
+/// replays it, and what builds one from a clean Base report.
+type Schedule = Arc<[Vec<ScheduledAction>]>;
+type BuildSchedule = fn(&SimReport, &DiskParams) -> Vec<Vec<ScheduledAction>>;
 
 /// An oracle policy's slot in the schedule cache (`IdealTpm` = 0) and
 /// the builder that fills it, or `None` for a policy the engine plays as
@@ -376,24 +407,6 @@ fn scheme_plan(scheme: Scheme, cfg: &PipelineConfig) -> (Option<CmMode>, Policy)
 /// fails to simulate on invalid disk parameters.
 fn unwrap_report(report: Result<SimReport, SimError>) -> SimReport {
     report.unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// `insert_directives`, routed through the recording variant when a
-/// recorder is present (it emits the two compiler phase spans itself).
-fn instrument(trace: &Trace, cfg: &PipelineConfig, mode: CmMode, rec: Obs<'_>) -> InsertOutcome {
-    #[cfg(feature = "obs")]
-    if let Some(r) = rec {
-        return crate::insert::insert_directives_with_recorder(
-            trace,
-            &cfg.params,
-            &cfg.noise,
-            mode,
-            cfg.overhead_secs,
-            r,
-        );
-    }
-    let _ = rec;
-    insert_directives(trace, &cfg.params, &cfg.noise, mode, cfg.overhead_secs)
 }
 
 #[cfg(test)]

@@ -2,13 +2,16 @@
 
 #[path = "../../trace/tests/support/mod.rs"]
 mod support;
+#[path = "support/weave.rs"]
+mod weave;
 
 use proptest::prelude::*;
-use sdpm_core::{insert_directives, CmMode, NoiseModel};
+use sdpm_core::{insert_directives, plan_directives, CmMode, NoiseModel};
 use sdpm_disk::{ultrastar36z15, RpmLadder, RpmLevel};
 use sdpm_layout::{DiskId, DiskPool};
 use sdpm_trace::{generate, AppEvent, IoRequest, PowerAction, ReqKind, Trace};
 use support::random_program;
+use weave::reference_weave;
 
 /// Random alternating compute/IO traces (valid by construction).
 fn trace_strategy() -> impl Strategy<Value = Trace> {
@@ -158,6 +161,45 @@ proptest! {
         }
     }
 
+    /// The woven trace is the reference weave of the plan's pins, on
+    /// random traces and on the traces of random programs, in both modes.
+    #[test]
+    fn weave_matches_the_reference_weave(
+        trace in trace_strategy(),
+        seed in any::<u64>(),
+        speeds in proptest::collection::vec(0usize..3, 3),
+        noise_seed in 0u64..200,
+    ) {
+        let (mut program, gen) = random_program(seed);
+        for (nest, &speed) in program.nests.iter_mut().zip(&speeds) {
+            nest.cycles_per_iter = [750.0, 7.5e7, 7.5e9][speed];
+        }
+        let generated = generate(&program, DiskPool::new(4), gen);
+        let params = ultrastar36z15();
+        let max = RpmLadder::new(&params).max_level();
+        let noise = NoiseModel { spread: 0.1, gap_jitter: 0.1, seed: noise_seed };
+        for base in [&trace, &generated] {
+            for mode in [CmMode::Tpm, CmMode::Drpm] {
+                let out = insert_directives(base, &params, &noise, mode, 50e-6);
+                let plan = plan_directives(base, &params, &noise, mode, 50e-6);
+                prop_assert_eq!(out.inserted, plan.pins().len());
+                prop_assert_eq!(&out.trace.events, &reference_weave(base, plan.pins(), max));
+                // Calls pinned past the end of the trace being woven go
+                // at its end: the plan woven into a prefix of its trace.
+                let prefix = Trace {
+                    events: base.events[..base.events.len() / 2].to_vec(),
+                    ..base.clone()
+                };
+                let mut woven = Vec::new();
+                let _ = plan.weave(&prefix, |e| {
+                    woven.push(*e);
+                    Ok::<(), ()>(())
+                });
+                prop_assert_eq!(woven, reference_weave(&prefix, plan.pins(), max));
+            }
+        }
+    }
+
     /// The decision list covers every positive-length gap of every disk
     /// that appears in the trace: #decisions == #requests-per-disk sums
     /// (+1 trailing each) minus zero-length gaps.
@@ -181,4 +223,22 @@ proptest! {
         let upper: u64 = per_disk.iter().map(|&n| n + 1).sum();
         prop_assert!(out.decisions.len() as u64 <= upper);
     }
+}
+
+/// The weave checks each call and split half it synthesizes, as
+/// `Trace::validate` would in the woven trace: a plan woven into a trace
+/// of a smaller pool names a disk outside it.
+#[test]
+#[should_panic(expected = "instrumented trace must be valid")]
+fn weave_rejects_a_call_outside_the_pool() {
+    let (mut program, gen) = random_program(7);
+    for nest in &mut program.nests {
+        nest.cycles_per_iter = 7.5e9;
+    }
+    let mut trace = generate(&program, DiskPool::new(4), gen);
+    let params = ultrastar36z15();
+    let plan = plan_directives(&trace, &params, &NoiseModel::exact(), CmMode::Drpm, 50e-6);
+    let last = plan.pins().iter().map(|p| p.disk().0).max();
+    trace.pool_size = last.expect("the plan pins a call");
+    let _ = plan.weave(&trace, |_| Ok::<(), ()>(()));
 }

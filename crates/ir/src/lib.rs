@@ -19,8 +19,10 @@
 //!
 //! The IR is deliberately concrete: analyses may walk the full iteration
 //! space. The paper's benchmarks generate a few thousand block-level I/O
-//! requests over tens of millions of iterations, which a release build
-//! walks in well under a second.
+//! requests over tens of millions of iterations. A walk pays one affine
+//! evaluation per reference per iteration: [`disk_activity`] takes about
+//! 11.6 s over the six Table 2 kernels in a release build (ROADMAP item 3
+//! plans a closed form).
 //!
 //! # Example
 //!

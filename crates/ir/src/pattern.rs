@@ -87,9 +87,11 @@ impl ActivityMap {
 
 /// Computes per-disk activity intervals for every nest of `program`.
 ///
-/// The walk evaluates one pre-linearized affine form per reference per
-/// iteration, so whole-program analysis over tens of millions of
-/// iterations completes in well under a second in release builds.
+/// The walk visits every iteration and evaluates one pre-linearized
+/// affine form per reference per iteration, so its cost is the nest's
+/// iteration count times its reference count: over the six Table 2
+/// kernels it takes about 11.6 s in a release build (mgrid 5.8 s,
+/// wupwise 2.4 s, applu 1.7 s). ROADMAP item 3 plans a closed form.
 #[must_use]
 pub fn disk_activity(program: &Program, pool: DiskPool) -> ActivityMap {
     let nests = program

@@ -110,16 +110,26 @@ impl ArrayFile {
     /// per-disk extents.
     #[must_use]
     pub fn map_bytes(&self, pool: DiskPool, offset: u64, len: u64) -> Vec<FileExtent> {
+        self.byte_extents(pool, offset, len).collect()
+    }
+
+    /// The extents of [`ArrayFile::map_bytes`], produced one at a time
+    /// without allocating.
+    pub fn byte_extents(
+        &self,
+        pool: DiskPool,
+        offset: u64,
+        len: u64,
+    ) -> impl Iterator<Item = FileExtent> {
+        let base_block = self.base_block;
         self.striping
-            .map_range(pool, offset, len)
-            .into_iter()
-            .map(|e: StripeExtent| FileExtent {
+            .extents(pool, offset, len)
+            .map(move |e: StripeExtent| FileExtent {
                 disk: e.disk,
-                start_block: self.base_block + e.disk_offset / BLOCK_BYTES,
+                start_block: base_block + e.disk_offset / BLOCK_BYTES,
                 block_offset: e.disk_offset % BLOCK_BYTES,
                 len: e.len,
             })
-            .collect()
     }
 
     /// Re-stripes the file (the DL part of the Fig. 11/12 transformations):

@@ -28,4 +28,4 @@ pub use alloc::allocate_proportional;
 pub use file::{ArrayFile, FileExtent, BLOCK_BYTES};
 pub use order::{linearize, StorageOrder};
 pub use pool::{DiskId, DiskPool, DiskSet};
-pub use striping::{StripeExtent, Striping};
+pub use striping::{Extents, StripeExtent, Striping};

@@ -111,45 +111,75 @@ impl Striping {
     /// `stripe_factor == 1`) are merged.
     #[must_use]
     pub fn map_range(&self, pool: DiskPool, offset: u64, len: u64) -> Vec<StripeExtent> {
-        let mut out: Vec<StripeExtent> = Vec::new();
-        let mut cur = offset;
-        let end = offset + len;
-        while cur < end {
-            let stripe = cur / self.stripe_bytes;
-            let stripe_end = (stripe + 1) * self.stripe_bytes;
-            let run = stripe_end.min(end) - cur;
-            let disk = self.disk_for_stripe(pool, stripe);
-            let disk_offset = self.disk_offset_of(cur);
-            if let Some(last) = out.last_mut() {
-                if last.disk == disk
-                    && last.file_offset + last.len == cur
-                    && last.disk_offset + last.len == disk_offset
-                {
-                    last.len += run;
-                    cur += run;
-                    continue;
-                }
-            }
-            out.push(StripeExtent {
-                disk,
-                file_offset: cur,
-                disk_offset,
-                len: run,
-            });
-            cur += run;
+        self.extents(pool, offset, len).collect()
+    }
+
+    /// The extents of [`Striping::map_range`], produced one at a time
+    /// without allocating.
+    #[must_use]
+    pub fn extents(&self, pool: DiskPool, offset: u64, len: u64) -> Extents {
+        Extents {
+            striping: *self,
+            pool,
+            cur: offset,
+            end: offset + len,
         }
-        out
     }
 
     /// Bytes of the file range `[offset, offset + len)` that land on
     /// `disk`.
     #[must_use]
     pub fn bytes_on_disk(&self, pool: DiskPool, offset: u64, len: u64, disk: DiskId) -> u64 {
-        self.map_range(pool, offset, len)
-            .iter()
+        self.extents(pool, offset, len)
             .filter(|e| e.disk == disk)
             .map(|e| e.len)
             .sum()
+    }
+}
+
+/// Iterator over the per-disk extents of one file byte range; see
+/// [`Striping::extents`].
+#[derive(Debug, Clone)]
+pub struct Extents {
+    striping: Striping,
+    pool: DiskPool,
+    /// First byte not yet yielded.
+    cur: u64,
+    end: u64,
+}
+
+impl Iterator for Extents {
+    type Item = StripeExtent;
+
+    fn next(&mut self) -> Option<StripeExtent> {
+        if self.cur >= self.end {
+            return None;
+        }
+        let s = &self.striping;
+        let file_offset = self.cur;
+        let disk = s.disk_for_offset(self.pool, file_offset);
+        let disk_offset = s.disk_offset_of(file_offset);
+        let mut len = 0;
+        loop {
+            // The rest of the current stripe, cut at the range end.
+            let run = (s.stripe_bytes - self.cur % s.stripe_bytes).min(self.end - self.cur);
+            len += run;
+            self.cur += run;
+            // The next stripe joins this extent only if it continues it on
+            // the same disk.
+            if self.cur >= self.end
+                || s.disk_for_offset(self.pool, self.cur) != disk
+                || s.disk_offset_of(self.cur) != disk_offset + len
+            {
+                break;
+            }
+        }
+        Some(StripeExtent {
+            disk,
+            file_offset,
+            disk_offset,
+            len,
+        })
     }
 }
 
@@ -294,6 +324,39 @@ mod tests {
         s = Striping::default_paper();
         s.start_disk = DiskId(8);
         assert!(s.validate(p).is_err());
+    }
+
+    /// A stripe of 2^63 bytes ends at 2^64, past `u64`: the extents of a
+    /// range that crosses its end are found without computing it.
+    #[test]
+    fn stripes_ending_past_u64_map_exactly() {
+        let s = Striping {
+            start_disk: DiskId(1),
+            stripe_factor: 2,
+            stripe_bytes: 1 << 63,
+        };
+        let extents = s.map_range(pool8(), (1 << 63) - 10, 30);
+        let want = [
+            StripeExtent {
+                disk: DiskId(1),
+                file_offset: (1 << 63) - 10,
+                disk_offset: (1 << 63) - 10,
+                len: 10,
+            },
+            StripeExtent {
+                disk: DiskId(2),
+                file_offset: 1 << 63,
+                disk_offset: 0,
+                len: 20,
+            },
+        ];
+        assert_eq!(extents, want);
+        assert!(s.extents(pool8(), 5, 10).eq([StripeExtent {
+            disk: DiskId(1),
+            file_offset: 5,
+            disk_offset: 5,
+            len: 10,
+        }]));
     }
 
     #[test]

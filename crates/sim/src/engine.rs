@@ -187,8 +187,9 @@ struct ExecState<'a> {
 /// Build with [`Engine::new`], optionally attach a fault plan
 /// ([`Engine::faults`]) and, with the `obs` feature, a recorder
 /// ([`Engine::recorder`]), then play a per-event [`Trace`]
-/// ([`Engine::events`]) or a run-compressed [`RunTrace`]
-/// ([`Engine::runs`]). The two inputs give bit-identical reports; only
+/// ([`Engine::events`]), events pushed one at a time ([`Engine::stream`])
+/// or a run-compressed [`RunTrace`] ([`Engine::runs`]). The inputs give
+/// bit-identical reports for the same events; only
 /// [`SimReport::sim_path`] differs.
 ///
 /// An engine built with an oracle policy (`IdealTpm`/`IdealDrpm`) plays
@@ -246,7 +247,8 @@ impl<'r> Engine<'r> {
         self
     }
 
-    /// Plays `trace` event by event to completion.
+    /// Plays `trace` event by event to completion: a [`Stream`] fed every
+    /// event in order (after the clean Base pass, for an oracle policy).
     ///
     /// The events are not validated here: [`crate::simulate`] validates
     /// first, and `sdpm_core::Session` validates each trace once, when it
@@ -259,6 +261,27 @@ impl<'r> Engine<'r> {
         let _sp = prof::span("sim.simulate");
         let lowered = self.lower(|base| base.play_events(trace))?;
         self.replay(lowered.as_ref()).play_events(trace)
+    }
+
+    /// Opens the measured pass of a trace generated for a `pool_size`-disk
+    /// pool, to be played one event at a time: push each event of the
+    /// stream in program order with [`Stream::event`], then take the
+    /// report from [`Stream::finish`]. Pushing a trace's events gives
+    /// [`Engine::events`]'s report on it, bit for bit; faults and a
+    /// recorder act on the pass as they do there.
+    ///
+    /// # Errors
+    /// [`SimError::InvalidParams`] for invalid disk parameters,
+    /// [`SimError::PoolMismatch`] when `pool_size` is not the engine's
+    /// pool, and [`SimError::OracleStream`] for an oracle policy, whose
+    /// schedule comes from a clean Base pass over the whole trace.
+    pub fn stream(&self, pool_size: u32) -> Result<Stream<'_>, SimError> {
+        let span = prof::span("sim.simulate");
+        self.params.validate().map_err(SimError::InvalidParams)?;
+        if matches!(self.policy, Policy::IdealTpm | Policy::IdealDrpm) {
+            return Err(SimError::OracleStream(self.policy.label()));
+        }
+        self.replay(None).stream(pool_size, Some(span))
     }
 
     /// Plays a run-compressed trace through the O(#runs) loop. The report
@@ -279,7 +302,7 @@ impl<'r> Engine<'r> {
     /// means the policy plays as given.
     fn lower(
         &self,
-        base: impl FnOnce(&Replay<'_>) -> Result<SimReport, SimError>,
+        base: impl FnOnce(Replay<'_>) -> Result<SimReport, SimError>,
     ) -> Result<Option<Policy>, SimError> {
         self.params.validate().map_err(SimError::InvalidParams)?;
         let schedule: fn(&SimReport, &DiskParams) -> Vec<Vec<ScheduledAction>> = match self.policy {
@@ -288,8 +311,10 @@ impl<'r> Engine<'r> {
             _ => return Ok(None),
         };
         let clean = Replay::new(&self.params, self.pool, &Policy::Base, None, None);
-        let report = base(&clean)?;
-        Ok(Some(Policy::Schedule(schedule(&report, &self.params))))
+        let report = base(clean)?;
+        Ok(Some(Policy::Schedule(
+            schedule(&report, &self.params).into(),
+        )))
     }
 
     /// The measured pass: `lowered` (an oracle's schedule) if given, the
@@ -301,6 +326,47 @@ impl<'r> Engine<'r> {
             label: self.policy.label(),
             ..Replay::new(&self.params, self.pool, policy, self.faults, self.rec)
         }
+    }
+}
+
+/// One measured pass played one event at a time; see [`Engine::stream`].
+pub struct Stream<'a> {
+    replay: Replay<'a>,
+    st: ExecState<'a>,
+    /// Events played so far: the pass's `sim.events` count.
+    played: u64,
+    /// The `sim.simulate` span of a pass [`Engine::stream`] opened; a
+    /// pass inside [`Engine::events`] runs in that call's span.
+    _span: Option<prof::SpanGuard>,
+}
+
+impl Stream<'_> {
+    /// Plays the next application event of the pass.
+    ///
+    /// # Errors
+    /// As [`Engine::events`], for this event: an out-of-pool disk or a
+    /// machine call the event's timing makes illegal. The pass cannot go
+    /// on after an error.
+    #[inline]
+    pub fn event(&mut self, event: &AppEvent) -> Result<(), SimError> {
+        self.played += 1;
+        self.replay.handle_event(&mut self.st, event)
+    }
+
+    /// Ends the pass: brings every disk to the end of execution and
+    /// returns the report.
+    ///
+    /// # Errors
+    /// A machine call at finalization that could not be applied.
+    pub fn finish(self) -> Result<SimReport, SimError> {
+        let Stream {
+            replay,
+            st,
+            played,
+            _span,
+        } = self;
+        prof::add("sim.events", played);
+        replay.finish(st)
     }
 }
 
@@ -356,15 +422,27 @@ impl<'a> Replay<'a> {
         }
     }
 
-    /// The per-event engine loop.
-    fn play_events(&self, trace: &Trace) -> Result<SimReport, SimError> {
-        self.check_pool(trace.pool_size)?;
-        let mut st = self.init_state();
-        prof::add("sim.events", trace.events.len() as u64);
+    /// The per-event engine loop: `trace`'s events pushed through a
+    /// [`Stream`].
+    fn play_events(self, trace: &Trace) -> Result<SimReport, SimError> {
+        let mut stream = self.stream(trace.pool_size, None)?;
         for event in &trace.events {
-            self.handle_event(&mut st, event)?;
+            stream.event(event)?;
         }
-        self.finish(st)
+        stream.finish()
+    }
+
+    /// The pass as a [`Stream`] over a `pool_size`-disk trace, closing
+    /// `span` when it finishes.
+    fn stream(self, pool_size: u32, span: Option<prof::SpanGuard>) -> Result<Stream<'a>, SimError> {
+        self.check_pool(pool_size)?;
+        let st = self.init_state();
+        Ok(Stream {
+            replay: self,
+            st,
+            played: 0,
+            _span: span,
+        })
     }
 
     /// The run-compressed engine loop: plain records go through the
@@ -1583,7 +1661,7 @@ mod tests {
             vec![],
         ];
         let tr = trace(vec![compute(0, 20.0), io(0, 4096, 0, 0)]);
-        let r = Engine::new(p, pool(), Policy::Schedule(sched))
+        let r = Engine::new(p, pool(), Policy::Schedule(sched.into()))
             .events(&tr)
             .unwrap();
         assert_eq!(r.per_disk[0].rpm_shifts, 2);
@@ -1608,9 +1686,13 @@ mod tests {
                 .unwrap();
             assert_eq!(r.policy, label, "run-compressed path");
         }
-        let r = Engine::new(ultrastar36z15(), pool(), Policy::Schedule(vec![]))
-            .events(&tr)
-            .unwrap();
+        let r = Engine::new(
+            ultrastar36z15(),
+            pool(),
+            Policy::Schedule(Vec::new().into()),
+        )
+        .events(&tr)
+        .unwrap();
         assert_eq!(r.policy, "Schedule", "a given schedule keeps its own label");
     }
 

@@ -52,6 +52,10 @@ pub enum SimError {
     /// A run record failed [`sdpm_trace::Run::validate`] (its expansion
     /// would be degenerate or overflow).
     InvalidRun(String),
+    /// [`crate::Engine::stream`] was asked to play an oracle policy (named
+    /// by its label), whose clean Base pass needs the whole trace before
+    /// the first measured event.
+    OracleStream(&'static str),
 }
 
 impl SimError {
@@ -95,6 +99,10 @@ impl std::fmt::Display for SimError {
                 write!(f, "simulate requires valid DiskParams: {why}")
             }
             SimError::InvalidRun(why) => write!(f, "invalid run record: {why}"),
+            SimError::OracleStream(policy) => write!(
+                f,
+                "{policy} plays a clean Base pass over the whole trace first, so it cannot stream"
+            ),
         }
     }
 }

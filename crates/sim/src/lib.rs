@@ -13,8 +13,9 @@
 //! * [`Engine`] — the closed loop above, and the crate's one fallible
 //!   entry point for it: `Engine::new(params, pool, policy)`, optional
 //!   [`Engine::faults`] and (with the `obs` feature) `Engine::recorder`,
-//!   then [`Engine::events`] for a per-event [`Trace`] or [`Engine::runs`]
-//!   for a run-compressed [`sdpm_trace::RunTrace`]. [`simulate`] and
+//!   then [`Engine::events`] for a per-event [`Trace`], [`Engine::stream`]
+//!   for events pushed one at a time, or [`Engine::runs`] for a
+//!   run-compressed [`sdpm_trace::RunTrace`]. [`simulate`] and
 //!   [`simulate_source`] are the panicking shorthands.
 //! * [`simulate_mix`] — the open loop: requests from one or more tenants
 //!   arrive at fixed times on a shared pool, so delays show up as
@@ -96,7 +97,7 @@ pub mod policy;
 sdpm_obs::prof_hooks!();
 pub mod report;
 
-pub use engine::Engine;
+pub use engine::{Engine, Stream};
 pub use error::SimError;
 pub use mix::{
     simulate_mix, simulate_mix_merged, MixPolicy, MixReport, OpenDiskReport, TenantMixReport,

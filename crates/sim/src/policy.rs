@@ -2,6 +2,7 @@
 
 use sdpm_trace::PowerAction;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Reactive TPM configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -173,8 +174,9 @@ pub enum Policy {
     Directive(DirectiveConfig),
     /// Replay a precomputed per-disk action schedule: what the oracle
     /// policies lower to, once [`crate::oracle`] has built the schedule
-    /// from a clean Base run's gaps.
-    Schedule(Vec<Vec<ScheduledAction>>),
+    /// from a clean Base run's gaps. Shared, so a kept schedule replays
+    /// in place.
+    Schedule(Arc<[Vec<ScheduledAction>]>),
 }
 
 impl Policy {

@@ -155,7 +155,7 @@ fn schedule_actions_beyond_end_of_trace_apply_at_finalize() {
         }],
     ];
     let t = trace(vec![compute(10.0, 0)]);
-    let r = run(&t, &Policy::Schedule(sched));
+    let r = run(&t, &Policy::Schedule(sched.into()));
     assert_eq!(r.per_disk[0].rpm_shifts, 1);
     assert_eq!(r.per_disk[1].rpm_shifts, 0);
     assert_eq!(r.per_disk[0].gaps[0].level, RpmLevel(0));
@@ -235,4 +235,84 @@ fn energy_monotone_in_pool_size() {
         assert!(r.total_energy_j() > prev);
         prev = r.total_energy_j();
     }
+}
+
+/// Pushing a trace's events through `Engine::stream` gives the report
+/// `Engine::events` gives on the trace, bit for bit, under every policy
+/// the loop plays directly, with and without faults.
+#[test]
+fn streamed_events_match_the_whole_trace_pass() {
+    use sdpm_fault::{FaultConfig, FaultPlan};
+    use sdpm_sim::Engine;
+    let max = RpmLadder::new(&ultrastar36z15()).max_level();
+    let t = trace(vec![
+        io(0, 4096, 0),
+        AppEvent::Power {
+            disk: DiskId(1),
+            action: PowerAction::SetRpm(RpmLevel(2)),
+        },
+        compute(30.0, 1),
+        AppEvent::Power {
+            disk: DiskId(1),
+            action: PowerAction::SetRpm(max),
+        },
+        io(1, 65536, 2),
+        compute(0.02, 3),
+        io(0, 4096, 4),
+        compute(20.0, 5),
+        io(1, 4096, 6),
+    ]);
+    let plan = FaultPlan::new(FaultConfig::uniform(5, 0.3));
+    let schedule = vec![
+        vec![ScheduledAction {
+            at: 1.0,
+            action: PowerAction::SpinDown,
+        }],
+        vec![],
+    ];
+    for policy in [
+        Policy::Base,
+        Policy::Tpm(TpmConfig {
+            threshold_secs: Some(2.0),
+        }),
+        Policy::Drpm(DrpmConfig::default()),
+        Policy::Directive(DirectiveConfig::default()),
+        Policy::Schedule(schedule.into()),
+    ] {
+        for faults in [None, Some(&plan)] {
+            let engine =
+                Engine::new(ultrastar36z15(), DiskPool::new(2), policy.clone()).faults(faults);
+            let whole = engine.events(&t).unwrap();
+            let mut stream = engine.stream(t.pool_size).unwrap();
+            for e in &t.events {
+                stream.event(e).unwrap();
+            }
+            let streamed = stream.finish().unwrap();
+            assert_eq!(whole, streamed, "{}", policy.label());
+            assert_eq!(whole.exec_secs.to_bits(), streamed.exec_secs.to_bits());
+            assert_eq!(
+                whole.total_energy_j().to_bits(),
+                streamed.total_energy_j().to_bits()
+            );
+        }
+    }
+}
+
+/// An oracle's schedule needs a clean Base pass over the whole trace, so
+/// it cannot stream; neither can a pass for a different pool.
+#[test]
+fn stream_rejects_oracles_and_other_pools() {
+    use sdpm_sim::{Engine, SimError};
+    let engine = |policy| Engine::new(ultrastar36z15(), DiskPool::new(2), policy);
+    for policy in [Policy::IdealTpm, Policy::IdealDrpm] {
+        let label = policy.label();
+        assert!(matches!(
+            engine(policy).stream(2),
+            Err(SimError::OracleStream(l)) if l == label
+        ));
+    }
+    assert!(matches!(
+        engine(Policy::Base).stream(3),
+        Err(SimError::PoolMismatch { trace: 3, pool: 2 })
+    ));
 }

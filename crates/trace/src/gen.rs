@@ -24,6 +24,13 @@
 //! array, where `elem = cols·(flat mod rows) + flat div rows`, is one
 //! segment per column.
 //!
+//! The walker computes in 64-bit integers: every iteration of a validated
+//! program indexes inside its arrays, so each reference's element index
+//! at a segment's start, its step, and every byte offset fit `i64`. It
+//! remembers each reference's next miss until that reference's array
+//! fetches or the segment ends, and maps each fetched chunk to per-disk
+//! extents without allocating ([`sdpm_layout::ArrayFile::byte_extents`]).
+//!
 //! Exactness: between two misses the buffer cache is static by
 //! construction (no reference misses, so nothing is fetched), and at a
 //! miss iteration the generator runs the whole per-iteration body — every
@@ -66,16 +73,24 @@ impl Default for TraceGenConfig {
     }
 }
 
-/// A reference whose linearized element index is `base + slope·f` for
-/// every flat iteration `f` of the current segment.
+/// A reference whose linearized element index is `anchor + slope·(f −
+/// s)` for every flat iteration `f` of the current segment, which starts
+/// at `s`.
+///
+/// Every iteration of a validated program indexes inside its arrays, so
+/// an element index in the segment, its byte offset and the step between
+/// two of them fit `i64`: the walker computes in 64 bits. Only the plan
+/// search works in `i128` ([`LoopNest::affine_in_flat`]).
 struct AffRef {
     array: usize,
     kind: ReqKind,
-    base: i128,
-    slope: i128,
-    /// `carry[d]`: the change of `base` when outer loop `d` advances one
-    /// trip and the outer loops inside it wrap to their first trip.
-    carry: Vec<i128>,
+    /// The element index at the segment's first iteration.
+    anchor: i64,
+    slope: i64,
+    /// `carry[d]`: the change of `anchor` when outer loop `d` advances one
+    /// trip and the outer loops inside it wrap to their first trip (0 for
+    /// a loop of fewer than two trips, which never advances).
+    carry: Vec<i64>,
 }
 
 /// How one nest is generated: the outer loops `loops[..trips.len()]`
@@ -84,58 +99,50 @@ struct AffRef {
 #[derive(Default)]
 struct NestPlan {
     refs: Vec<AffRef>,
+    /// `memo[k]`: reference `k`'s next miss at or after the walker's
+    /// position, if known. It depends only on the reference's array's
+    /// cached chunk and the segment end, so it is dropped when either
+    /// changes.
+    memo: Vec<Option<u64>>,
     /// The outer loops' trip indices in the current segment.
     trips: Vec<u64>,
     seg_len: u64,
     /// First flat iteration past the current segment.
     seg_end: u64,
+    /// The nest's iteration count.
+    total: u64,
 }
 
-/// `ceil(a / b)` for `b > 0` over `i128`.
-fn ceil_div(a: i128, b: i128) -> i128 {
-    debug_assert!(b > 0);
-    a.div_euclid(b) + i128::from(a.rem_euclid(b) != 0)
-}
-
-/// Reference `r`, whose element index is `lin`, as an [`AffRef`] when
-/// the loops `nest.loops[..split]` are stepped as segments, or `None`
-/// when it is not affine inside them.
-fn aff_ref(
-    nest: &LoopNest,
-    r: &ArrayRef,
-    lin: &AffineExpr,
-    split: usize,
-    seg_len: u64,
-) -> Option<AffRef> {
+/// Reference `r`, whose element index is `lin`, as its `(base, slope,
+/// carries)` in `i128` when the loops `nest.loops[..split]` are stepped as
+/// segments, or `None` when it is not affine inside them. `base` is the
+/// element index at flat iteration 0.
+fn aff_form(nest: &LoopNest, lin: &AffineExpr, split: usize) -> Option<(i128, i128, Vec<i128>)> {
     let (base, slope) = nest.affine_in_flat(lin, split)?;
-    // Re-anchoring to flat iterations moves `base` back by one segment's
-    // worth of slope per segment, on top of the outer loops' own steps.
-    let mut wrap = slope.checked_mul(i128::from(seg_len))?;
+    let mut wrap = 0i128;
     let mut carry = vec![0; split];
     for d in (0..split).rev() {
         let l = nest.loops[d];
         let per_trip = i128::from(lin.coeff(d)) * i128::from(l.step);
-        carry[d] = per_trip.checked_sub(wrap)?;
+        if l.count > 1 {
+            carry[d] = per_trip.checked_sub(wrap)?;
+        }
         wrap = wrap.checked_add(per_trip.checked_mul(i128::from(l.count.saturating_sub(1)))?)?;
     }
-    Some(AffRef {
-        array: r.array,
-        kind: match r.kind {
-            RefKind::Read => ReqKind::Read,
-            RefKind::Write => ReqKind::Write,
-        },
-        base,
-        slope,
-        carry,
-    })
+    Some((base, slope, carry))
 }
 
-/// Plans nest `ni` of `program` (an empty plan past the last nest) with
-/// the fewest outer loops under which every reference is affine.
+/// Plans nest `ni` of `program` (an empty plan past the last nest or for
+/// a nest without iterations) with the fewest outer loops under which
+/// every reference is affine.
 fn plan_nest(program: &Program, ni: usize) -> NestPlan {
     let Some(nest) = program.nests.get(ni) else {
         return NestPlan::default();
     };
+    let total = nest.iter_count();
+    if total == 0 {
+        return NestPlan::default();
+    }
     // Each reference's element index, linearized against its array's
     // storage order, in statement order.
     let refs: Vec<(&ArrayRef, AffineExpr)> = nest
@@ -147,24 +154,47 @@ fn plan_nest(program: &Program, ni: usize) -> NestPlan {
             (r, linearized_ref(r, file, file.order))
         })
         .collect();
-    (0..nest.depth().max(1))
+    let (split, forms) = (0..nest.depth().max(1))
         .find_map(|split| {
-            let seg_len = nest.loops[split..].iter().map(|l| l.count).product();
-            let refs = refs
+            let forms = refs
                 .iter()
-                .map(|(r, lin)| aff_ref(nest, r, lin, split, seg_len))
-                .collect::<Option<_>>()?;
-            Some(NestPlan {
-                refs,
-                trips: vec![0; split],
-                seg_len,
-                seg_end: seg_len,
-            })
+                .map(|(_, lin)| aff_form(nest, lin, split))
+                .collect::<Option<Vec<_>>>()?;
+            Some((split, forms))
         })
         // The innermost loop alone always passes unless `i128`
         // arithmetic overflows, which takes coefficients and bounds near
         // the `i64` limits.
-        .unwrap_or_else(|| panic!("nest {ni}: element index arithmetic overflows i128"))
+        .unwrap_or_else(|| panic!("nest {ni}: element index arithmetic overflows i128"));
+    // The nest runs at least one iteration, every one inside the arrays:
+    // the first iteration's element and each step actually taken fit
+    // `i64` (a segment of two or more iterations takes the slope).
+    let narrow = |v: i128| {
+        i64::try_from(v).unwrap_or_else(|_| panic!("nest {ni}: element index {v} overflows i64"))
+    };
+    let refs = refs
+        .iter()
+        .zip(forms)
+        .map(|((r, _), (base, slope, carry))| AffRef {
+            array: r.array,
+            kind: match r.kind {
+                RefKind::Read => ReqKind::Read,
+                RefKind::Write => ReqKind::Write,
+            },
+            anchor: narrow(base),
+            slope: narrow(slope),
+            carry: carry.into_iter().map(narrow).collect(),
+        })
+        .collect::<Vec<_>>();
+    let seg_len = nest.loops[split..].iter().map(|l| l.count).product();
+    NestPlan {
+        memo: vec![None; refs.len()],
+        refs,
+        trips: vec![0; split],
+        seg_len,
+        seg_end: seg_len,
+        total,
+    }
 }
 
 /// The generator's state: each [`Walker::step`] jumps to the next miss
@@ -176,6 +206,8 @@ struct Walker<'a> {
     /// One cached chunk per array, persisting across nests (a hot array
     /// carried between nests does not refetch its resident chunk).
     cached_chunk: Vec<Option<u64>>,
+    /// Per array: whether its cached chunk changed in the current step.
+    changed: Vec<bool>,
     /// Per-disk next expected block for sequential detection.
     next_block: Vec<Option<u64>>,
     /// Current nest, next flat iteration within it, and the first
@@ -203,6 +235,7 @@ impl<'a> Walker<'a> {
             pool,
             config,
             cached_chunk: vec![None; program.arrays.len()],
+            changed: vec![false; program.arrays.len()],
             next_block: vec![None; pool.count() as usize],
             ni: 0,
             pos: 0,
@@ -212,39 +245,62 @@ impl<'a> Walker<'a> {
         }
     }
 
+    /// The element index of `r` at flat iteration `f` of the current
+    /// segment, and its byte offset.
+    fn element_at(&self, r: &AffRef, f: u64) -> (i64, u64) {
+        let seg_start = self.plan.seg_end - self.plan.seg_len;
+        // `f − seg_start` fits `i64` whenever the slope is nonzero: the
+        // product is the step between two elements of the segment.
+        #[allow(clippy::cast_possible_wrap)]
+        let elem = r.anchor + r.slope * (f - seg_start) as i64;
+        // Non-negative and inside the array by `Program::validate`, so
+        // the byte offset fits `i64`; a violation is a caller contract
+        // breach, reported loudly.
+        let byte = u64::try_from(elem)
+            .unwrap_or_else(|_| panic!("out-of-range element index {elem}"))
+            * self.program.arrays[r.array].element_bytes;
+        (elem, byte)
+    }
+
     /// First iteration in `[pos, end)` at which `r` misses the cache,
     /// assuming the cache does not change before then (guaranteed: no ref
     /// misses earlier, so nothing fetches). `end` means "never within this
     /// segment".
     fn next_miss(&self, r: &AffRef, pos: u64, end: u64) -> u64 {
-        let eb = i128::from(self.program.arrays[r.array].element_bytes);
-        let cb = i128::from(self.config.io_chunk_bytes);
         let Some(c) = self.cached_chunk[r.array] else {
             return pos;
         };
-        let c = i128::from(c);
-        let elem_at = |f: u64| r.base + r.slope * i128::from(f);
-        let chunk_of = |f: u64| (elem_at(f) * eb).div_euclid(cb);
-        if chunk_of(pos) != c {
+        let eb = self.program.arrays[r.array].element_bytes;
+        let cb = self.config.io_chunk_bytes;
+        let (elem, byte) = self.element_at(r, pos);
+        if byte / cb != c {
             return pos;
         }
         if r.slope == 0 {
             return end;
         }
-        let f = if r.slope > 0 {
-            // First f with elem·eb ≥ (c+1)·cb.
-            let lo_elem = ceil_div((c + 1) * cb, eb);
-            ceil_div(lo_elem - r.base, r.slope)
+        // `elem` is non-negative: `element_at` checked it.
+        let elem = elem.unsigned_abs();
+        // Elements to go until the first one outside chunk `c`.
+        let gap = if r.slope > 0 {
+            // First element whose first byte is at or past `(c+1)·cb`.
+            // `c·cb` is at most a byte offset, below 2^63, so the product
+            // fits `u64` (`cb` itself when `c` is 0).
+            let Some(next) = (c + 1).checked_mul(cb) else {
+                return end;
+            };
+            next.div_ceil(eb) - elem
         } else {
-            // First f with elem·eb ≤ c·cb − 1; impossible when c == 0.
+            // Last element whose first byte is at or before `c·cb − 1`;
+            // there is none below chunk 0.
             if c == 0 {
                 return end;
             }
-            let hi_elem = (c * cb - 1).div_euclid(eb);
-            ceil_div(r.base - hi_elem, -r.slope)
+            elem - (c * cb - 1) / eb
         };
-        debug_assert!(f > i128::from(pos));
-        u64::try_from(f).map_or(end, |f| f.min(end))
+        debug_assert!(gap > 0);
+        pos.checked_add(gap.div_ceil(r.slope.unsigned_abs()))
+            .map_or(end, |f| f.min(end))
     }
 
     /// Processes the next miss iteration of the current segment; when no
@@ -253,15 +309,23 @@ impl<'a> Walker<'a> {
     /// in statement order, so cache effects between references sharing an
     /// array are exact.
     fn step(&mut self) {
-        let total = self.program.nests[self.ni].iter_count();
+        let total = self.plan.total;
         let end = self.plan.seg_end.min(total);
-        let m = if self.pos >= end {
-            end
-        } else {
+        let mut m = end;
+        if self.pos < end {
             let pos = self.pos;
-            let misses = self.plan.refs.iter().map(|r| self.next_miss(r, pos, end));
-            misses.min().unwrap_or(end)
-        };
+            for k in 0..self.plan.refs.len() {
+                let miss = match self.plan.memo[k] {
+                    Some(miss) => miss,
+                    None => {
+                        let miss = self.next_miss(&self.plan.refs[k], pos, end);
+                        self.plan.memo[k] = Some(miss);
+                        miss
+                    }
+                };
+                m = m.min(miss);
+            }
+        }
         if m >= end {
             if end >= total {
                 self.finish_nest(total);
@@ -274,20 +338,24 @@ impl<'a> Walker<'a> {
         for k in 0..self.plan.refs.len() {
             let r = &self.plan.refs[k];
             let (array, kind) = (r.array, r.kind);
-            let elem = r.base + r.slope * i128::from(m);
-            // Non-negative and in `u64` range by `Program::validate`; a
-            // violation is a caller contract breach, reported loudly.
-            let byte = u64::try_from(elem)
-                .unwrap_or_else(|_| panic!("out-of-range element index {elem}"))
-                * self.program.arrays[array].element_bytes;
-            let chunk = byte / self.config.io_chunk_bytes;
+            let chunk = self.element_at(r, m).1 / self.config.io_chunk_bytes;
             if self.cached_chunk[array] == Some(chunk) {
                 continue;
             }
             self.cached_chunk[array] = Some(chunk);
+            self.changed[array] = true;
             self.flush_compute(m);
             self.fetch(array, kind, chunk, m);
         }
+        // A reference's next miss stays valid until its array's chunk
+        // changes. Every reference that missed at `m` sees its array's
+        // chunk change here, by its own fetch or an earlier reference's.
+        for (memo, r) in self.plan.memo.iter_mut().zip(&self.plan.refs) {
+            if self.changed[r.array] {
+                *memo = None;
+            }
+        }
+        self.changed.fill(false);
         self.pos = m + 1;
     }
 
@@ -314,7 +382,7 @@ impl<'a> Walker<'a> {
         let cb = self.config.io_chunk_bytes;
         let chunk_start = chunk * cb;
         let chunk_len = cb.min(file.total_bytes() - chunk_start);
-        for ext in file.map_bytes(self.pool, chunk_start, chunk_len) {
+        for ext in file.byte_extents(self.pool, chunk_start, chunk_len) {
             let d = ext.disk.0 as usize;
             let sequential =
                 self.config.detect_sequential && self.next_block[d] == Some(ext.start_block);
@@ -332,8 +400,9 @@ impl<'a> Walker<'a> {
         }
     }
 
-    /// Advances the outer-loop odometer one segment and re-anchors every
-    /// reference: O(#refs), amortized, and no allocation.
+    /// Advances the outer-loop odometer one segment, re-anchors every
+    /// reference and forgets every next miss: O(#refs), amortized, and
+    /// no allocation.
     fn next_segment(&mut self) {
         let loops = &self.program.nests[self.ni].loops;
         let plan = &mut self.plan;
@@ -347,8 +416,9 @@ impl<'a> Walker<'a> {
             plan.trips[d] = 0;
         }
         for r in &mut plan.refs {
-            r.base += r.carry[d];
+            r.anchor += r.carry[d];
         }
+        plan.memo.fill(None);
         plan.seg_end += plan.seg_len;
     }
 

@@ -599,6 +599,91 @@ fn walk_matches_the_spec_walk_at_every_corner() {
     }
 }
 
+/// A program at the edges of the generator's 64-bit arithmetic: byte
+/// offsets within 16 bytes of `i64::MAX`, scanned up and down (negative
+/// slopes, one of them −3); a transposed walk whose 2^32-byte steps and
+/// segment carries of about −2^39 elements sit inside a 2^62-byte array; and a
+/// 4 KiB array that the largest chunk sizes exceed.
+fn magnitude_program() -> Program {
+    let huge = |name: &str, dims: Vec<u64>| ArrayFile {
+        striping: Striping {
+            start_disk: DiskId(0),
+            stripe_factor: 3,
+            stripe_bytes: 1 << 58,
+        },
+        ..file(name, dims, 8, StorageOrder::RowMajor)
+    };
+    let top = (1i64 << 60) - 2;
+    let scan = |lower: i64| {
+        vec![LoopDim {
+            lower,
+            count: 5000,
+            step: 1,
+        }]
+    };
+    program(
+        "magnitudes",
+        vec![
+            huge("T", vec![(1 << 60) - 1]),
+            huge("M", vec![1 << 30, 1 << 29]),
+            file("S", vec![512], 8, StorageOrder::RowMajor),
+        ],
+        vec![
+            one_stmt_nest(
+                "up",
+                scan(0),
+                vec![
+                    ArrayRef::read(0, vec![affine(&[1], top - 4999)]),
+                    ArrayRef::read(2, vec![affine(&[0], 7)]),
+                ],
+            ),
+            one_stmt_nest(
+                "down",
+                scan(0),
+                vec![
+                    ArrayRef::write(0, vec![affine(&[-1], top)]),
+                    ArrayRef::read(0, vec![affine(&[-3], top)]),
+                ],
+            ),
+            one_stmt_nest(
+                "transposed",
+                vec![
+                    LoopDim {
+                        lower: (1 << 29) - 3,
+                        count: 3,
+                        step: 1,
+                    },
+                    LoopDim {
+                        lower: (1 << 30) - 1000,
+                        count: 1000,
+                        step: 1,
+                    },
+                ],
+                vec![ArrayRef::read(
+                    1,
+                    vec![affine(&[0, 1], 0), affine(&[1, 0], 0)],
+                )],
+            ),
+            one_stmt_nest(
+                "small",
+                vec![LoopDim::simple(512)],
+                vec![
+                    ArrayRef::read(2, vec![affine(&[1], 0)]),
+                    ArrayRef::write(2, vec![affine(&[-1], 511)]),
+                ],
+            ),
+        ],
+    )
+}
+
+#[test]
+fn walk_matches_the_spec_walk_at_64_bit_magnitudes() {
+    let pool = DiskPool::new(4);
+    for chunk in [4096, 3000, 1 << 62, u64::MAX] {
+        assert_walk_matches_spec(&magnitude_program(), pool, chunk);
+    }
+}
+
 /// A row-major array of 8-byte elements striped in 16 KiB units over 4
 /// disks, its blocks starting at `base_block`.
 fn striped(name: &str, dims: Vec<u64>, base_block: u64) -> ArrayFile {
